@@ -104,6 +104,10 @@ class UnsupportedShape(FloerDiskError):
     """The polynomial is outside the structured family this analysis covers."""
 
 
+class ResidueSearchTooLarge(FloerDiskError):
+    """The residue search would exceed its work budget."""
+
+
 # --- probes -------------------------------------------------------------------
 
 class InvalidProbe(FloerDiskError):

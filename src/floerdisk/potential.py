@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 from .errors import (BasisMismatch, Degenerate, InfiniteRing, NotSingleLevel,
-                     UnknownLabel, UnsupportedShape)
+                     ResidueSearchTooLarge, UnknownLabel, UnsupportedShape)
 from .rings import Ring, parse_rational, rational_str, reduce
 from .scenario import LagrangianSide
 
@@ -351,10 +353,23 @@ def unit_critical_analysis(p: NovikovPolynomial) -> CriticalReport:
     return CriticalReport(any(b.candidate for b in branches), tuple(branches))
 
 
-# --- exhaustive residue search over finite rings -----------------------------------
+# --- residue search over finite rings ---------------------------------------------
+
+# Most work one residue search may plan.  A unit is one partial term evaluated
+# at one candidate pair, so each candidate costs the number of compiled terms
+# (at least one); the bound keeps the largest accepted search to a few seconds.
+RESIDUE_WORK_BUDGET = 3_000_000
+# Building, sorting and printing one output pair costs about as much as this
+# many term evaluations; roots kept between stages are capped at the same
+# rate, so no stage holds more pairs than the budget could output.
+_PAIR_WORK = 16
+
 
 def evaluate_partials_at(p: NovikovPolynomial, z0, w0, ring: Ring):
-    """Both formal partials at a unit point, with t and e^c read as 1."""
+    """Both formal partials at a unit point, with t and e^c read as 1.
+
+    Re-derives the partials on every call; it is the per-point reference
+    the residue search is tested against, not part of that search."""
     out = []
     for var in ("z", "w"):
         total = ring.zero()
@@ -367,22 +382,130 @@ def evaluate_partials_at(p: NovikovPolynomial, z0, w0, ring: Ring):
     return tuple(out)
 
 
+def _compile_partials(p: NovikovPolynomial, ring: Ring) -> tuple:
+    """Both partials as tuples of (coeff mod n, z_exp, w_exp) int triples,
+    with t and e^c read as 1, like monomials merged and zeros dropped.
+
+    Coefficients go through ``reduce`` in the order ``evaluate_partials_at``
+    uses, so a non-invertible denominator raises the same error."""
+    n = ring.modulus
+    out = []
+    for var in ("z", "w"):
+        merged: dict[tuple, int] = {}
+        for t in partial_derivative(p, var).terms:
+            key = (t.z_exp, t.w_exp)
+            merged[key] = (merged.get(key, 0) + reduce(t.coeff, ring).value) % n
+        out.append(tuple((c, ze, we) for (ze, we), c in merged.items() if c))
+    return tuple(out)
+
+
+def _vanishes(partials, z: int, w: int, q: int) -> bool:
+    """Whether every compiled partial is zero mod q at the unit pair (z, w)."""
+    return not any(
+        sum(c * pow(z, ze, q) * pow(w, we, q) for c, ze, we in terms) % q
+        for terms in partials)
+
+
+class _WorkBudget:
+    """The work one residue search has charged against RESIDUE_WORK_BUDGET."""
+
+    def __init__(self, ring_name: str):
+        self.ring_name = ring_name
+        self.spent = 0
+
+    def _refuse(self):
+        raise ResidueSearchTooLarge(
+            f"residue search over {self.ring_name} exceeds the work budget "
+            f"of {RESIDUE_WORK_BUDGET}")
+
+    def charge(self, work: int):
+        self.spent += work
+        if self.spent > RESIDUE_WORK_BUDGET:
+            self._refuse()
+
+    def keep(self, pairs) -> list:
+        """The pairs as a list, refused once the budget could not output
+        them all."""
+        room = (RESIDUE_WORK_BUDGET - self.spent) // _PAIR_WORK
+        kept = list(islice(pairs, room + 1))
+        if len(kept) > room:
+            self._refuse()
+        return kept
+
+
+def _prime_powers(n: int, ring_name: str) -> list[tuple]:
+    """[(p, k)] with n = prod p^k, p ascending, by trial division up to
+    isqrt(budget) + 1.  A factor left above that bound is a prime whose
+    (p - 1)^2 brute force alone exceeds the budget, so it is refused."""
+    limit = isqrt(RESIDUE_WORK_BUDGET) + 1
+    out = []
+    d = 2
+    while d * d <= n and d <= limit:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            out.append((d, k))
+        d += 1
+    if n > limit:
+        raise ResidueSearchTooLarge(
+            f"{ring_name} has a prime factor above {limit}; its residue "
+            f"search exceeds the work budget of {RESIDUE_WORK_BUDGET}")
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _prime_power_roots(partials, p: int, k: int, weight: int,
+                       budget: _WorkBudget) -> list[tuple]:
+    """Unit roots mod p^k: brute force mod p, then lift one power at a time.
+
+    Lifting is complete with no non-singularity condition: reduction mod p^j
+    sends unit roots mod p^(j+1) to unit roots mod p^j, so every root mod
+    p^(j+1) lies among the p^2 candidates above some root mod p^j."""
+    budget.charge((p - 1) ** 2 * weight)
+    roots = budget.keep((z, w) for z in range(1, p) for w in range(1, p)
+                        if _vanishes(partials, z, w, p))
+    q = p
+    for _ in range(k - 1):
+        budget.charge(len(roots) * p * p * weight)
+        lifted = q * p
+        roots = budget.keep((z1, w1) for z, w in roots
+                            for z1 in range(z, lifted, q)
+                            for w1 in range(w, lifted, q)
+                            if _vanishes(partials, z1, w1, lifted))
+        q = lifted
+    return roots
+
+
 def residue_critical_points(p: NovikovPolynomial, ring: Ring) -> list[tuple]:
-    """All unit pairs (z, w) where both partials vanish in the finite ring.
+    """All unit pairs (z, w) where both partials vanish in the finite ring,
+    sorted ascending.
 
     The polynomial must sit at a single t-level, so that reading t as 1 is
-    meaningful."""
+    meaningful.  The partials are compiled to int triples once; n is split
+    into prime powers, each solved by lifting roots from p up to p^k, and
+    the parts are joined by CRT.  A search whose planned work exceeds
+    RESIDUE_WORK_BUDGET is refused with ResidueSearchTooLarge."""
     if not ring.is_finite:
         raise InfiniteRing("residue search needs a finite ring")
     if len(p.t_levels()) > 1:
         raise NotSingleLevel(
             f"polynomial spans t-levels {[rational_str(l) for l in p.t_levels()]}")
-    from .rings import units_of
-    units = units_of(ring)
-    found = []
-    for z0 in units:
-        for w0 in units:
-            dz, dw = evaluate_partials_at(p, z0.value, w0.value, ring)
-            if dz.is_zero and dw.is_zero:
-                found.append((z0.value, w0.value))
-    return found
+    partials = _compile_partials(p, ring)
+    weight = max(1, sum(len(terms) for terms in partials))
+    budget = _WorkBudget(ring.name)
+    n = ring.modulus
+    found = [(0, 0)]
+    for prime, k in _prime_powers(n, ring.name):
+        roots = _prime_power_roots(partials, prime, k, weight, budget)
+        if not roots:
+            return []
+        q = prime ** k
+        m = n // q
+        basis = m * pow(m, -1, q) % n   # 1 mod q, 0 mod n / q
+        budget.charge(len(found) * len(roots) * _PAIR_WORK)
+        found = [((z + zq * basis) % n, (w + wq * basis) % n)
+                 for z, w in found for zq, wq in roots]
+    return sorted(found)

@@ -20,14 +20,37 @@ RATIONALS = "Q"
 PRIME_FIELD = "F_p"
 
 
+# With the first 13 primes as bases, Miller-Rabin is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin.  Raises ValueError for p at or above
+    _MR_LIMIT, where these bases no longer decide primality exactly."""
+    if p >= _MR_LIMIT:
+        raise ValueError(f"cannot decide exactly whether {p} is prime; "
+                         f"prime fields need p < {_MR_LIMIT}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -166,11 +189,10 @@ class RingElement:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.ring.one()
-        base = self
-        for _ in range(exponent):
-            result = result * base
-        return result
+        if self.ring.is_finite:
+            return RingElement(self.ring,
+                               pow(self.value, exponent, self.ring.modulus))
+        return RingElement(self.ring, self.value ** exponent)
 
     def __str__(self):
         return str(self.value)

@@ -1,11 +1,15 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive (exhaustive search, hand formulas) and
-shares no code path with the implementations under test.
+shares no code path with the implementations under test.  The one exception
+is oracle_residue_critical_points, the exhaustive RingElement search, which
+shares partial_derivative and reduce with the fast residue search;
+plain_residue_critical_points checks the same answers with plain ints only.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 
 def brute_force_units(n):
@@ -109,3 +113,46 @@ def oracle_probe_displaces(vertices, base, direction, point):
     if length is None:
         return False
     return 0 < s and 2 * s < length
+
+
+def oracle_residue_critical_points(p, ring):
+    """Exhaustive residue search: both partials evaluated through
+    ``evaluate_partials_at`` (RingElement arithmetic, partials re-derived at
+    every point) at every pair of ``units_of(ring)``, in (z, w) order."""
+    from floerdisk.potential import evaluate_partials_at
+    from floerdisk.rings import units_of
+
+    units = [u.value for u in units_of(ring)]
+    return [(z, w) for z in units for w in units
+            if all(d.is_zero for d in evaluate_partials_at(p, z, w, ring))]
+
+
+def plain_residue_critical_points(p, n):
+    """Unit pairs mod n where both partials vanish, in (z, w) order.
+
+    Plain ints only: the partials are read off the terms by hand, each
+    coefficient is reduced with a modular inverse of its denominator, and
+    every unit pair is tried with power tables of z and w."""
+    units = [x for x in range(1, n) if gcd(x, n) == 1]
+    partials = []
+    for var in ("z", "w"):
+        terms = []
+        for t in p.terms:
+            exp = t.z_exp if var == "z" else t.w_exp
+            if exp:
+                c = Fraction(t.coeff) * exp
+                c = c.numerator * pow(c.denominator, -1, n) % n
+                terms.append((c, t.z_exp - (var == "z"),
+                              t.w_exp - (var == "w")))
+        partials.append(terms)
+    w_powers = {e: {w: pow(w, e, n) for w in units}
+                for terms in partials for _, _, e in terms}
+    found = []
+    for z in units:
+        scaled = [[(c * pow(z, ze, n), w_powers[we]) for c, ze, we in terms]
+                  for terms in partials]
+        for w in units:
+            if all(sum(c * wp[w] for c, wp in terms) % n == 0
+                   for terms in scaled):
+                found.append((z, w))
+    return found

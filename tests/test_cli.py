@@ -153,6 +153,24 @@ def test_computation_exit_code():
     assert code == 4
 
 
+def test_residue_search_refuses_large_moduli():
+    for ring in ("Z/1000000007", "F1000000000000000009"):
+        code, text = run(["potential", "--builtin", "cp2_ta:a=1/5",
+                          "--residue-ring", ring])
+        assert code == 4
+        assert json.loads(text)["error"]["type"] == "ResidueSearchTooLarge"
+
+
+def test_large_prime_field_modulus():
+    argv = ["criterion", "--builtin", "cp2_ta:a=1/10", "--vs",
+            "cp2_clifford", "--ring"]
+    code, _ = run(argv + ["F1000000000000000009"])
+    assert code == 0
+    code, text = run(argv + ["F1000000000000000001"])
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "usage"
+
+
 def test_local_system_flag_gives_zero_invariant():
     code, text = run(["invariant", "--builtin", "cp2_ta:a=1/10",
                       "--ring", "Q", "--local-system", "dalpha=-1,dbeta=1"])

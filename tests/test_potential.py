@@ -3,17 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from floerdisk import potential
 from floerdisk.errors import (BasisMismatch, Degenerate, InfiniteRing,
-                              NotSingleLevel, UnknownLabel, UnsupportedShape)
+                              NonInvertibleDenominator, NotSingleLevel,
+                              ResidueSearchTooLarge, UnknownLabel,
+                              UnsupportedShape)
 from floerdisk.potential import (NovikovPolynomial, NovikovTerm, bulk_deform,
-                                 newton_valuations, partial_derivative,
-                                 potential_from_ledger,
+                                 evaluate_partials_at, newton_valuations,
+                                 partial_derivative, potential_from_ledger,
                                  residue_critical_points, truncate_to_level,
                                  unit_critical_analysis)
 from floerdisk.rings import Ring
 from floerdisk.scenario import builtin_scenario
 
-from oracles import balance_slope
+from oracles import (balance_slope, oracle_residue_critical_points,
+                     plain_residue_critical_points)
 
 F = Fraction
 Z8 = Ring.parse("Z/8")
@@ -257,6 +261,103 @@ def test_residue_errors():
     low = truncate_to_level(cp2_potential(), F(1, 5))
     with pytest.raises(InfiniteRing):
         residue_critical_points(low, Ring.rationals())
+
+
+def lowest_level(name, a=None, hits=None):
+    side = builtin_scenario(name, {"a": a} if a is not None else None).side
+    p = potential_from_ledger(side, divisor_hits=hits)
+    return truncate_to_level(p, p.t_levels()[0])
+
+
+RESIDUE_POLYS = {
+    "cp2_a=1/5": lowest_level("cp2_ta", F(1, 5)),
+    "cp2_a=1/3": lowest_level("cp2_ta", F(1, 3)),
+    "cp2_a=1/5_bulk": lowest_level("cp2_ta", F(1, 5), {"b": 1}),
+    "cp2_a=1/3_bulk": lowest_level("cp2_ta", F(1, 3), {"b": 1}),
+    "p1xp1_a=1/5": lowest_level("p1xp1_ta", F(1, 5)),
+    "bl3_a=1/5": lowest_level("bl3_ta", F(1, 5)),
+    "constant": NovikovPolynomial.from_terms([term(5, F(1, 5))]),
+    # negative exponents and a fractional coefficient: the partials carry
+    # -6/7 and 4/7, so every ring where 7 is a zero divisor must raise
+    "synthetic": NovikovPolynomial.from_terms([
+        term(F(2, 7), 0, z=-3, w=2), term(5, 0, ec=1, z=2, w=-1),
+        term(-1, 0, z=1, w=1), term(3, 0, ec=2, z=2, w=-1)]),
+}
+PRIMES = [p for p in range(2, 62) if all(p % d for d in range(2, p))]
+RESIDUE_RINGS = ([Ring.integers_mod(n) for n in range(2, 65)]
+                 + [Ring.prime_field(p) for p in PRIMES])
+
+
+def outcome(search, p, ring):
+    """The search result, or the error a non-invertible coefficient raises."""
+    try:
+        return search(p, ring)
+    except NonInvertibleDenominator as exc:
+        return ("NonInvertibleDenominator", str(exc))
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_POLYS))
+def test_residue_matches_exhaustive_search(name):
+    p = RESIDUE_POLYS[name]
+    for ring in RESIDUE_RINGS:
+        if ring.modulus <= 12 or ring.modulus == 30:
+            assert outcome(residue_critical_points, p, ring) \
+                == outcome(oracle_residue_critical_points, p, ring), ring
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_POLYS))
+def test_residue_matches_plain_int_search(name):
+    p = RESIDUE_POLYS[name]
+    for ring in RESIDUE_RINGS:
+        try:
+            expected = plain_residue_critical_points(p, ring.modulus)
+        except ValueError:   # no inverse of a denominator
+            with pytest.raises(NonInvertibleDenominator):
+                residue_critical_points(p, ring)
+            continue
+        assert residue_critical_points(p, ring) == expected, ring
+
+
+def test_residue_noninvertible_coefficient_error():
+    p = RESIDUE_POLYS["synthetic"]
+    for name in ("Z/14", "Z/49", "F7"):
+        ring = Ring.parse(name)
+        got = outcome(residue_critical_points, p, ring)
+        assert got[0] == "NonInvertibleDenominator"
+        assert got == outcome(oracle_residue_critical_points, p, ring)
+
+
+def test_residue_lifting_mod_1024():
+    low = RESIDUE_POLYS["cp2_a=1/5"]
+    ring = Ring.integers_mod(1024)
+    points = residue_critical_points(low, ring)
+    for z0, w0 in points:
+        assert all(d.is_zero for d in evaluate_partials_at(low, z0, w0, ring))
+    assert points == plain_residue_critical_points(low, 1024)
+
+
+def test_residue_budget_refuses_large_primes():
+    low = RESIDUE_POLYS["cp2_a=1/5"]
+    for name in ("Z/1000000007", "F1000000000000000009",
+                 "Z/" + str(2 * 1000000007)):
+        with pytest.raises(ResidueSearchTooLarge):
+            residue_critical_points(low, Ring.parse(name))
+
+
+def test_residue_budget_stages(monkeypatch):
+    monkeypatch.setattr(potential, "RESIDUE_WORK_BUDGET", 10_000)
+    low = RESIDUE_POLYS["cp2_a=1/5"]
+    constant = RESIDUE_POLYS["constant"]
+    assert len(residue_critical_points(constant, Ring.integers_mod(32))) == 256
+    # trial division stops at isqrt(10000) + 1 = 101
+    with pytest.raises(ResidueSearchTooLarge, match="above 101"):
+        residue_critical_points(low, Ring.prime_field(103))
+    # 100^2 candidates times five compiled terms
+    with pytest.raises(ResidueSearchTooLarge):
+        residue_critical_points(low, Ring.prime_field(101))
+    # 1024 roots mod 64 cannot all be output
+    with pytest.raises(ResidueSearchTooLarge):
+        residue_critical_points(constant, Ring.integers_mod(64))
 
 
 def test_basis_mismatch():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from floerdisk.errors import InfiniteRing, NonInvertibleDenominator
-from floerdisk.rings import (Ring, parse_rational, rational_str, reduce,
-                             units_of)
+from floerdisk.rings import (Ring, _is_prime, parse_rational, rational_str,
+                             reduce, units_of)
 
 from oracles import brute_force_units
 
@@ -24,6 +24,45 @@ def test_prime_field_rejects_composite():
         Ring.prime_field(6)
     with pytest.raises(ValueError):
         Ring.parse("F9")
+
+
+def test_is_prime_matches_trial_division():
+    for p in range(10_000):
+        assert _is_prime(p) == (p > 1 and all(p % d for d in range(2, p)
+                                              if d * d <= p)), p
+
+
+def test_prime_field_large_moduli():
+    assert Ring.parse("F1000000000000000009").modulus == 10**18 + 9
+    with pytest.raises(ValueError):   # 101 * 9901 * 999999000001
+        Ring.parse("F1000000000000000001")
+    # the 13 Miller-Rabin bases are exact only below this bound
+    with pytest.raises(ValueError):
+        Ring.prime_field(3_317_044_064_679_887_385_961_981)
+
+
+def repeated_power(x, exponent):
+    base = x if exponent >= 0 else x.inverse()
+    result = x.ring.one()
+    for _ in range(abs(exponent)):
+        result = result * base
+    return result
+
+
+def test_pow_matches_repeated_multiplication():
+    samples = {Z: [-1, 0, 1, 3, -2], Q: [Fraction(-3, 2), Fraction(5)],
+               Ring.integers_mod(12): [0, 4, 5, 7], Ring.prime_field(7): [3, 6]}
+    for ring, values in samples.items():
+        for v in values:
+            x = reduce(v, ring)
+            for e in range(-5, 41):
+                if e < 0 and not x.is_unit:
+                    with pytest.raises(NonInvertibleDenominator):
+                        x ** e
+                    continue
+                got = x ** e
+                want = repeated_power(x, e)
+                assert got == want and type(got.value) is type(want.value)
 
 
 def test_modulus_bounds():
