@@ -43,9 +43,12 @@ def _parse_builtin_ref(text: str) -> Scenario:
     if param_text:
         for chunk in param_text.split(","):
             key, _, value = chunk.partition("=")
+            key = key.strip()
             if not value:
                 raise BadParams(f"bad parameter assignment {chunk!r}")
-            params[key.strip()] = parse_rational(value)
+            if key in params:
+                raise BadParams(f"parameter {key!r} given twice")
+            params[key] = parse_rational(value)
     return builtin_scenario(name.strip(), params)
 
 

@@ -112,3 +112,7 @@ class ResidueSearchTooLarge(FloerDiskError):
 
 class InvalidProbe(FloerDiskError):
     pass
+
+
+class ProbeSearchTooLarge(FloerDiskError):
+    """The probe search would exceed its work budget."""

@@ -17,12 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import InvalidProbe, ValidationError
-from .rings import parse_rational, rational_str
+from .errors import (BadParams, InvalidProbe, ProbeSearchTooLarge, SchemaError,
+                     ValidationError)
+from .rings import rational_from, rational_str
 
 Point = tuple
+
+# Most work one probe search may plan, in (nonzero direction in the bound's
+# box) x (facet) pairs.  Bound 30 fits on polygons of up to 268 facets, and
+# the largest accepted search takes about half a second.
+PROBE_WORK_BUDGET = 1_000_000
 
 
 def _frac_point(p) -> Point:
@@ -64,6 +70,14 @@ class Facet:
         return 0 < u < 1
 
 
+def _facet(index: int, start: Point, end: Point) -> Facet:
+    direction = (end[0] - start[0], end[1] - start[1])
+    # inward normal for a counterclockwise polygon: left rotation
+    normal = _primitive((-direction[1], direction[0]))
+    offset = normal[0] * start[0] + normal[1] * start[1]
+    return Facet(index, start, end, normal, offset)
+
+
 @dataclass(frozen=True)
 class Polytope2:
     """A convex rational polygon with counterclockwise vertices."""
@@ -88,20 +102,13 @@ class Polytope2:
         for i in self.excluded_vertices:
             if not 0 <= i < n:
                 raise ValidationError(f"excluded vertex index {i} out of range")
+        # built once, kept off the dataclass fields so eq and repr ignore it
+        object.__setattr__(self, "_facets", tuple(
+            _facet(i, verts[i], verts[(i + 1) % n]) for i in range(n)))
 
     @property
-    def facets(self) -> list[Facet]:
-        out = []
-        n = len(self.vertices)
-        for i in range(n):
-            start = self.vertices[i]
-            end = self.vertices[(i + 1) % n]
-            direction = (end[0] - start[0], end[1] - start[1])
-            # inward normal for a counterclockwise polygon: left rotation
-            normal = _primitive((-direction[1], direction[0]))
-            offset = normal[0] * start[0] + normal[1] * start[1]
-            out.append(Facet(i, start, end, normal, offset))
-        return out
+    def facets(self) -> tuple:
+        return self._facets
 
     def contains(self, p, strict: bool = False) -> bool:
         p = _frac_point(p)
@@ -122,10 +129,27 @@ class Polytope2:
                 "excluded_vertices": list(self.excluded_vertices)}
 
 
-def polytope_from_json(doc: dict) -> Polytope2:
-    verts = [(parse_rational(str(x)), parse_rational(str(y)))
-             for x, y in doc["vertices"]]
-    return Polytope2(tuple(verts), tuple(doc.get("excluded_vertices", ())))
+def polytope_from_json(doc) -> Polytope2:
+    """Read ``{"vertices": [[x, y], ...], "excluded_vertices": [i, ...]}``.
+
+    Coordinates are ints or rational strings; any other shape is a
+    SchemaError.  Geometry (convexity, index range) is Polytope2's to check.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
+        raise SchemaError("a polytope is an object with a 'vertices' list")
+    verts = []
+    for i, vertex in enumerate(doc["vertices"]):
+        if not isinstance(vertex, list) or len(vertex) != 2:
+            raise SchemaError(f"vertices[{i}]: expected a pair [x, y], "
+                              f"got {vertex!r}")
+        verts.append((rational_from(vertex[0], f"vertices[{i}][0]"),
+                      rational_from(vertex[1], f"vertices[{i}][1]")))
+    excluded = doc.get("excluded_vertices", [])
+    if not isinstance(excluded, list) or any(
+            isinstance(i, bool) or not isinstance(i, int) for i in excluded):
+        raise SchemaError("excluded_vertices: expected a list of vertex "
+                          f"indices, got {excluded!r}")
+    return Polytope2(tuple(verts), tuple(excluded))
 
 
 @dataclass(frozen=True)
@@ -180,26 +204,59 @@ class ProbeSegment:
     exits_at_excluded_vertex: bool
 
 
+def _heights(facets, point) -> tuple[list[int], int]:
+    """Each facet's height n . point - c over one common denominator: the
+    ints H and the denominator D with height_i = H[i] / D."""
+    px, py = point
+    heights = [f.normal[0] * px + f.normal[1] * py - f.offset for f in facets]
+    den = lcm(*(h.denominator for h in heights))
+    return [h.numerator * (den // h.denominator) for h in heights], den
+
+
+def _clip(facets, heights, direction) -> tuple:
+    """Both ends of the line point + t * direction, in one pass over the
+    facets, given the point's scaled heights H.
+
+    With k = n . direction for each facet, the line leaves backwards through
+    the facet minimising H / k over k > 0 and forwards through the one
+    minimising H / -k over k < 0; ratios are compared by cross-multiplying.
+    Returns (back, forward), each None when no facet bounds that end, or
+    (facet index, H, |k|, tie), where tie means a second facet reaches the
+    same ratio, i.e. that end is a vertex.
+    """
+    dx, dy = direction
+    back = forward = None
+    for f, h in zip(facets, heights):
+        k = f.normal[0] * dx + f.normal[1] * dy
+        if k > 0:
+            if back is None or h * back[2] < back[1] * k:
+                back = (f.index, h, k, False)
+            elif h * back[2] == back[1] * k:
+                back = back[:3] + (True,)
+        elif k < 0:
+            k = -k
+            if forward is None or h * forward[2] < forward[1] * k:
+                forward = (f.index, h, k, False)
+            elif h * forward[2] == forward[1] * k:
+                forward = forward[:3] + (True,)
+    return back, forward
+
+
 def probe_segment(poly: Polytope2, probe: Probe) -> ProbeSegment:
     """Clip the probe ray against the polytope; exact rational exit."""
     validate_probe(poly, probe)
     bx, by = probe.base
     dx, dy = probe.direction
-    best = None
-    for facet in poly.facets:
-        denom = facet.normal[0] * dx + facet.normal[1] * dy
-        if denom >= 0:
-            continue  # not an exiting half-plane for this direction
-        t = Fraction(facet.offset - facet.normal[0] * bx - facet.normal[1] * by,
-                     denom)
-        if t > 0 and (best is None or t < best):
-            best = t
-    if best is None:
+    heights, den = _heights(poly.facets, probe.base)
+    _, forward = _clip(poly.facets, heights, probe.direction)
+    if forward is None:
         raise InvalidProbe("probe never exits; polytope data is inconsistent")
-    exit_point = (bx + best * dx, by + best * dy)
+    _, h, k, _ = forward
+    length = Fraction(h, den * k)
+    exit_point = (bx + length * dx, by + length * dy)
     at_vertex = exit_point in poly.vertices
     at_excluded = exit_point in poly.excluded_points()
-    return ProbeSegment(exit_point, best, at_vertex, at_excluded)
+    return ProbeSegment(exit_point, length, at_vertex, at_excluded)
 
 
 def probe_parameter(probe: Probe, point) -> Fraction | None:
@@ -262,38 +319,50 @@ def search_probes(poly: Polytope2, point, direction_bound: int) -> list[ProbeHit
 
     For each primitive direction, the candidate base is the unique boundary
     point hit by walking backwards from the point; directions whose backward
-    ray lands on a vertex or on a non-transverse facet yield no probe.
+    ray lands on a vertex or on a non-transverse facet yield no probe.  The
+    point's facet heights are scaled to ints once, each direction is one
+    integer clipping pass, and Fractions are only built for hits.
     """
+    if direction_bound < 1:
+        raise BadParams(
+            f"probe bound must be at least 1, got {direction_bound}")
+    facets = poly.facets
+    work = ((2 * direction_bound + 1) ** 2 - 1) * len(facets)
+    if work > PROBE_WORK_BUDGET:
+        raise ProbeSearchTooLarge(
+            f"probe search with bound {direction_bound} over {len(facets)} "
+            f"facets exceeds the work budget of {PROBE_WORK_BUDGET}")
     point = _frac_point(point)
-    if not poly.contains(point, strict=True):
+    heights, den = _heights(facets, point)
+    if min(heights) <= 0:
         raise ValidationError(f"query point {point} is not interior")
     hits = []
-    for direction in sorted(_primitive_directions(direction_bound)):
-        dx, dy = direction
-        back = None
-        for facet in poly.facets:
-            denom = facet.normal[0] * dx + facet.normal[1] * dy
-            if denom <= 0:
-                continue  # walking backwards exits where normal . d > 0
-            t = Fraction(facet.normal[0] * point[0]
-                         + facet.normal[1] * point[1] - facet.offset, denom)
-            if t > 0 and (back is None or t < back):
-                back = t
-        if back is None:
+    for direction in _primitive_directions(direction_bound):
+        back, forward = _clip(facets, heights, direction)
+        if back is None or forward is None:
             continue
-        base = (point[0] - back * dx, point[1] - back * dy)
-        if base in poly.vertices:
+        entry, back_h, back_k, at_vertex = back
+        # the base is a vertex, or d is not integrally transverse to the
+        # entry facet
+        if at_vertex or back_k != 1:
             continue
-        try:
-            probe = make_probe(poly, base, direction)
-        except InvalidProbe:
+        _, forward_h, forward_k, _ = forward
+        # displaced iff 2 * back < length = back + forward
+        if back_h * forward_k >= forward_h:
             continue
-        if probe_displaces(poly, probe, point):
-            segment = probe_segment(poly, probe)
-            hits.append(ProbeHit(probe, probe_parameter(probe, point),
-                                 segment.length, segment.exits_at_vertex,
-                                 segment.exits_at_excluded_vertex))
+        hits.append(_hit(poly, point, direction, entry, Fraction(back_h, den),
+                         Fraction(forward_h, den * forward_k)))
     return hits
+
+
+def _hit(poly: Polytope2, point: Point, direction: tuple, entry: int,
+         back: Fraction, forward: Fraction) -> ProbeHit:
+    dx, dy = direction
+    base = (point[0] - back * dx, point[1] - back * dy)
+    exit_point = (point[0] + forward * dx, point[1] + forward * dy)
+    return ProbeHit(Probe(entry, base, direction), back, back + forward,
+                    exit_point in poly.vertices,
+                    exit_point in poly.excluded_points())
 
 
 # --- default semitoric pictures -------------------------------------------------

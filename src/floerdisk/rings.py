@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InfiniteRing, NonInvertibleDenominator
+from .errors import InfiniteRing, NonInvertibleDenominator, SchemaError
 
 INTEGERS = "Z"
 INTEGERS_MOD = "Z/n"
@@ -260,8 +260,24 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def rational_from(value, where) -> Fraction:
+    """A document's rational: an int or a "p/q" string, else SchemaError."""
+    if isinstance(value, str):
+        if value == "inf":
+            raise SchemaError(f"{where}: 'inf' not allowed here")
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: bad rational {value!r}") from exc
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise SchemaError(f"{where}: expected a rational string, got {value!r}")
 
 
 def rational_str(x) -> str:

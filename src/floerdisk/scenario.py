@@ -18,7 +18,7 @@ from .abelian import (FgAbelianGroup, GroupElement, GroupHom,
                       solve_linear, transpose, vec_sub)
 from .errors import (BadParams, DimensionMismatch, SchemaError, UnknownScenario,
                      ValidationError)
-from .rings import PRIME_FIELD, Ring, parse_rational, rational_str, reduce
+from .rings import PRIME_FIELD, Ring, rational_from, rational_str, reduce
 
 Z = Ring.integers()
 
@@ -370,19 +370,6 @@ def _group_from_dict(data, where) -> FgAbelianGroup:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _fraction_from(value, where) -> Fraction:
-    if isinstance(value, str):
-        if value == "inf":
-            raise SchemaError(f"{where}: 'inf' not allowed here")
-        try:
-            return parse_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: bad rational {value!r}") from exc
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise SchemaError(f"{where}: expected a rational string, got {value!r}")
-
-
 def _side_from_dict(h2x, data, index) -> LagrangianSide:
     where = f"sides[{index}]"
     name = str(data.get("name", f"side{index}"))
@@ -400,7 +387,7 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
     if cutoff_raw in (None, "inf"):
         cutoff = None
     else:
-        cutoff = _fraction_from(cutoff_raw, f"{where}.ledger")
+        cutoff = rational_from(cutoff_raw, f"{where}.ledger")
     disks = []
     for di, disk_data in enumerate(_need(ledger_data, "disks", list,
                                          f"{where}.ledger")):
@@ -410,7 +397,7 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
             rel_class=tuple(_need(disk_data, "rel_class", list, dwhere)),
             boundary=tuple(_need(disk_data, "boundary", list, dwhere)),
             maslov=int(_need(disk_data, "maslov", int, dwhere)),
-            area=_fraction_from(_need(disk_data, "area", None, dwhere), dwhere),
+            area=rational_from(_need(disk_data, "area", None, dwhere), dwhere),
             count=int(_need(disk_data, "count", int, dwhere)),
         ))
     ledger = DiskLedger(tuple(disks), cutoff)
@@ -431,7 +418,7 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
     local_system = None
     if data.get("local_system") is not None:
         local_system = tuple(
-            (str(k), _fraction_from(v, f"{where}.local_system"))
+            (str(k), rational_from(v, f"{where}.local_system"))
             for k, v in data["local_system"].items())
 
     lattice = None
@@ -442,7 +429,7 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
 
     constant = None
     if data.get("b") is not None:
-        constant = _fraction_from(data["b"], where)
+        constant = rational_from(data["b"], where)
 
     asserted = None
     if data.get("asserted_invariant") is not None:

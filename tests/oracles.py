@@ -5,6 +5,8 @@ shares no code path with the implementations under test.  The one exception
 is oracle_residue_critical_points, the exhaustive RingElement search, which
 shares partial_derivative and reduce with the fast residue search;
 plain_residue_critical_points checks the same answers with plain ints only.
+oracle_search_probes, the old Fraction probe search, reads the facets that
+Polytope2 builds and its contains checks, but not the integer clipping.
 """
 
 from fractions import Fraction
@@ -156,3 +158,64 @@ def plain_residue_critical_points(p, n):
                    for terms in scaled):
                 found.append((z, w))
     return found
+
+
+def oracle_search_probes(poly, point, direction_bound):
+    """The probe search as first written, all on Fractions.
+
+    For every primitive direction it walks back from the point to the
+    boundary, drops vertex bases, finds the entry facet by scanning every
+    facet, checks integral transversality, clips the probe again from its
+    base and tests the strict-half criterion.  It shares the Polytope2,
+    Facet, Probe and ProbeHit records with the library, not its clipping."""
+    from floerdisk.errors import ValidationError
+    from floerdisk.probes import Probe, ProbeHit
+
+    point = (Fraction(point[0]), Fraction(point[1]))
+    if not poly.contains(point, strict=True):
+        raise ValidationError(f"query point {point} is not interior")
+    facets = poly.facets
+
+    def dot(normal, v):
+        return normal[0] * v[0] + normal[1] * v[1]
+
+    hits = []
+    for dx in range(-direction_bound, direction_bound + 1):
+        for dy in range(-direction_bound, direction_bound + 1):
+            if (dx, dy) == (0, 0) or gcd(abs(dx), abs(dy)) != 1:
+                continue
+            back = None
+            for f in facets:
+                denom = dot(f.normal, (dx, dy))
+                if denom <= 0:
+                    continue  # walking backwards exits where normal . d > 0
+                t = Fraction(dot(f.normal, point) - f.offset, denom)
+                if t > 0 and (back is None or t < back):
+                    back = t
+            if back is None:
+                continue
+            base = (point[0] - back * dx, point[1] - back * dy)
+            if base in poly.vertices:
+                continue
+            entry = [f for f in facets if f.contains_in_relative_interior(base)]
+            if not entry or dot(entry[0].normal, (dx, dy)) != 1:
+                continue
+            length = None
+            for f in facets:
+                denom = dot(f.normal, (dx, dy))
+                if denom >= 0:
+                    continue  # not an exiting half-plane for this direction
+                t = Fraction(f.offset - dot(f.normal, base), denom)
+                if t > 0 and (length is None or t < length):
+                    length = t
+            if length is None:
+                continue
+            s = (Fraction(point[0] - base[0], dx) if dx
+                 else Fraction(point[1] - base[1], dy))
+            if not (0 < s and 2 * s < length):
+                continue
+            exit_point = (base[0] + length * dx, base[1] + length * dy)
+            hits.append(ProbeHit(Probe(entry[0].index, base, (dx, dy)), s,
+                                 length, exit_point in poly.vertices,
+                                 exit_point in poly.excluded_points()))
+    return hits

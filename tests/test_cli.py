@@ -195,3 +195,43 @@ def test_version_flag():
     code, text = run(["--version"])
     assert code == 0
     assert text.strip() == "0.1.0"
+
+
+def _error(argv):
+    code, text = run(argv)
+    return code, json.loads(text)["error"]["type"]
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_probes_bound_below_one(bound):
+    assert _error(["probes", "p1xp1", "--point", "0,3/4", "--bound",
+                   bound]) == (3, "BadParams")
+
+
+def test_probes_bound_past_budget():
+    assert _error(["probes", "p1xp1", "--point", "0,3/4", "--bound",
+                   "1000000"]) == (4, "ProbeSearchTooLarge")
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"vertices": [["0", "0"], ["1", "0", "0"], ["0", "1"]]},
+    {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+     "excluded_vertices": [1.5]},
+    {"vertices": [["0", "0"], ["1", "0"], ["0", "1/0"]]},
+])
+def test_probes_bad_polytope_document(tmp_path, doc):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc))
+    assert _error(["probes", str(path), "--point", "1/4,1/4"]) == \
+        (3, "SchemaError")
+
+
+def test_duplicate_builtin_parameter():
+    assert _error(["invariant", "--builtin", "cp2_ta:a=1/3,a=1/4",
+                   "--ring", "Z/8"]) == (3, "BadParams")
+
+
+def test_zero_denominator_is_a_usage_error():
+    assert _error(["probes", "p1xp1", "--point", "1/0,1"]) == (2, "usage")

@@ -1,15 +1,21 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from floerdisk.errors import InvalidProbe, ValidationError
+from floerdisk import probes
+from floerdisk.errors import (BadParams, InvalidProbe, ProbeSearchTooLarge,
+                              SchemaError, ValidationError)
 from floerdisk.probes import (Polytope2, Probe, builtin_polytope, make_probe,
                               polytope_from_json, probe_displaces,
                               probe_parameter, probe_segment, search_probes,
                               validate_probe)
 
-from oracles import oracle_probe_displaces, segment_ray_exit
+from oracles import (oracle_probe_displaces, oracle_search_probes,
+                     segment_ray_exit)
 
 F = Fraction
 
@@ -245,3 +251,136 @@ def test_probe_parameter():
     probe = make_probe(SQUARE, (F(1, 2), 0), (0, 1))
     assert probe_parameter(probe, (F(1, 2), F(1, 4))) == F(1, 4)
     assert probe_parameter(probe, (F(1, 3), F(1, 4))) is None
+
+
+def test_facets_built_once_behind_a_plain_property():
+    # the benchmark tracer rewraps this attribute as a property
+    assert isinstance(Polytope2.__dict__["facets"], property)
+    tri = builtin_polytope("cp2")
+    assert tri.facets is tri.facets
+    assert isinstance(tri.facets, tuple)
+    again = Polytope2(tri.vertices, tri.excluded_vertices)
+    assert again == tri and hash(again) == hash(tri)
+    assert "_facets" not in repr(tri)
+
+
+# rational vertices, excluded vertices, points whose backward rays hit
+# vertices for some directions, and probes exiting at excluded and at
+# included vertices
+DIFFERENTIAL_CASES = [
+    (builtin_polytope("p1xp1"),
+     [(0, F(3, 4)), (0, F(1, 2)), (F(1, 4), F(1, 2)), (F(-1, 3), F(5, 6)),
+      (F(1, 10), F(9, 10))]),
+    (builtin_polytope("cp2"),
+     [(0, F(3, 8)), (0, F(1, 5)), (F(1, 3), F(2, 5)), (F(-1, 2), F(7, 16))]),
+    (Polytope2(((0, 0), (F(3, 2), 0), (2, 1), (1, F(5, 2)), (F(-1, 3), 1)),
+               (1, 3)),
+     [(1, 1), (F(1, 2), F(1, 2)), (F(3, 2), F(3, 4)), (F(1, 5), F(7, 5)),
+      (F(5, 4), F(1, 4)), (F(5, 12), F(1, 4))]),
+    (Polytope2(((0, 0), (3, 1), (2, 3), (-1, 2)), (0, 2)),
+     [(1, 1), (F(1, 2), F(3, 2)), (F(5, 2), F(3, 2))]),
+    (Polytope2(((F(-1, 2), F(-1, 3)), (F(5, 3), F(-1, 2)), (2, F(1, 4)),
+                (F(3, 4), F(7, 4)), (F(-5, 4), F(3, 2)), (F(-3, 2), 0)), (4,)),
+     [(0, 0), (F(1, 3), F(2, 3)), (F(-1, 1), F(1, 2))]),
+]
+
+
+@pytest.mark.parametrize("poly, points", DIFFERENTIAL_CASES)
+def test_search_equals_oracle_search(poly, points):
+    for point in points:
+        for bound in range(1, 9):
+            assert search_probes(poly, point, bound) == \
+                oracle_search_probes(poly, point, bound), (point, bound)
+
+
+def _hull(points):
+    """Strictly convex counterclockwise hull (monotone chain)."""
+    pts = sorted(set(points))
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
+coordinate = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=8),
+       st.lists(st.integers(1, 5), min_size=8, max_size=8),
+       st.integers(1, 4), st.data())
+def test_search_property_against_oracles(points, weights, bound, data):
+    verts = _hull(points)
+    assume(len(verts) >= 3)
+    excluded = tuple(sorted(data.draw(
+        st.sets(st.integers(0, len(verts) - 1), max_size=2))))
+    poly = Polytope2(tuple(verts), excluded)
+    w = weights[:len(verts)]
+    point = (sum(a * v[0] for a, v in zip(w, verts)) / sum(w),
+             sum(a * v[1] for a, v in zip(w, verts)) / sum(w))
+    hits = search_probes(poly, point, bound)
+    for hit in hits:
+        assert oracle_probe_displaces(poly.vertices, hit.probe.base,
+                                      hit.probe.direction, point)
+    assert hits == oracle_search_probes(poly, point, bound)
+
+
+def test_search_rejects_bounds_below_one():
+    tri = builtin_polytope("p1xp1")
+    for bound in (0, -1):
+        with pytest.raises(BadParams):
+            search_probes(tri, (0, F(3, 4)), bound)
+
+
+def test_search_work_budget(monkeypatch):
+    octagon = Polytope2(((2, 0), (4, 0), (6, 2), (6, 4), (4, 6), (2, 6),
+                         (0, 4), (0, 2)))
+    # bound 30 on eight facets is inside the budget
+    assert search_probes(octagon, (1, 3), 30)
+    start = time.perf_counter()
+    with pytest.raises(ProbeSearchTooLarge):
+        search_probes(octagon, (3, 3), 1_000_000)
+    assert time.perf_counter() - start < 1
+    # the charge is (nonzero directions in the box) x facets, checked up front
+    monkeypatch.setattr(probes, "PROBE_WORK_BUDGET", 24 * 3)
+    tri = builtin_polytope("p1xp1")
+    assert search_probes(tri, (0, F(3, 4)), 2) == \
+        oracle_search_probes(tri, (0, F(3, 4)), 2)
+    monkeypatch.setattr(probes, "PROBE_WORK_BUDGET", 24 * 3 - 1)
+    with pytest.raises(ProbeSearchTooLarge):
+        search_probes(tri, (0, F(3, 4)), 2)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"vertices": "0,0 1,0 0,1"},
+    {"vertices": [["0", "0"], ["1", "0", "0"], ["0", "1"]]},
+    {"vertices": [["0", "0"], "1,0", ["0", "1"]]},
+    {"vertices": [["0", "0"], ["1", "0"], ["0", "1/0"]]},
+    {"vertices": [["0", "0"], [0.5, "0"], ["0", "1"]]},
+    {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+     "excluded_vertices": [1.5]},
+    {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+     "excluded_vertices": [True]},
+    {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+     "excluded_vertices": 1},
+])
+def test_polytope_json_schema_errors(doc):
+    with pytest.raises(SchemaError):
+        polytope_from_json(doc)
+
+
+def test_polytope_json_accepts_ints_and_rationals():
+    poly = polytope_from_json({"vertices": [[0, 0], ["1/2", 0], [0, "1/3"]],
+                               "excluded_vertices": [2]})
+    assert poly == Polytope2(((0, 0), (F(1, 2), 0), (0, F(1, 3))), (2,))

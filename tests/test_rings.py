@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from floerdisk.errors import InfiniteRing, NonInvertibleDenominator
-from floerdisk.rings import (Ring, _is_prime, parse_rational, rational_str,
-                             reduce, units_of)
+from floerdisk.errors import InfiniteRing, NonInvertibleDenominator, SchemaError
+from floerdisk.rings import (Ring, _is_prime, parse_rational, rational_from,
+                             rational_str, reduce, units_of)
 
 from oracles import brute_force_units
 
@@ -138,3 +138,16 @@ def test_rational_io():
     assert rational_str(Fraction(4)) == "4"
     with pytest.raises(ValueError):
         parse_rational("0.5")
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+
+
+def test_rational_from_documents():
+    assert rational_from("3/6", "x") == Fraction(1, 2)
+    assert rational_from(-4, "x") == Fraction(-4)
+    for bad in ("inf", "1/0", "0.5", 0.5, True, None, [1]):
+        with pytest.raises(SchemaError):
+            rational_from(bad, "x")
