@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .rings import Ring, RingElement, reduce, units_of
 from .abelian import (FgAbelianGroup, GroupElement, GroupHom,
-                      IntersectionForm, group_structure, pair,
-                      smith_normal_form, solve_linear)
+                      IntersectionForm, pair, smith_normal_form, solve_linear)
 from .scenario import (AffineSubspace, BUILTIN_NAMES, DiskClass, DiskLedger,
                        LagrangianSide, Scenario, builtin_scenario, combine,
                        load_scenario, sphere_pair)
@@ -22,9 +21,9 @@ from .invariants import (AreaSpectrum, StringInvariantClass, area_progression,
                          area_spectrum, boundary_sum, cancellation_threshold,
                          grouped_cancellation, least_area, next_area, oc_low)
 from .criterion import Verdict, area_gate, evaluate_pair
-from .potential import (NovikovPolynomial, NovikovTerm, bulk_deform,
-                        newton_valuations, partial_derivative,
-                        potential_from_ledger, residue_critical_points,
-                        truncate_to_level, unit_critical_analysis)
+from .potential import (NovikovPolynomial, NovikovTerm, newton_valuations,
+                        partial_derivative, potential_from_ledger,
+                        residue_critical_points, truncate_to_level,
+                        unit_critical_analysis)
 from .probes import (Polytope2, Probe, builtin_polytope, make_probe,
                      probe_displaces, probe_segment, search_probes)

@@ -1,10 +1,11 @@
-"""Linear algebra over Z and Z/n for finitely generated abelian groups.
+"""Linear algebra over Z, Q, Z/n and F_p for finitely generated abelian groups.
 
 Matrices are tuples of tuples of Python ints (arbitrary precision); all
 dimensions in this artifact are tiny, so no sparse or numpy machinery is
 needed.  The one nontrivial kernel is the Smith normal form, which powers
-element equality, linear solving over every coefficient ring, and structure
-computation.
+element equality, structure computation, and solve_linear / kernel_basis:
+these two solve and take kernels modulo a group's relations over every
+ring, and are the only code that builds the quotient matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .rings import INTEGERS_MOD, PRIME_FIELD, RATIONALS, Ring, reduce
 
 Matrix = tuple  # tuple of row tuples
 Vector = tuple
+Z = Ring.integers()
 
 
 # --- basic matrix helpers ----------------------------------------------------
@@ -29,22 +31,10 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def transpose(m: Matrix) -> Matrix:
     if not m:
         return ()
     return tuple(zip(*m))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatch("matrix product shape mismatch")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
 
 
 def mat_vec(m: Matrix, v) -> Vector:
@@ -53,43 +43,8 @@ def mat_vec(m: Matrix, v) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
-def determinant(m: Matrix) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("determinant needs a square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # --- Smith normal form --------------------------------------------------------
@@ -189,30 +144,50 @@ def diagonal(d: Matrix) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def kernel_basis(m) -> list[Vector]:
-    """Basis of the integer kernel {x : M x = 0}, as column vectors."""
+def _quotient_matrix(m: Matrix, relations, ring: Ring) -> Matrix:
+    """[M | R^T | nI]: x solves M x = b in the target modulo its relation
+    rows R, and modulo n over Z/n and F_p, iff some (x, y, z) solves this
+    integer system, so one exact Smith normal form serves every ring."""
+    rows = len(m)
+    relations = freeze(relations)
+    if any(len(r) != rows for r in relations):
+        raise DimensionMismatch("relation width != matrix rows")
+    rel_cols = transpose(relations) or ((),) * rows
+    mod_cols = (tuple(tuple(ring.modulus * x for x in row)
+                      for row in identity(rows))
+                if ring.is_finite else ((),) * rows)
+    return tuple(a + r + n for a, r, n in zip(m, rel_cols, mod_cols))
+
+
+def kernel_basis(m, relations=(), ring: Ring = Z) -> list[Vector]:
+    """Integer vectors generating {x : M x = 0} in the target modulo its
+    relation rows over the ring, as column vectors; a basis of the kernel
+    when there are no relations and the ring is Z or Q."""
     m = freeze(m)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if cols == 0:
         return []
     if rows == 0:
-        return [tuple(identity(cols)[i]) for i in range(cols)]
-    _, d, v = smith_normal_form(m)
+        return list(identity(cols))
+    a = _quotient_matrix(m, relations, ring)
+    _, d, v = smith_normal_form(a)
     diag = diagonal(d)
     basis = []
-    for j in range(cols):
+    for j in range(len(a[0])):
         if j >= len(diag) or diag[j] == 0:
-            basis.append(tuple(v[i][j] for i in range(cols)))
+            x = tuple(v[i][j] for i in range(cols))
+            if any(x):
+                basis.append(x)
     return basis
 
 
-def solve_linear(m, b, ring: Ring):
-    """Solve M x = b over the given ring; returns a tuple or None.
+def solve_linear(m, b, ring: Ring, relations=()):
+    """Solve M x = b over the ring, in the target modulo its relation rows;
+    returns x as a tuple, or None exactly when no solution exists.
 
-    Over Z/n the augmented integer system [M | nI] x' = b is solved over Z
-    and the x block is reduced mod n, so the same exact kernel serves every
-    ring.  None is returned exactly when no solution exists.
+    The system of _quotient_matrix is solved over Z on plain ints (over Q
+    for Q) and the x block is kept, reduced mod n over Z/n and F_p.
     """
     m = freeze(m)
     rows = len(m)
@@ -220,48 +195,38 @@ def solve_linear(m, b, ring: Ring):
     if len(b) != rows:
         raise DimensionMismatch(
             f"rhs has length {len(b)}, matrix has {rows} rows")
-
-    if ring.kind in (INTEGERS_MOD, PRIME_FIELD):
-        n = ring.modulus
-        if rows == 0:
-            return (0,) * cols
-        b_int = tuple(reduce(x, ring).value for x in b)
-        aug = tuple(row + tuple(n if i == k else 0 for k in range(rows))
-                    for i, row in enumerate(m))
-        sol = solve_linear(aug, b_int, Ring.integers())
-        if sol is None:
-            return None
-        return tuple(x % n for x in sol[:cols])
-
     rational = ring.kind == RATIONALS
-    b = tuple(Fraction(x) for x in b)
-    if not rational and any(x.denominator != 1 for x in b):
-        return None
+    if ring.is_finite:
+        b = tuple(reduce(x, ring).value for x in b)
+    else:
+        b = tuple(Fraction(x) for x in b)
+        if not rational:
+            if any(x.denominator != 1 for x in b):
+                return None
+            b = tuple(x.numerator for x in b)
     if rows == 0:
         return (0,) * cols
-    u, d, v = smith_normal_form(m)
-    c = mat_vec(u, b)
+    a = _quotient_matrix(m, relations, ring)
+    u, d, v = smith_normal_form(a)
     diag = diagonal(d)
-    y = []
-    for i in range(cols):
+    y = [0] * len(a[0])
+    for i, ci in enumerate(mat_vec(u, b)):
         di = diag[i] if i < len(diag) else 0
-        ci = c[i] if i < rows else Fraction(0)
         if di == 0:
-            if ci != 0:
+            if ci:
                 return None
-            y.append(Fraction(0))
-        else:
-            q = ci / di
-            if not rational and q.denominator != 1:
-                return None
-            y.append(q)
-    for i in range(cols, rows):
-        if c[i] != 0:
+        elif rational:
+            y[i] = ci / di
+        elif ci % di:
             return None
-    x = mat_vec(v, tuple(y))
+        else:
+            y[i] = ci // di
+    x = mat_vec(v[:cols], y)
     if rational:
         return tuple(Fraction(t) for t in x)
-    return tuple(int(t) for t in x)
+    if ring.is_finite:
+        return tuple(t % ring.modulus for t in x)
+    return x
 
 
 def in_lattice(rows_matrix, vector, ring: Ring) -> bool:
@@ -349,10 +314,6 @@ class FgAbelianGroup:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def group_structure(group: FgAbelianGroup) -> tuple[int, list[int]]:
-    return group.structure()
-
-
 @dataclass(frozen=True)
 class GroupElement:
     group: FgAbelianGroup
@@ -362,20 +323,6 @@ class GroupElement:
         object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) != self.group.ngens:
             raise DimensionMismatch("coordinate length != generator count")
-
-    def __add__(self, other):
-        assert other.group == self.group
-        return GroupElement(self.group, vec_add(self.coords, other.coords))
-
-    def __sub__(self, other):
-        assert other.group == self.group
-        return GroupElement(self.group, vec_sub(self.coords, other.coords))
-
-    def __neg__(self):
-        return GroupElement(self.group, vec_scale(-1, self.coords))
-
-    def scaled(self, c):
-        return GroupElement(self.group, vec_scale(c, self.coords))
 
     def is_zero(self, ring: Ring) -> bool:
         return self.group.is_zero(self.coords, ring)
@@ -417,11 +364,6 @@ class GroupHom:
                   if isinstance(element_or_coords, GroupElement)
                   else tuple(element_or_coords))
         return GroupElement(self.target, mat_vec(self.matrix, coords))
-
-    def image_lattice(self) -> Matrix:
-        """Rows spanning the image subgroup of the target (plus its relations)."""
-        cols = transpose(self.matrix)
-        return tuple(cols) + self.target.relations
 
 
 @dataclass(frozen=True)

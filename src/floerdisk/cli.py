@@ -33,8 +33,13 @@ USAGE_ERROR = 2
 VALIDATION_ERROR = 3
 COMPUTATION_ERROR = 4
 
+# OSError covers scenario and polytope files that are missing, are
+# directories or cannot be read.
 _VALIDATION_FAILURES = (SchemaError, ValidationError, UnknownScenario,
-                        BadParams, FileNotFoundError)
+                        BadParams, OSError)
+
+# Most points a sweep may have; the grid is counted before any is evaluated.
+SWEEP_POINT_LIMIT = 10_000
 
 
 def _parse_builtin_ref(text: str) -> Scenario:
@@ -230,13 +235,18 @@ def _cmd_criterion(args, out):
     return 0
 
 
-def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction):
+def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list:
+    """start, start + step, ... up to stop, counted exactly before it is built."""
     if step <= 0:
         raise BadParams("--step must be positive")
-    value = start
-    while value <= stop:
-        yield value
-        value += step
+    count = (stop - start) // step + 1
+    if count < 1:
+        raise BadParams(f"empty sweep grid: --from {rational_str(start)} is "
+                        f"above --to {rational_str(stop)}")
+    if count > SWEEP_POINT_LIMIT:
+        raise BadParams(f"sweep grid has {count} points; the limit is "
+                        f"{SWEEP_POINT_LIMIT}")
+    return [start + i * step for i in range(count)]
 
 
 def _gate_threshold(args, ring) -> str | None:

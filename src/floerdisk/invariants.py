@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import GroupElement, solve_linear, transpose
+from .abelian import GroupElement, kernel_basis, solve_linear, vec_sub
 from .errors import (CancellationFails, HypothesisViolated, InsufficientLedger,
                      MissingLocalSystem, NoLift, ValidationError)
 from .rings import Ring, rational_str, reduce
@@ -133,19 +133,30 @@ def _selected_disks(side, level, coset: AffineSubspace | None):
     return picked
 
 
+def _weighted_sum(side, disks, attr, ring, local_map) -> tuple:
+    """Sum of count * weight * disk.<attr> ("boundary" or "rel_class") over
+    the disks, on plain values reduced into the ring once per coordinate;
+    every weight is 1 without a local map."""
+    width = side.h1.ngens if attr == "boundary" else side.h2_rel.ngens
+    acc = [0] * width
+    for disk in disks:
+        scale = disk.count
+        if local_map is not None:
+            scale *= _local_weight(side, local_map, disk.boundary, ring).value
+        for idx, coord in enumerate(getattr(disk, attr)):
+            acc[idx] += scale * coord
+    return tuple(reduce(x, ring).value for x in acc)
+
+
 def boundary_sum(side: LagrangianSide, ring: Ring, level,
                  coset: AffineSubspace | None = None,
                  weighted: bool = False,
                  local_system=None) -> GroupElement:
     """Sum of count * weight * boundary over the selected disks, in H1(L; ring)."""
     local_map = _resolve_local_map(side, weighted, local_system)
-    acc = [ring.zero()] * side.h1.ngens
-    for disk in _selected_disks(side, level, coset):
-        weight = (_local_weight(side, local_map, disk.boundary, ring)
-                  if local_map is not None else ring.one())
-        for idx, coord in enumerate(disk.boundary):
-            acc[idx] = acc[idx] + weight * reduce(disk.count * coord, ring)
-    return GroupElement(side.h1, tuple(x.value for x in acc))
+    disks = _selected_disks(side, level, coset)
+    return GroupElement(side.h1, _weighted_sum(side, disks, "boundary", ring,
+                                               local_map))
 
 
 @dataclass(frozen=True)
@@ -174,13 +185,7 @@ def grouped_cancellation(side: LagrangianSide, subspace: AffineSubspace,
     all_cancel = True
     for key in sorted(groups):
         disks = groups[key]
-        acc = [ring.zero()] * side.h1.ngens
-        for disk in disks:
-            weight = (_local_weight(side, local_map, disk.boundary, ring)
-                      if local_map is not None else ring.one())
-            for idx, coord in enumerate(disk.boundary):
-                acc[idx] = acc[idx] + weight * reduce(disk.count * coord, ring)
-        total = tuple(x.value for x in acc)
+        total = _weighted_sum(side, disks, "boundary", ring, local_map)
         cancels = side.h1.is_zero(total, ring)
         all_cancel = all_cancel and cancels
         reports.append(CosetReport(key, tuple(d.label for d in disks),
@@ -223,12 +228,8 @@ class StringInvariantClass:
 
 def _in_ambiguity_coset(group, coords, other, ambiguity, ring) -> bool:
     """Is coords - other a multiple of the ambiguity class over the ring?"""
-    diff = tuple(a - b for a, b in zip(coords, other))
-    matrix = tuple((c,) for c in ambiguity)
-    if group.relations:
-        rel_cols = transpose(group.relations)
-        matrix = tuple(row + rel_cols[i] for i, row in enumerate(matrix))
-    return solve_linear(matrix, diff, ring) is not None
+    return solve_linear(tuple((c,) for c in ambiguity), vec_sub(coords, other),
+                        ring, relations=group.relations) is not None
 
 
 def oc_low(side: LagrangianSide, ring: Ring,
@@ -286,24 +287,14 @@ def oc_low(side: LagrangianSide, ring: Ring,
             value=h2x.zero(), ring=ring, ambiguity=ambiguity,
             subspace=subspace, notes=tuple(notes))
 
-    acc = [ring.zero()] * side.h2_rel.ngens
-    for disk in selected:
-        weight = (_local_weight(side, local_map, disk.boundary, ring)
-                  if local_map is not None else ring.one())
-        for idx, coord in enumerate(disk.rel_class):
-            acc[idx] = acc[idx] + weight * reduce(disk.count * coord, ring)
-    disk_sum = tuple(x.value for x in acc)
-
-    matrix = side.j.matrix
-    if side.h2_rel.relations:
-        rel_cols = transpose(side.h2_rel.relations)
-        matrix = tuple(row + rel_cols[i] for i, row in enumerate(matrix))
-    solution = solve_linear(matrix, disk_sum, ring)
+    disk_sum = _weighted_sum(side, selected, "rel_class", ring, local_map)
+    solution = solve_linear(side.j.matrix, disk_sum, ring,
+                            relations=side.h2_rel.relations)
     if solution is None:
         raise NoLift(
             f"side {side.name}: disk sum {side.h2_rel.describe(disk_sum)} "
             f"has no j-preimage over {ring.name}; scenario is inconsistent")
-    value = GroupElement(h2x, solution[:h2x.ngens])
+    value = GroupElement(h2x, solution)
 
     lift_unique = _kernel_inside_ambiguity(side, ring)
     if not lift_unique:
@@ -322,24 +313,11 @@ def _kernel_inside_ambiguity(side, ring: Ring) -> bool:
     When true, the lift coset is unique and the invariant is well defined up
     to its declared ambiguity.
     """
-    from .abelian import kernel_basis
-
-    h2x = side.h2x
-    matrix = side.j.matrix
-    if side.h2_rel.relations:
-        rel_cols = transpose(side.h2_rel.relations)
-        matrix = tuple(row + rel_cols[i] for i, row in enumerate(matrix))
-    if ring.is_finite:
-        n = ring.modulus
-        rows = len(matrix)
-        matrix = tuple(row + tuple(n if r == i else 0 for r in range(rows))
-                       for i, row in enumerate(matrix))
-    for vec in kernel_basis(matrix):
-        v = vec[:h2x.ngens]
-        if not _in_ambiguity_coset(h2x, v, (0,) * h2x.ngens,
-                                   side.fundamental_class, ring):
-            return False
-    return True
+    zero = (0,) * side.h2x.ngens
+    return all(_in_ambiguity_coset(side.h2x, v, zero,
+                                   side.fundamental_class, ring)
+               for v in kernel_basis(side.j.matrix, side.h2_rel.relations,
+                                     ring))
 
 
 # --- the threshold of the monotone-partner criterion ----------------------------

@@ -133,13 +133,14 @@ def potential_from_ledger(side: LagrangianSide,
     the disk boundary in the ordered basis of H1(L).
 
     divisor_hits (label -> integer) multiplies each disk monomial by the
-    bulk unit e^{c*hits}.
+    bulk unit e^{c*hits}: the bulk deformation, keyed by ledger labels
+    because merged monomials forget which disk they came from.
     """
     if side.h1.ngens != 2 or side.h1.relations:
         raise BasisMismatch(
             f"side {side.name}: potentials need H1(L) free of rank 2")
     hits = dict(divisor_hits or {})
-    known = set(side.ledger.labels())
+    known = {d.label for d in side.ledger.disks}
     for label in hits:
         if label not in known:
             raise UnknownLabel(f"no ledger disk labelled {label!r}")
@@ -152,15 +153,6 @@ def potential_from_ledger(side: LagrangianSide,
             z_exp=disk.boundary[0],
             w_exp=disk.boundary[1]))
     return NovikovPolynomial.from_terms(terms)
-
-
-def bulk_deform(side: LagrangianSide, divisor_hits) -> NovikovPolynomial:
-    """Potential of the side with each disk monomial weighted by e^{c*hits}.
-
-    Hits are keyed by ledger labels, so the deformation is applied while the
-    disk/monomial correspondence still exists (merged monomials forget it).
-    """
-    return potential_from_ledger(side, divisor_hits=divisor_hits)
 
 
 def truncate_to_level(p: NovikovPolynomial, level) -> NovikovPolynomial:

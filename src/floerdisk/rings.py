@@ -124,10 +124,6 @@ class Ring:
     def is_finite(self) -> bool:
         return self.kind in (INTEGERS_MOD, PRIME_FIELD)
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind in (RATIONALS, PRIME_FIELD)
-
     def zero(self) -> "RingElement":
         return reduce(0, self)
 

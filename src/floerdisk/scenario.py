@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import (FgAbelianGroup, GroupElement, GroupHom,
-                      IntersectionForm, freeze, kernel_basis,
-                      solve_linear, transpose, vec_sub)
+                      IntersectionForm, kernel_basis, solve_linear)
 from .errors import (BadParams, DimensionMismatch, SchemaError, UnknownScenario,
                      ValidationError)
-from .rings import PRIME_FIELD, Ring, rational_from, rational_str, reduce
+from .rings import PRIME_FIELD, Ring, rational_from, rational_str
 
 Z = Ring.integers()
 
@@ -28,7 +27,8 @@ class AffineSubspace:
     """An affine subspace base + span over a prime field k.
 
     The base point fixes which coset is "the" subspace; parallel cosets are
-    produced with shifted(l).
+    produced with shifted(l).  The reduced row-echelon form of the span over
+    k is built once, off the dataclass fields, and serves every coset key.
     """
 
     field: Ring
@@ -46,6 +46,25 @@ class AffineSubspace:
         for row in self.span:
             if len(row) != len(self.base):
                 raise DimensionMismatch("span vector width != ambient dim")
+        # Gaussian elimination over F_p: rows with pivot 1, zero elsewhere
+        # in the pivot column
+        rows = [list(r) for r in self.span]
+        echelon = []
+        for col in range(self.ambient_dim):
+            r = len(echelon)
+            pivot = next((i for i in range(r, len(rows)) if rows[i][col]),
+                         None)
+            if pivot is None:
+                continue
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            inv = pow(rows[r][col], -1, p)
+            rows[r] = [(x * inv) % p for x in rows[r]]
+            for i in range(len(rows)):
+                c = rows[i][col]
+                if i != r and c:
+                    rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
+            echelon.append((col, tuple(rows[r])))
+        object.__setattr__(self, "_echelon", tuple(echelon))
 
     @property
     def ambient_dim(self) -> int:
@@ -53,10 +72,7 @@ class AffineSubspace:
 
     def contains(self, vector) -> bool:
         """Membership of an integer vector, read modulo the field."""
-        diff = vec_sub(tuple(vector), self.base)
-        if not self.span:
-            return all(reduce(x, self.field).is_zero for x in diff)
-        return solve_linear(transpose(self.span), diff, self.field) is not None
+        return self.coset_key(vector) == self.coset_key(self.base)
 
     def shifted(self, l) -> "AffineSubspace":
         return AffineSubspace(self.field, tuple(b + x for b, x in zip(self.base, l)),
@@ -69,32 +85,8 @@ class AffineSubspace:
         so two vectors get the same key iff they differ by a span element.
         """
         p = self.field.modulus
-        rows = [list(r) for r in self.span]
-        n = self.ambient_dim
-        # Gaussian elimination over F_p
-        echelon = []
-        pivots = []
-        col = 0
-        r = 0
-        while rows and col < n:
-            pivot_row = next((i for i in range(r, len(rows))
-                              if rows[i][col] % p), None)
-            if pivot_row is None:
-                col += 1
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = pow(rows[r][col] % p, -1, p)
-            rows[r] = [(x * inv) % p for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col] % p:
-                    c = rows[i][col] % p
-                    rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
-            echelon.append(rows[r])
-            pivots.append(col)
-            r += 1
-            col += 1
         v = [x % p for x in vector]
-        for row, piv in zip(echelon, pivots):
+        for piv, row in self._echelon:
             c = v[piv]
             if c:
                 v = [(x - c * y) % p for x, y in zip(v, row)]
@@ -153,9 +145,6 @@ class DiskLedger:
     def at_level(self, level) -> list[DiskClass]:
         level = Fraction(level)
         return [d for d in self.disks if d.area == level]
-
-    def labels(self) -> list[str]:
-        return [d.label for d in self.disks]
 
 
 @dataclass(frozen=True)
@@ -265,19 +254,9 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
             raise ValidationError(f"side {side.name}: exactness (bd o j != 0)")
 
     # ker bd = im j, as subgroups of H2(X,L) over Z
-    r1t = transpose(side.h1.relations) if side.h1.relations else ()
-    if r1t:
-        stacked = tuple(row + tuple(-x for x in r1t[i])
-                        for i, row in enumerate(side.bd.matrix))
-        extra = len(r1t[0])
-    else:
-        stacked = side.bd.matrix
-        extra = 0
-    for vec in kernel_basis(stacked):
-        v = vec[:side.h2_rel.ngens] if extra else vec
-        j_cols = transpose(side.j.matrix)
-        lattice = tuple(j_cols) + side.h2_rel.relations
-        if solve_linear(transpose(lattice), v, Z) is None:
+    for v in kernel_basis(side.bd.matrix, side.h1.relations):
+        if solve_linear(side.j.matrix, v, Z,
+                        relations=side.h2_rel.relations) is None:
             raise ValidationError(
                 f"side {side.name}: exactness (ker bd exceeds im j)")
 
@@ -320,6 +299,10 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
                 f"side {side.name}: local system must assign a unit to every "
                 f"H1 generator")
 
+    if side.lattice_params is not None and min(side.lattice_params) < 1:
+        raise ValidationError(
+            f"side {side.name}: lattice parameters need k >= 1 and N >= 1")
+
     if side.subspace is not None and side.subspace.ambient_dim != side.h1.ngens:
         raise ValidationError(
             f"side {side.name}: subspace ambient dimension != rank H1")
@@ -359,26 +342,43 @@ def _need(mapping, key, kind, where):
     return value
 
 
+def _ints(value, where, depth=1) -> tuple:
+    """A JSON list of ints (depth 1), or a list of such rows (depth 2), as
+    tuples; a float, bool, string or other entry is a SchemaError at its
+    JSON path."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list, got {value!r}")
+    if depth > 1:
+        return tuple(_ints(row, f"{where}[{i}]", depth - 1)
+                     for i, row in enumerate(value))
+    for i, x in enumerate(value):
+        if type(x) is not int:
+            raise SchemaError(f"{where}[{i}]: expected an integer, got {x!r}")
+    return tuple(value)
+
+
 def _group_from_dict(data, where) -> FgAbelianGroup:
     gens = _need(data, "generators", list, where)
-    relations = data.get("relations", [])
-    if not isinstance(relations, list):
-        raise SchemaError(f"{where}: relations must be a list of rows")
+    relations = _ints(data.get("relations", []), f"{where}.relations", 2)
     try:
-        return FgAbelianGroup(tuple(str(g) for g in gens), freeze(relations))
+        return FgAbelianGroup(tuple(str(g) for g in gens), relations)
     except (ValueError, DimensionMismatch) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _side_from_dict(h2x, data, index) -> LagrangianSide:
     where = f"sides[{index}]"
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: a side must be a JSON object")
     name = str(data.get("name", f"side{index}"))
     h1 = _group_from_dict(_need(data, "H1_L", dict, where), f"{where}.H1_L")
     h2_rel = _group_from_dict(_need(data, "H2_XL", dict, where),
                               f"{where}.H2_XL")
     try:
-        j = GroupHom(h2x, h2_rel, freeze(_need(data, "j", list, where)))
-        bd = GroupHom(h2_rel, h1, freeze(_need(data, "bd", list, where)))
+        j = GroupHom(h2x, h2_rel,
+                     _ints(_need(data, "j", list, where), f"{where}.j", 2))
+        bd = GroupHom(h2_rel, h1,
+                      _ints(_need(data, "bd", list, where), f"{where}.bd", 2))
     except (ValueError, DimensionMismatch) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -394,8 +394,10 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
         dwhere = f"{where}.ledger.disks[{di}]"
         disks.append(DiskClass(
             label=str(_need(disk_data, "label", str, dwhere)),
-            rel_class=tuple(_need(disk_data, "rel_class", list, dwhere)),
-            boundary=tuple(_need(disk_data, "boundary", list, dwhere)),
+            rel_class=_ints(_need(disk_data, "rel_class", list, dwhere),
+                            f"{dwhere}.rel_class"),
+            boundary=_ints(_need(disk_data, "boundary", list, dwhere),
+                           f"{dwhere}.boundary"),
             maslov=int(_need(disk_data, "maslov", int, dwhere)),
             area=rational_from(_need(disk_data, "area", None, dwhere), dwhere),
             count=int(_need(disk_data, "count", int, dwhere)),
@@ -408,18 +410,18 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
         swhere = f"{where}.subspace"
         try:
             field = Ring.parse(str(_need(sub, "field", str, swhere)))
-        except ValueError as exc:
+            subspace = AffineSubspace(
+                field,
+                _ints(_need(sub, "base", list, swhere), f"{swhere}.base"),
+                _ints(_need(sub, "span", list, swhere), f"{swhere}.span", 2))
+        except (ValueError, DimensionMismatch) as exc:
             raise ValidationError(f"{swhere}: {exc}") from exc
-        subspace = AffineSubspace(
-            field,
-            tuple(_need(sub, "base", list, swhere)),
-            tuple(tuple(row) for row in _need(sub, "span", list, swhere)))
 
     local_system = None
     if data.get("local_system") is not None:
         local_system = tuple(
             (str(k), rational_from(v, f"{where}.local_system"))
-            for k, v in data["local_system"].items())
+            for k, v in _need(data, "local_system", dict, where).items())
 
     lattice = None
     if data.get("lattice_params") is not None:
@@ -433,11 +435,13 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
 
     asserted = None
     if data.get("asserted_invariant") is not None:
-        asserted = tuple(data["asserted_invariant"])
+        asserted = _ints(data["asserted_invariant"],
+                         f"{where}.asserted_invariant")
 
     return LagrangianSide(
         name=name, h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=tuple(_need(data, "fundamental_class", list, where)),
+        fundamental_class=_ints(_need(data, "fundamental_class", list, where),
+                                f"{where}.fundamental_class"),
         ledger=ledger,
         monotone=bool(data.get("monotone", False)),
         monotonicity_constant=constant,
@@ -466,8 +470,8 @@ def load_scenario(document) -> Scenario:
         raise ValidationError(str(exc)) from exc
     h2x = _group_from_dict(_need(document, "H2_X", dict, "document"), "H2_X")
     try:
-        form = IntersectionForm(h2x, freeze(_need(document, "form", list,
-                                                  "document")))
+        form = IntersectionForm(
+            h2x, _ints(_need(document, "form", list, "document"), "form", 2))
     except (ValueError, DimensionMismatch) as exc:
         raise ValidationError(f"form: {exc}") from exc
 

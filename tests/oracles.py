@@ -7,6 +7,9 @@ shares partial_derivative and reduce with the fast residue search;
 plain_residue_critical_points checks the same answers with plain ints only.
 oracle_search_probes, the old Fraction probe search, reads the facets that
 Polytope2 builds and its contains checks, but not the integer clipping.
+The linear-algebra oracles (oracle_solve_linear and the hand-built quotient
+matrices after it) share the Smith normal form with the library, and
+oracle_oc_low also its unchanged helpers for areas, weights and H1 zero tests.
 """
 
 from fractions import Fraction
@@ -17,6 +20,42 @@ from math import gcd
 def brute_force_units(n):
     """Units of Z/n found by scanning for multiplicative inverses."""
     return sorted(x for x in range(n) if any((x * y) % n == 1 for y in range(n)))
+
+
+def mat_mul(a, b):
+    """Integer matrix product of tuples of row tuples."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix product shape mismatch")
+    cols = tuple(zip(*b)) if b else ()
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
+def determinant(m):
+    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant needs a square matrix")
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def det_2x2(m):
@@ -219,3 +258,165 @@ def oracle_search_probes(poly, point, direction_bound):
                                  length, exit_point in poly.vertices,
                                  exit_point in poly.excluded_points()))
     return hits
+
+
+def oracle_solve_linear(m, b, ring):
+    """solve_linear as first written: Fraction arithmetic over Z and Q, and
+    over Z/n the system [M | nI] solved over Z by recursion.  Shares the
+    Smith normal form with the library."""
+    from floerdisk.abelian import diagonal, freeze, mat_vec, smith_normal_form
+    from floerdisk.rings import Ring, reduce
+
+    m = freeze(m)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if ring.is_finite:
+        n = ring.modulus
+        if rows == 0:
+            return (0,) * cols
+        aug = tuple(row + tuple(n if i == k else 0 for k in range(rows))
+                    for i, row in enumerate(m))
+        sol = oracle_solve_linear(aug, tuple(reduce(x, ring).value for x in b),
+                                  Ring.integers())
+        return None if sol is None else tuple(x % n for x in sol[:cols])
+    rational = ring.name == "Q"
+    b = tuple(Fraction(x) for x in b)
+    if not rational and any(x.denominator != 1 for x in b):
+        return None
+    if rows == 0:
+        return (0,) * cols
+    u, d, v = smith_normal_form(m)
+    c = mat_vec(u, b)
+    diag = diagonal(d)
+    y = []
+    for i in range(cols):
+        di = diag[i] if i < len(diag) else 0
+        ci = c[i] if i < rows else Fraction(0)
+        if di == 0:
+            if ci != 0:
+                return None
+            y.append(Fraction(0))
+        else:
+            q = ci / di
+            if not rational and q.denominator != 1:
+                return None
+            y.append(q)
+    if any(c[i] != 0 for i in range(cols, rows)):
+        return None
+    x = mat_vec(v, tuple(y))
+    return tuple(Fraction(t) if rational else int(t) for t in x)
+
+
+def oracle_kernel(m):
+    """Columns of V over the zero Smith invariants: a basis of ker M over Z."""
+    from floerdisk.abelian import diagonal, smith_normal_form
+
+    cols = len(m[0])
+    _, d, v = smith_normal_form(m)
+    diag = diagonal(d)
+    return [tuple(v[i][j] for i in range(cols)) for j in range(cols)
+            if j >= len(diag) or diag[j] == 0]
+
+
+def append_relation_columns(matrix, relations, modulus=None):
+    """[M | R^T], and [M | R^T | nI] given a modulus n, built by hand as the
+    callers of solve_linear once did."""
+    if relations:
+        rel_cols = tuple(zip(*relations))
+        matrix = tuple(row + rel_cols[i] for i, row in enumerate(matrix))
+    if modulus:
+        matrix = tuple(row + tuple(modulus if r == i else 0
+                                   for r in range(len(matrix)))
+                       for i, row in enumerate(matrix))
+    return tuple(matrix)
+
+
+def oracle_in_ambiguity_coset(group, coords, other, ambiguity, ring):
+    """Is coords - other a multiple of the ambiguity class over the ring?"""
+    diff = tuple(a - b for a, b in zip(coords, other))
+    matrix = append_relation_columns(tuple((c,) for c in ambiguity),
+                                      group.relations)
+    return oracle_solve_linear(matrix, diff, ring) is not None
+
+
+def oracle_kernel_inside_ambiguity(side, ring):
+    """Does every ring solution of j(v) = 0 lie in <[L]>?  The quotient
+    matrix [j | R^T | nI] is built by hand."""
+    ngens = side.h2x.ngens
+    matrix = append_relation_columns(side.j.matrix, side.h2_rel.relations,
+                                     ring.modulus)
+    return all(oracle_in_ambiguity_coset(side.h2x, vec[:ngens], (0,) * ngens,
+                                         side.fundamental_class, ring)
+               for vec in oracle_kernel(matrix))
+
+
+def oracle_subspace_contains(subspace, vector):
+    """Membership by solving span^T x = vector - base over F_p."""
+    p = subspace.field.modulus
+    diff = tuple(a - b for a, b in zip(vector, subspace.base))
+    if not subspace.span:
+        return all(x % p == 0 for x in diff)
+    return oracle_solve_linear(tuple(zip(*subspace.span)), diff,
+                               subspace.field) is not None
+
+
+def oracle_oc_low(side, ring, subspace=None):
+    """oc_low as first written: RingElement sums, SNF-based subspace
+    membership, cosets grouped by that membership, hand-built quotient
+    matrices.  Returns (value coords, disk sum, lift unique), or the name of
+    the FloerDiskError raised."""
+    from floerdisk.errors import FloerDiskError
+    from floerdisk.invariants import _local_weight, least_area
+    from floerdisk.rings import Ring, reduce
+    from floerdisk.scenario import AffineSubspace
+
+    Z = Ring.integers()
+    local = side.local_system_dict()
+
+    def weighted_sum(disks, attr, width):
+        acc = [ring.zero()] * width
+        for disk in disks:
+            weight = (ring.one() if local is None
+                      else _local_weight(side, local, disk.boundary, ring))
+            for i, coord in enumerate(getattr(disk, attr)):
+                acc[i] = acc[i] + weight * reduce(disk.count * coord, ring)
+        return tuple(x.value for x in acc)
+
+    try:
+        if not side.ledger.disks:
+            if side.asserted_invariant is None:
+                return "InsufficientLedger"
+            return side.asserted_invariant, (), True
+        level = least_area(side)
+        nonzero = [d for d in side.ledger.at_level(level)
+                   if not side.h1.is_zero(d.boundary, Z)]
+        groups = [nonzero]
+        if subspace is not None:
+            groups = []
+            for disk in nonzero:
+                for group in groups:
+                    coset = AffineSubspace(subspace.field, group[0].boundary,
+                                           subspace.span)
+                    if oracle_subspace_contains(coset, disk.boundary):
+                        group.append(disk)
+                        break
+                else:
+                    groups.append([disk])
+        for group in groups:
+            total = weighted_sum(group, "boundary", side.h1.ngens)
+            if not side.h1.is_zero(total, ring):
+                return "CancellationFails"
+        selected = [d for d in nonzero if subspace is None
+                    or oracle_subspace_contains(subspace, d.boundary)]
+        if not selected:
+            return (0,) * side.h2x.ngens, (), True
+        disk_sum = weighted_sum(selected, "rel_class", side.h2_rel.ngens)
+        lift = oracle_solve_linear(
+            append_relation_columns(side.j.matrix, side.h2_rel.relations),
+            disk_sum, ring)
+        if lift is None:
+            return "NoLift"
+        return (lift[:side.h2x.ngens], disk_sum,
+                oracle_kernel_inside_ambiguity(side, ring))
+    except FloerDiskError as exc:
+        return type(exc).__name__

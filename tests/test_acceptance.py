@@ -9,15 +9,14 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
-from floerdisk.abelian import (determinant, freeze, identity, mat_mul, pair,
-                               smith_normal_form, solve_linear)
+from floerdisk.abelian import (freeze, identity, pair, smith_normal_form,
+                               solve_linear)
 from floerdisk.criterion import (INCONCLUSIVE, NON_DISPLACEABLE, area_gate,
                                  evaluate_pair)
 from floerdisk.invariants import (area_progression, boundary_sum,
                                   cancellation_threshold, least_area,
                                   next_area, oc_low)
-from floerdisk.potential import (bulk_deform, newton_valuations,
-                                 potential_from_ledger,
+from floerdisk.potential import (newton_valuations, potential_from_ledger,
                                  residue_critical_points, truncate_to_level,
                                  unit_critical_analysis)
 from floerdisk.probes import builtin_polytope, make_probe, probe_displaces, \
@@ -26,7 +25,8 @@ from floerdisk.rings import Ring
 from floerdisk.scenario import (Scenario, builtin_scenario, combine,
                                 sphere_pair)
 
-from oracles import exhaustive_solve_mod, oracle_probe_displaces
+from oracles import (determinant, exhaustive_solve_mod, mat_mul,
+                     oracle_probe_displaces)
 
 F = Fraction
 Z = Ring.integers()
@@ -205,13 +205,15 @@ def test_criterion_7_bulk_potential_analysis():
     with criterion(7, "bulk potential: no unit critical point unless a = 1/3"):
         for a in (F(1, 10), F(1, 5), F(3, 10)):
             side = builtin_scenario("cp2_ta", {"a": a}).side
-            report = unit_critical_analysis(bulk_deform(side, {"b": 1}))
+            report = unit_critical_analysis(
+                potential_from_ledger(side, divisor_hits={"b": 1}))
             assert not report.has_unit_candidate, a
             branch = {b.w0: b for b in report.branches}[F(1)]
             assert branch.valuations == ((3 * a - 1) / 6,), a
 
         side = builtin_scenario("cp2_ta", {"a": F(1, 3)}).side
-        report = unit_critical_analysis(bulk_deform(side, {"b": 1}))
+        report = unit_critical_analysis(
+            potential_from_ledger(side, divisor_hits={"b": 1}))
         assert report.has_unit_candidate
 
         low = truncate_to_level(

@@ -235,3 +235,91 @@ def test_duplicate_builtin_parameter():
 
 def test_zero_denominator_is_a_usage_error():
     assert _error(["probes", "p1xp1", "--point", "1/0,1"]) == (2, "usage")
+
+
+def test_unreadable_paths_are_validation_errors(tmp_path):
+    assert _error(["validate", str(tmp_path)]) == (3, "IsADirectoryError")
+    assert _error(["probes", str(tmp_path), "--point", "0,1"]) == \
+        (3, "IsADirectoryError")
+    assert _error(["validate", str(tmp_path / "missing.json")]) == \
+        (3, "FileNotFoundError")
+
+
+SWEEP = ["sweep", "--builtin", "cp2_ta", "--vs", "cp2_clifford"]
+
+
+def test_sweep_grid_edges(monkeypatch):
+    # --from above --to: no point at all, with or without --ring
+    for ring in ([], ["--ring", "Z/8"]):
+        assert _error(SWEEP + ring + ["--from", "1/5", "--to", "1/10",
+                                      "--step", "1/20"]) == (3, "BadParams")
+    code, text = run(SWEEP + ["--from", "1/10", "--to", "1/10",
+                              "--step", "1/20"])
+    assert code == 0
+    assert [p["a"] for p in json.loads(text)["result"]["points"]] == ["1/10"]
+    assert _error(SWEEP + ["--from", "1/100", "--to", "1/5", "--step",
+                           "1/1000000000"]) == (3, "BadParams")
+    monkeypatch.setattr("floerdisk.cli.SWEEP_POINT_LIMIT", 3)
+    grid = ["--from", "1/20", "--to", "3/20"]
+    code, text = run(SWEEP + grid + ["--step", "1/20"])
+    assert code == 0
+    assert len(json.loads(text)["result"]["points"]) == 3
+    assert _error(SWEEP + grid + ["--step", "1/30"]) == (3, "BadParams")
+
+
+@pytest.mark.parametrize("local_system, value", [
+    (None, "4*H"), ("dbeta=1,dalpha=3", "0"), ("dbeta=1,dalpha=5", "4*H")])
+def test_local_system_override(local_system, value):
+    argv = ["invariant", "--builtin", "cp2_ta:a=1/10", "--ring", "Z/8"]
+    if local_system:
+        argv += ["--local-system", local_system]
+    code, text = run(argv)
+    assert code == 0
+    assert json.loads(text)["result"]["oc_low"]["value"] == value
+
+
+@pytest.mark.parametrize("subspace, conclusion, theorem, reason", [
+    ("0,0;0,1", "inconclusive", None, "pairing 0 = 0 in Z/2"),
+    ("1,0;1,0", "non_displaceable", "1.6", None)])
+def test_subspace_override(subspace, conclusion, theorem, reason):
+    code, text = run(["criterion", "--builtin", "p1xp1_ta:a=1/5", "--vs",
+                      "p1xp1_clifford", "--ring", "Z/2", "--field", "F2",
+                      "--subspace", subspace])
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert (result["conclusion"], result.get("theorem"),
+            result.get("reason")) == (conclusion, theorem, reason)
+
+
+def test_benchmark_tracer_rebinds_every_layer(monkeypatch):
+    # The traced benchmark wraps library functions and rebinds the names
+    # that modules took with ``from ... import``; it refuses to run when a
+    # module no longer binds one.  Check that here, and that tracing leaves
+    # stdout unchanged.
+    import floerdisk.cli as cli
+
+    monkeypatch.syspath_prepend(str(GOLDEN.parent.parent / "bench"))
+    import tracing
+
+    argvs = [GOLDEN_COMMANDS["sweep_p1xp1"],
+             ["criterion", "--builtin", "p1xp1_ta:a=1/5", "--vs",
+              "p1xp1_clifford", "--ring", "Z/2", "--field", "F2"]]
+
+    def outputs():
+        result = []
+        for argv in argvs:
+            out = io.StringIO()
+            result.append((cli.main(argv, out=out), out.getvalue()))
+        return result
+
+    plain = outputs()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.rebinding_errors() == []
+        traced = outputs()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert {span[0] for span in tracer.spans} >= {
+        "cli.main", "criterion.evaluate_pair", "abelian.solve_linear"}

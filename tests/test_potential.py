@@ -8,7 +8,7 @@ from floerdisk.errors import (BasisMismatch, Degenerate, InfiniteRing,
                               NonInvertibleDenominator, NotSingleLevel,
                               ResidueSearchTooLarge, UnknownLabel,
                               UnsupportedShape)
-from floerdisk.potential import (NovikovPolynomial, NovikovTerm, bulk_deform,
+from floerdisk.potential import (NovikovPolynomial, NovikovTerm,
                                  evaluate_partials_at, newton_valuations,
                                  partial_derivative, potential_from_ledger,
                                  residue_critical_points, truncate_to_level,
@@ -63,18 +63,17 @@ def test_empty_ledger_gives_zero():
 
 
 def test_bulk_deform():
-    p = bulk_deform(builtin_scenario("cp2_ta", {"a": F(1, 5)}).side, {"b": 1})
+    side = builtin_scenario("cp2_ta", {"a": F(1, 5)}).side
+    p = potential_from_ledger(side, divisor_hits={"b": 1})
     beta_terms = [t for t in p.terms if t.z_exp == 1]
     assert beta_terms[0].bulk_exp == 1
     assert all(t.bulk_exp == 0 for t in p.terms if t.z_exp != 1)
-    double = bulk_deform(builtin_scenario("cp2_ta", {"a": F(1, 5)}).side,
-                         {"b": 2})
+    double = potential_from_ledger(side, divisor_hits={"b": 2})
     assert [t for t in double.terms if t.z_exp == 1][0].bulk_exp == 2
-    same = bulk_deform(builtin_scenario("cp2_ta", {"a": F(1, 5)}).side, {})
+    same = potential_from_ledger(side, divisor_hits={})
     assert same == cp2_potential()
     with pytest.raises(UnknownLabel):
-        bulk_deform(builtin_scenario("cp2_ta", {"a": F(1, 5)}).side,
-                    {"nope": 1})
+        potential_from_ledger(side, divisor_hits={"nope": 1})
 
 
 def test_truncate():
@@ -184,7 +183,8 @@ def test_newton_valuations_double_attainment():
 def test_bulk_analysis_below_one_third():
     for a in (F(1, 10), F(1, 5), F(3, 10)):
         side = builtin_scenario("cp2_ta", {"a": a}).side
-        report = unit_critical_analysis(bulk_deform(side, {"b": 1}))
+        report = unit_critical_analysis(
+            potential_from_ledger(side, divisor_hits={"b": 1}))
         assert not report.has_unit_candidate
         by_root = {b.w0: b for b in report.branches}
         assert by_root[F(1)].valuations == ((3 * a - 1) / 6,)
@@ -194,7 +194,8 @@ def test_bulk_analysis_below_one_third():
 
 def test_bulk_analysis_at_one_third():
     side = builtin_scenario("cp2_ta", {"a": F(1, 3)}).side
-    report = unit_critical_analysis(bulk_deform(side, {"b": 1}))
+    report = unit_critical_analysis(
+        potential_from_ledger(side, divisor_hits={"b": 1}))
     assert report.has_unit_candidate
     branch = {b.w0: b for b in report.branches}[F(1)]
     assert branch.candidate

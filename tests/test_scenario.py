@@ -1,11 +1,18 @@
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerdisk.abelian import kernel_basis, transpose
-from floerdisk.errors import (BadParams, SchemaError, UnknownScenario,
-                              ValidationError)
+from floerdisk.cli import main
+from floerdisk.criterion import evaluate_pair
+from floerdisk.errors import (BadParams, FloerDiskError, SchemaError,
+                              UnknownScenario, ValidationError)
+from floerdisk.invariants import oc_low
 from floerdisk.rings import Ring
 from floerdisk.scenario import (BUILTIN_NAMES, builtin_scenario, combine,
                                 load_scenario, sphere_pair)
@@ -186,3 +193,108 @@ def test_trp2_model_group():
     ring = Ring.parse("Z/8")
     assert not group.is_zero((4,), ring)
     assert group.is_zero((8,), ring)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("sides", 0, "j"), [[1.9], [0], [0]]),
+    (("sides", 0, "ledger", "disks", 0, "rel_class"), [1.0, -2, -1]),
+    (("sides", 0, "ledger", "disks", 0, "boundary"), ["-2", -1]),
+    (("sides", 0, "fundamental_class"), ["0"]),
+    (("sides", 0, "asserted_invariant"), ["a"]),
+    (("sides", 0, "subspace"), {"field": "F2", "base": ["0", 0],
+                                "span": [[1, 0]]}),
+    (("sides", 0, "subspace"), {"field": "F2", "base": [0, 0],
+                                "span": [[1, True]]}),
+    (("sides", 0, "bd"), [[0, 1, 0], [0, 0, "1"]]),
+    (("sides", 0, "H1_L", "relations"), [[2, 0.0]]),
+    (("sides", 0, "H2_XL", "relations"), [1, 0, 0]),
+    (("form",), [[False]]),
+    (("sides", 0, "local_system"), ["dbeta", "dalpha"]),
+])
+def test_loader_rejects_non_integer_entries(path, value):
+    doc = builtin_scenario("cp2_ta", A_DEFAULT).to_json_dict()
+    _set(doc, path, value)
+    with pytest.raises(SchemaError):
+        load_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("k, n", [(-1, 0), (0, 2), (3, 0)])
+def test_loader_rejects_lattice_params_below_one(k, n):
+    doc = builtin_scenario("cp2_ta", A_DEFAULT).to_json_dict()
+    doc["sides"][0]["lattice_params"] = {"k": k, "N": n}
+    with pytest.raises(ValidationError, match="lattice parameters"):
+        load_scenario(json.dumps(doc))
+
+
+FUZZ_DOCUMENTS = [
+    builtin_scenario("cp2_ta", A_DEFAULT).to_json_dict(),
+    builtin_scenario("p1xp1_ta", {"a": F(1, 5)}).to_json_dict(),
+    builtin_scenario("bl3_clifford").to_json_dict(),
+    combine(builtin_scenario("cp2_ta", A_DEFAULT),
+            builtin_scenario("cp2_clifford")).to_json_dict(),
+    sphere_pair(F(1, 5), F(1, 6), 2).to_json_dict(),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(-3, 3, allow_nan=False) | st.sampled_from(
+        ["", "a", "1", "1/2", "inf", "F2", "Z/4", "dbeta"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["k", "N", "dbeta", "field"]), inner,
+                      max_size=2),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_DOCUMENTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["delete", "replace", "nudge"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "replace" or type(parent[path[-1]]) is not int:
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            parent[path[-1]] += draw(st.integers(-2, 2))
+    return doc
+
+
+@settings(max_examples=300)
+@given(mutated_documents())
+def test_mutated_documents_end_in_typed_errors(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        for command in ("validate", "invariant", "criterion"):
+            assert main([command, "--scenario", path],
+                        out=io.StringIO()) in (0, 2, 3, 4)
+        if main(["validate", path], out=io.StringIO()) != 0:
+            return
+    scenario = load_scenario(json.dumps(doc))
+    for side in scenario.sides:
+        try:
+            oc_low(side, scenario.ring)
+        except FloerDiskError:
+            pass
+    try:
+        evaluate_pair(scenario, use_subspaces=True, ring=scenario.ring)
+    except FloerDiskError:
+        pass
