@@ -18,15 +18,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .criterion import evaluate_pair
-from .errors import (BadParams, FloerDiskError, SchemaError, UnknownScenario,
-                     ValidationError)
+from .criterion import evaluate_pair, gate_inputs
+from .errors import (BadParams, DimensionMismatch, FloerDiskError, SchemaError,
+                     UnknownScenario, ValidationError)
 from .invariants import area_spectrum, oc_low
 from .potential import (potential_from_ledger, residue_critical_points,
                         truncate_to_level, unit_critical_analysis)
 from .probes import builtin_polytope, polytope_from_json, search_probes
 from .rings import Ring, parse_rational, rational_str
-from .scenario import (AffineSubspace, BUILTIN_NAMES, Scenario,
+from .scenario import (A_INTERVALS, AffineSubspace, BUILTIN_NAMES, Scenario,
                        builtin_scenario, combine, load_scenario)
 
 USAGE_ERROR = 2
@@ -85,7 +85,10 @@ def _parse_subspace(text: str, field: Ring) -> AffineSubspace:
     base = tuple(int(x) for x in base_text.split(","))
     span = tuple(tuple(int(x) for x in row.split(","))
                  for row in span_text.split("|") if row)
-    return AffineSubspace(field, base, span)
+    try:
+        return AffineSubspace(field, base, span)
+    except DimensionMismatch as exc:
+        raise BadParams(f"--subspace: {exc}") from exc
 
 
 def _parse_local_system(text: str) -> dict:
@@ -98,25 +101,25 @@ def _parse_local_system(text: str) -> dict:
     return out
 
 
-def _apply_side_overrides(scenario: Scenario, args) -> Scenario:
-    """Attach --subspace / --local-system to the first side."""
-    side = scenario.sides[0]
-    changed = False
-    if getattr(args, "subspace", None):
-        if not getattr(args, "field", None):
+def _side_overrides(args) -> dict:
+    """The --subspace / --local-system overrides of the first side."""
+    overrides = {}
+    if args.subspace:
+        if not args.field:
             raise BadParams("--subspace requires --field")
-        side = replace(side, subspace=_parse_subspace(
-            args.subspace, Ring.parse(args.field)))
-        changed = True
-    if getattr(args, "local_system", None):
-        side = replace(side,
-                       local_system=tuple(_parse_local_system(
-                           args.local_system).items()))
-        changed = True
-    if not changed:
+        overrides["subspace"] = _parse_subspace(args.subspace,
+                                                Ring.parse(args.field))
+    if args.local_system:
+        overrides["local_system"] = _parse_local_system(args.local_system)
+    return overrides
+
+
+def _apply_side_overrides(scenario: Scenario, overrides: dict) -> Scenario:
+    if not overrides:
         return scenario
     return Scenario(scenario.h2x, scenario.form,
-                    (side,) + scenario.sides[1:], scenario.ring)
+                    (replace(scenario.sides[0], **overrides),)
+                    + scenario.sides[1:], scenario.ring)
 
 
 def _report(command: str, scenario: Scenario | None, options: dict,
@@ -190,7 +193,8 @@ def _cmd_validate(args, out):
 
 
 def _cmd_invariant(args, out):
-    scenario = _apply_side_overrides(_resolve_scenario(args.scenario), args)
+    scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
+                                     _side_overrides(args))
     side = scenario.sides[0]
     ring = Ring.parse(args.ring) if args.ring else scenario.ring
     subspace = side.subspace if args.field else None
@@ -204,14 +208,6 @@ def _cmd_invariant(args, out):
     return 0
 
 
-def _pair_scenario(args) -> Scenario:
-    first = _apply_side_overrides(_resolve_scenario(args.scenario), args)
-    if args.vs:
-        second = _resolve_scenario(args.vs)
-        return combine(first, second)
-    return first
-
-
 def _verdict_result(verdict) -> dict:
     result = verdict.as_dict()
     for entry in verdict.audit:
@@ -221,7 +217,10 @@ def _verdict_result(verdict) -> dict:
 
 
 def _cmd_criterion(args, out):
-    scenario = _pair_scenario(args)
+    scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
+                                     _side_overrides(args))
+    if args.vs:
+        scenario = combine(scenario, _resolve_scenario(args.vs))
     ring = Ring.parse(args.ring) if args.ring else scenario.ring
     verdict = evaluate_pair(scenario, use_subspaces=bool(args.field),
                             monotone_variant=args.monotone_variant,
@@ -249,47 +248,30 @@ def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list:
     return [start + i * step for i in range(count)]
 
 
-def _gate_threshold(args, ring) -> str | None:
-    """Closed-form gate threshold: solve a + b = A(a) for linear A(a)."""
-    from .invariants import cancellation_threshold, least_area, next_area
+def _margin_root(inputs_at, low: Fraction, high: Fraction):
+    """The t in (low, high), as a string, such that for a in (low, high)
+    the area gate passes iff a < t; None when there is no such t.
 
-    def bound_at(a: Fraction):
-        scenario = _pair_scenario_at(args, a)
-        left, right = scenario.sides
-        if args.monotone_variant:
-            mono = right if right.monotone else left
-            other = left if mono is right else right
-            sub = other.subspace if args.field else None
-            big_a = cancellation_threshold(other, ring,
-                                           subspace=sub).effective_bound
-            b = least_area(mono)
-        else:
-            big_a, big_b = next_area(left), next_area(right)
-            if big_b is not None and (big_a is None or big_b < big_a):
-                big_a = big_b
-            b = least_area(right)
-        return big_a, b
-
-    samples = [Fraction(1, 97), Fraction(1, 89), Fraction(1, 83)]
+    Every gate input is affine in a on the builtin's open interval, so two
+    exact evaluations inside it fix each margin X(a) - (a + b), X in {A, B}.
+    Each margin falls as a grows: a + b holds the swept side's least area,
+    a itself, and no bound grows with a.  Any other margin gives None.
+    """
+    t1, t2 = low + (high - low) / 3, high - (high - low) / 3
     try:
-        points = [(a, *bound_at(a)) for a in samples]
+        (a1, b1, *bounds1, _), (a2, b2, *bounds2, _) = map(inputs_at, (t1, t2))
     except FloerDiskError:
         return None
-    if any(p[1] is None for p in points):
-        return None
-    (a1, big1, b), (a2, big2, _), (a3, big3, _) = points
-    slope = (big2 - big1) / (a2 - a1)
-    intercept = big1 - slope * a1
-    if intercept + slope * a3 != big3 or slope == 1:
-        return None
-    return rational_str((intercept - b) / (1 - slope))
-
-
-def _pair_scenario_at(args, a: Fraction) -> Scenario:
-    ref = args.scenario.partition(":")[0] + f":{args.param}={rational_str(a)}"
-    rebuilt = argparse.Namespace(**vars(args))
-    rebuilt.scenario = ref
-    return _pair_scenario(rebuilt)
+    roots = []
+    for x1, x2 in zip(bounds1, bounds2):
+        if x1 is None:
+            continue
+        m1, m2 = x1 - a1 - b1, x2 - a2 - b2
+        if m2 >= m1:
+            return None
+        roots.append(t1 + m1 * (t2 - t1) / (m1 - m2))
+    t = min(roots, default=high)
+    return rational_str(t) if low < t < high else None
 
 
 def _cmd_sweep(args, out):
@@ -298,19 +280,26 @@ def _cmd_sweep(args, out):
     start = parse_rational(args.start)
     stop = parse_rational(args.stop)
     step = parse_rational(args.step)
-    first_ref = args.scenario.partition(":")[0]
-    if first_ref not in BUILTIN_NAMES:
-        raise BadParams("sweeps need a builtin scenario for the swept side")
+    name = args.scenario.partition(":")[0]
+    if name not in A_INTERVALS:
+        raise BadParams("sweeps need a parametric builtin for the swept side")
     ring = Ring.parse(args.ring) if args.ring else None
+    grid = _sweep_grid(start, stop, step)
+    overrides = _side_overrides(args)
+    second = _resolve_scenario(args.vs) if args.vs else None
+
+    def scenario_at(a: Fraction) -> Scenario:
+        first = _apply_side_overrides(builtin_scenario(name, {"a": a}),
+                                      overrides)
+        return combine(first, second) if second is not None else first
+
     points = []
-    scenario_for_digest = None
-    for a in _sweep_grid(start, stop, step):
-        scenario = _pair_scenario_at(args, a)
-        scenario_for_digest = scenario
-        effective_ring = ring or scenario.ring
+    for a in grid:
+        scenario = scenario_at(a)
+        ring = ring or scenario.ring
         verdict = evaluate_pair(scenario, use_subspaces=bool(args.field),
                                 monotone_variant=args.monotone_variant,
-                                ring=effective_ring)
+                                ring=ring)
         entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
         if verdict.theorem:
             entry["theorem"] = verdict.theorem
@@ -318,22 +307,24 @@ def _cmd_sweep(args, out):
             entry["reason"] = verdict.reason
         points.append(entry)
     result = {"param": args.param, "points": points}
-    threshold = _gate_threshold(args, ring or scenario_for_digest.ring)
+    threshold = _margin_root(
+        lambda t: gate_inputs(*scenario_at(t).sides, ring, bool(args.field),
+                              args.monotone_variant),
+        *A_INTERVALS[name][:2])
     if threshold is not None:
         result["gate_threshold"] = threshold
         result["gate_passes_iff"] = f"a < {threshold}"
-    options = {"ring": (ring or scenario_for_digest.ring).name,
-               "subspaces": bool(args.field),
+    options = {"ring": ring.name, "subspaces": bool(args.field),
                "monotone_variant": args.monotone_variant,
                "from": rational_str(start), "to": rational_str(stop),
                "step": rational_str(step)}
-    _emit(_report("sweep", scenario_for_digest, options, result),
-          args.format, out)
+    _emit(_report("sweep", scenario, options, result), args.format, out)
     return 0
 
 
 def _cmd_potential(args, out):
-    scenario = _apply_side_overrides(_resolve_scenario(args.scenario), args)
+    scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
+                                     _side_overrides(args))
     side = scenario.sides[0]
     hits = None
     if args.bulk:
@@ -383,7 +374,7 @@ def _cmd_probes(args, out):
 def _cmd_builtin_list(args, out):
     entries = []
     for name in BUILTIN_NAMES:
-        needs_a = name.endswith(("_ta", "_la"))
+        needs_a = name in A_INTERVALS
         entries.append({"name": name,
                         "parameters": ["a"] if needs_a else [],
                         "example": f"{name}:a=1/10" if needs_a else name})

@@ -76,6 +76,29 @@ def area_gate(a, b, big_a, big_b) -> bool:
     return True
 
 
+def gate_inputs(left, right, ring: Ring, use_subspaces: bool = False,
+                monotone_variant: bool = False) -> tuple:
+    """(a, b, A, B, threshold) for the step-3 gate a + b < min(A, B).
+
+    Rules 1.5/1.6: least and next areas of each side; threshold None.
+    Rules 2.4/2.5: a and b are the least areas of the non-monotone and the
+    monotone side, A is the first non-cancelling level of the former, B
+    is None (infinity), and threshold is (side name, ThresholdResult).
+    """
+    if not monotone_variant:
+        return (least_area(left), least_area(right), next_area(left),
+                next_area(right), None)
+    mono = [s for s in (left, right) if s.monotone]
+    if len(mono) != 1:
+        raise ValidationError(
+            "monotone variant needs exactly one monotone side")
+    other = right if mono[0] is left else left
+    a, b = least_area(other), least_area(mono[0])
+    threshold = cancellation_threshold(
+        other, ring, subspace=other.subspace if use_subspaces else None)
+    return a, b, threshold.effective_bound, None, (other.name, threshold)
+
+
 def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
                   monotone_variant: bool = False,
                   ring: Ring | None = None) -> Verdict:
@@ -135,32 +158,16 @@ def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
 
     # 3. areas and the gate
     try:
-        if monotone_variant:
-            mono = [s for s in (left, right) if s.monotone]
-            if len(mono) != 1:
-                raise ValidationError(
-                    "monotone variant needs exactly one monotone side")
-            mono_side = mono[0]
-            other = right if mono_side is left else left
-            a = least_area(other)
-            b = least_area(mono_side)
-            threshold = cancellation_threshold(
-                other, ring,
-                subspace=other.subspace if use_subspaces else None)
-            big_a = threshold.effective_bound
-            big_b = None
-            record("cancellation_threshold",
-                   {"side": other.name, "ring": ring.name},
-                   _describe_threshold(threshold))
-        else:
-            a = least_area(left)
-            b = least_area(right)
-            big_a = next_area(left)
-            big_b = next_area(right)
+        a, b, big_a, big_b, threshold = gate_inputs(
+            left, right, ring, use_subspaces, monotone_variant)
     except (InsufficientLedger, HypothesisViolated) as exc:
         record("area_spectrum", {}, f"undefined: {exc}")
         return Verdict(INCONCLUSIVE, reason=f"area spectrum unavailable: {exc}",
                        audit=audit, notes=notes)
+    if threshold is not None:
+        side, result = threshold
+        record("cancellation_threshold", {"side": side, "ring": ring.name},
+               _describe_threshold(result))
 
     gate = area_gate(a, b, big_a, big_b)
     record("area_gate",

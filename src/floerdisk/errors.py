@@ -61,6 +61,10 @@ class MissingLocalSystem(FloerDiskError):
     pass
 
 
+class WeightTooLarge(FloerDiskError):
+    """A local-system weight over Q would exceed its size budget."""
+
+
 class CancellationFails(FloerDiskError):
     """Boundary classes of the selected disks do not sum to zero.
 

@@ -14,11 +14,18 @@ from fractions import Fraction
 
 from .abelian import GroupElement, kernel_basis, solve_linear, vec_sub
 from .errors import (CancellationFails, HypothesisViolated, InsufficientLedger,
-                     MissingLocalSystem, NoLift, ValidationError)
+                     MissingLocalSystem, NoLift, ValidationError,
+                     WeightTooLarge)
 from .rings import Ring, rational_str, reduce
 from .scenario import AffineSubspace, LagrangianSide
 
 Z = Ring.integers()
+
+# A power value ** coord in a local-system weight over Z or Q is refused
+# before it is taken when its numerator or denominator would surely pass
+# this many bits, |coord| * (bit length - 1).  An accepted one has under
+# twice as many, well inside Python's 4300-digit int-to-str limit.
+WEIGHT_BIT_LIMIT = 4096
 
 
 # --- area spectrum ------------------------------------------------------------
@@ -105,6 +112,12 @@ def _local_weight(side, local_map, boundary, ring):
             raise ValidationError(
                 f"side {side.name}: local system value {value} for {label} "
                 f"is not a unit in {ring.name}")
+        if not ring.is_finite:
+            size = max(abs(value.value.numerator), value.value.denominator)
+            if abs(coord) * (size.bit_length() - 1) > WEIGHT_BIT_LIMIT:
+                raise WeightTooLarge(
+                    f"side {side.name}: local-system weight ({value})^{coord} "
+                    f"for {label} needs more than {WEIGHT_BIT_LIMIT} bits")
         weight = weight * (value ** coord)
     return weight
 

@@ -208,7 +208,10 @@ class Scenario:
         if not 1 <= len(self.sides) <= 2:
             raise ValidationError("a scenario has one or two sides")
         for side in self.sides:
-            _validate_side(self.h2x, side)
+            # once per side object and H2(X); replace() drops the marker
+            if getattr(side, "_valid_in", None) != self.h2x:
+                _validate_side(self.h2x, side)
+                object.__setattr__(side, "_valid_in", self.h2x)
 
     @property
     def side(self) -> LagrangianSide:
@@ -342,6 +345,14 @@ def _need(mapping, key, kind, where):
     return value
 
 
+def _int(mapping, key, where) -> int:
+    """The JSON integer under the key, else a SchemaError at its path."""
+    value = _need(mapping, key, None, where)
+    if type(value) is not int:
+        raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
 def _ints(value, where, depth=1) -> tuple:
     """A JSON list of ints (depth 1), or a list of such rows (depth 2), as
     tuples; a float, bool, string or other entry is a SchemaError at its
@@ -398,9 +409,9 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
                             f"{dwhere}.rel_class"),
             boundary=_ints(_need(disk_data, "boundary", list, dwhere),
                            f"{dwhere}.boundary"),
-            maslov=int(_need(disk_data, "maslov", int, dwhere)),
+            maslov=_int(disk_data, "maslov", dwhere),
             area=rational_from(_need(disk_data, "area", None, dwhere), dwhere),
-            count=int(_need(disk_data, "count", int, dwhere)),
+            count=_int(disk_data, "count", dwhere),
         ))
     ledger = DiskLedger(tuple(disks), cutoff)
 
@@ -426,12 +437,17 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
     lattice = None
     if data.get("lattice_params") is not None:
         lp = data["lattice_params"]
-        lattice = (int(_need(lp, "k", int, where)),
-                   int(_need(lp, "N", int, where)))
+        lattice = (_int(lp, "k", f"{where}.lattice_params"),
+                   _int(lp, "N", f"{where}.lattice_params"))
 
     constant = None
     if data.get("b") is not None:
         constant = rational_from(data["b"], where)
+
+    monotone = data.get("monotone", False)
+    if type(monotone) is not bool:
+        raise SchemaError(
+            f"{where}.monotone: expected true or false, got {monotone!r}")
 
     asserted = None
     if data.get("asserted_invariant") is not None:
@@ -443,7 +459,7 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
         fundamental_class=_ints(_need(data, "fundamental_class", list, where),
                                 f"{where}.fundamental_class"),
         ledger=ledger,
-        monotone=bool(data.get("monotone", False)),
+        monotone=monotone,
         monotonicity_constant=constant,
         lattice_params=lattice,
         local_system=local_system,
@@ -541,23 +557,16 @@ BUILTIN_NAMES = ("cp2_ta", "cp2_clifford", "p1xp1_ta", "p1xp1_clifford",
 F2 = Ring.prime_field(2)
 
 
-def _require_a(params, low, high, closed_top=False):
-    params = dict(params or {})
-    if "a" not in params:
-        raise BadParams("this scenario needs the exact rational parameter a")
-    a = Fraction(params.pop("a"))
-    if params:
-        raise BadParams(f"unexpected parameters: {sorted(params)}")
-    top_ok = a <= high if closed_top else a < high
-    if not (low < a and top_ok):
-        bracket = "]" if closed_top else ")"
-        raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
-    return a
-
-
-def _no_params(params):
-    if params:
-        raise BadParams(f"unexpected parameters: {sorted(dict(params))}")
+# The parametric builtins.  a must lie in the open interval (low, high), on
+# which every disk area is affine in a; top_allowed also admits a = high,
+# where the family ends at a monotone torus with a different ledger.
+A_INTERVALS = {
+    "cp2_ta": (Fraction(0), Fraction(1, 3), True),
+    "p1xp1_ta": (Fraction(0), Fraction(1, 2), True),
+    "bl3_ta": (Fraction(0), Fraction(1, 2), False),
+    "ts2_la": (Fraction(0), Fraction(10 ** 9), False),
+    "trp2_la": (Fraction(0), Fraction(10 ** 9), False),
+}
 
 
 def _cp2_ambient():
@@ -565,12 +574,11 @@ def _cp2_ambient():
     return h2x, IntersectionForm(h2x, ((1,),))
 
 
-def _cp2_ta(params):
+def _cp2_ta(a):
     # Disk data: four index-2 families, three of area a with boundaries
     # -2*dbeta + {-1,0,1}*dalpha (counts 1,2,1) and one of area (1-a)/2 with
     # boundary dbeta.  At a = 1/3 the two levels merge and the torus is
     # monotone.
-    a = _require_a(params, Fraction(0), Fraction(1, 3), closed_top=True)
     h2x, form = _cp2_ambient()
     h1 = FgAbelianGroup(("dbeta", "dalpha"))
     h2_rel = FgAbelianGroup(("H", "beta", "alpha"))
@@ -594,8 +602,7 @@ def _cp2_ta(params):
     return Scenario(h2x, form, (side,), Ring.parse("Z/8"))
 
 
-def _cp2_clifford(params):
-    _no_params(params)
+def _cp2_clifford():
     h2x, form = _cp2_ambient()
     h1 = FgAbelianGroup(("db1", "db2"))
     h2_rel = FgAbelianGroup(("H", "beta1", "beta2"))
@@ -620,8 +627,7 @@ def _p1xp1_ambient():
     return h2x, IntersectionForm(h2x, ((0, 1), (1, 0)))
 
 
-def _p1xp1_ta(params):
-    a = _require_a(params, Fraction(0), Fraction(1, 2), closed_top=True)
+def _p1xp1_ta(a):
     h2x, form = _p1xp1_ambient()
     h1 = FgAbelianGroup(("dbeta", "dalpha"))
     h2_rel = FgAbelianGroup(("H1", "H2", "beta", "alpha"))
@@ -647,8 +653,7 @@ def _p1xp1_ta(params):
     return Scenario(h2x, form, (side,), Ring.parse("Z/4"))
 
 
-def _p1xp1_clifford(params):
-    _no_params(params)
+def _p1xp1_clifford():
     h2x, form = _p1xp1_ambient()
     h1 = FgAbelianGroup(("db1", "db2"))
     h2_rel = FgAbelianGroup(("H1", "H2", "beta1", "beta2"))
@@ -677,13 +682,12 @@ def _bl3_ambient():
     return h2x, form
 
 
-def _bl3_ta(params):
+def _bl3_ta(a):
     # Same four least-area families as the p1xp1 torus, plus the two extra
     # area-1/2 disks with boundaries +-dalpha whose classes sum to
     # H1+H2-E1-E2.  The ledger stops below 1-a: that level is where the
     # (monotone-partner) threshold argument takes over, so the single
     # area-(1-a) family is deliberately not listed.
-    a = _require_a(params, Fraction(0), Fraction(1, 2))
     h2x, form = _bl3_ambient()
     h1 = FgAbelianGroup(("dbeta", "dalpha"))
     h2_rel = FgAbelianGroup(("H1", "H2", "E1", "E2", "beta", "alpha"))
@@ -707,10 +711,9 @@ def _bl3_ta(params):
     return Scenario(h2x, form, (side,), Ring.parse("Z/2"))
 
 
-def _bl3_clifford(params):
+def _bl3_clifford():
     # No six-facet ledger is recorded here: the invariant with subspace is an
     # asserted input, so the side carries asserted_invariant instead of disks.
-    _no_params(params)
     h2x, form = _bl3_ambient()
     h1 = FgAbelianGroup(("db1", "db2"))
     h2_rel = FgAbelianGroup(("H1", "H2", "E1", "E2"))
@@ -727,12 +730,11 @@ def _bl3_clifford(params):
     return Scenario(h2x, form, (side,), Ring.parse("Z/2"))
 
 
-def _ts2_la(params):
+def _ts2_la(a):
     # Cotangent-bundle picture of the p1xp1 torus: the beta disk crosses the
     # removed divisor and disappears; the remaining four classes are
     # rewritten in the basis (zero-section S, beta-lift, alpha-lift) of
     # H2(T*S^2, L), where S spans ker(bd) = im(j).
-    a = _require_a(params, Fraction(0), Fraction(10 ** 9))
     h2x = FgAbelianGroup(("S",))
     form = IntersectionForm(h2x, ((-2,),))
     h1 = FgAbelianGroup(("dbeta", "dalpha"))
@@ -754,13 +756,12 @@ def _ts2_la(params):
     return Scenario(h2x, form, (side,), Ring.parse("Z/4"))
 
 
-def _trp2_la(params):
+def _trp2_la(a):
     # Cotangent-bundle picture of the CP^2 torus.  H2(T*RP^2; Z/8) is a
     # two-element group generated by four times the generator written here;
     # presenting the bookkeeping group as free rank one keeps 4*[RP2]
     # nonzero mod 8 (it has order two there), which is the faithful model of
     # that coefficient group.  The pairing on it is trivial.
-    a = _require_a(params, Fraction(0), Fraction(10 ** 9))
     h2x = FgAbelianGroup(("RP2",))
     form = IntersectionForm(h2x, ((0,),))
     h1 = FgAbelianGroup(("dbeta", "dalpha"))
@@ -795,13 +796,26 @@ _BUILTINS = {
 def builtin_scenario(name: str, params=None) -> Scenario:
     """Construct one of the built-in scenarios by name.
 
-    Parameters are exact rationals; the relevant ones are the torus
-    parameter a (and nothing else -- monotone partners have fixed data).
+    The builtins in A_INTERVALS take exactly one exact rational parameter,
+    a, inside their interval; the others (monotone partners) take none.
     """
     if name not in _BUILTINS:
         raise UnknownScenario(
             f"unknown scenario {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
-    return _BUILTINS[name](params)
+    params = dict(params or {})
+    a = params.pop("a", None) if name in A_INTERVALS else None
+    if params:
+        raise BadParams(f"unexpected parameters: {sorted(params)}")
+    if name not in A_INTERVALS:
+        return _BUILTINS[name]()
+    if a is None:
+        raise BadParams("this scenario needs the exact rational parameter a")
+    a = Fraction(a)
+    low, high, top_allowed = A_INTERVALS[name]
+    if not (low < a < high or (top_allowed and a == high)):
+        bracket = "]" if top_allowed else ")"
+        raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
+    return _BUILTINS[name](a)
 
 
 def sphere_pair(a, b, k: int) -> Scenario:

@@ -10,6 +10,8 @@ Polytope2 builds and its contains checks, but not the integer clipping.
 The linear-algebra oracles (oracle_solve_linear and the hand-built quotient
 matrices after it) share the Smith normal form with the library, and
 oracle_oc_low also its unchanged helpers for areas, weights and H1 zero tests.
+oracle_gate_threshold, the old sampled sweep threshold, reads the library's
+area and cancellation functions but not its gate inputs.
 """
 
 from fractions import Fraction
@@ -420,3 +422,46 @@ def oracle_oc_low(side, ring, subspace=None):
                 oracle_kernel_inside_ambiguity(side, ring))
     except FloerDiskError as exc:
         return type(exc).__name__
+
+
+def oracle_gate_threshold(scenario_at, ring, use_subspaces, monotone_variant):
+    """The sweep's first gate threshold: the least gate bound A(a) sampled at
+    a = 1/97, 1/89 and 1/83, checked for collinearity, and a + b = A(a)
+    solved with b read off the second side (the monotone one in the
+    variant).  Right only where the swept side is the non-monotone one, one
+    bound is the least on the whole interval and the root lies inside it.
+    Returns the root as a string, or None."""
+    from floerdisk.errors import FloerDiskError
+    from floerdisk.invariants import (cancellation_threshold, least_area,
+                                      next_area)
+    from floerdisk.rings import rational_str
+
+    def bound_at(a):
+        left, right = scenario_at(a).sides
+        if monotone_variant:
+            mono = right if right.monotone else left
+            other = left if mono is right else right
+            sub = other.subspace if use_subspaces else None
+            big_a = cancellation_threshold(other, ring,
+                                           subspace=sub).effective_bound
+            b = least_area(mono)
+        else:
+            big_a, big_b = next_area(left), next_area(right)
+            if big_b is not None and (big_a is None or big_b < big_a):
+                big_a = big_b
+            b = least_area(right)
+        return big_a, b
+
+    samples = [Fraction(1, 97), Fraction(1, 89), Fraction(1, 83)]
+    try:
+        points = [(a, *bound_at(a)) for a in samples]
+    except FloerDiskError:
+        return None
+    if any(p[1] is None for p in points):
+        return None
+    (a1, big1, b), (a2, big2, _), (a3, big3, _) = points
+    slope = (big2 - big1) / (a2 - a1)
+    intercept = big1 - slope * a1
+    if intercept + slope * a3 != big3 or slope == 1:
+        return None
+    return rational_str((intercept - b) / (1 - slope))

@@ -323,3 +323,27 @@ def test_benchmark_tracer_rebinds_every_layer(monkeypatch):
     assert traced == plain
     assert {span[0] for span in tracer.spans} >= {
         "cli.main", "criterion.evaluate_pair", "abelian.solve_linear"}
+
+
+def test_subspace_span_width_is_bad_params():
+    assert _error(["criterion", "--builtin", "p1xp1_ta:a=1/5", "--vs",
+                   "p1xp1_clifford", "--ring", "Z/2", "--field", "F2",
+                   "--subspace", "0,0;0,1,1"]) == (3, "BadParams")
+
+
+def test_local_weight_past_the_bit_limit(tmp_path):
+    # (3/2)^(-10^4) would need about 15,800 bits: refused before the power
+    # is taken, where the report used to fail on int-to-str conversion
+    import floerdisk.scenario as scen
+    doc = scen.builtin_scenario("cp2_ta", {"a": "1/10"}).to_json_dict()
+    side = doc["sides"][0]
+    disk = side["ledger"]["disks"][0]
+    assert disk["label"] == "H-2b-a"
+    disk.update(rel_class=[1, -2, -10 ** 4], boundary=[-2, -10 ** 4])
+    side["local_system"] = {"dbeta": "1", "dalpha": "3/2"}
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["validate", str(path)])
+    assert code == 0
+    assert _error(["invariant", "--scenario", str(path), "--ring", "Q"]) == \
+        (4, "WeightTooLarge")

@@ -350,3 +350,20 @@ def test_spectrum_dict():
     assert area_spectrum(
         builtin_scenario("cp2_clifford").side).as_dict() == \
         {"a": "1/3", "A": "inf"}
+
+
+def test_local_weight_bit_limit_edge():
+    from floerdisk.errors import WeightTooLarge
+    from floerdisk.invariants import WEIGHT_BIT_LIMIT, _local_weight
+    side = builtin_scenario("cp2_ta", {"a": F(1, 10)}).side
+    local = {"dbeta": F(1), "dalpha": F(3, 2)}
+    # 3/2 counts one bit per unit of exponent: the limit itself is computed
+    weight = _local_weight(side, local, (0, -WEIGHT_BIT_LIMIT), Q)
+    assert weight.value == F(2, 3) ** WEIGHT_BIT_LIMIT
+    for coord in (WEIGHT_BIT_LIMIT + 1, -WEIGHT_BIT_LIMIT - 1):
+        with pytest.raises(WeightTooLarge):
+            _local_weight(side, local, (0, coord), Q)
+    # a unit of size one never grows, whatever the exponent
+    sign = {"dbeta": F(1), "dalpha": F(-1)}
+    assert _local_weight(side, sign, (0, 10 ** 6 + 1), Q).value == -1
+    assert _local_weight(side, sign, (0, 10 ** 6 + 1), Z).value == -1

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -216,11 +217,33 @@ def _set(doc, path, value):
     (("sides", 0, "H2_XL", "relations"), [1, 0, 0]),
     (("form",), [[False]]),
     (("sides", 0, "local_system"), ["dbeta", "dalpha"]),
+    (("sides", 0, "monotone"), "no"),
+    (("sides", 0, "monotone"), 0),
+    (("sides", 0, "ledger", "disks", 0, "count"), True),
+    (("sides", 0, "ledger", "disks", 0, "count"), 1.0),
+    (("sides", 0, "ledger", "disks", 0, "maslov"), True),
+    (("sides", 0, "ledger", "disks", 0, "maslov"), "2"),
+    (("sides", 0, "lattice_params"), {"k": True, "N": True}),
+    (("sides", 0, "lattice_params"), {"k": 3, "N": 2.0}),
 ])
 def test_loader_rejects_non_integer_entries(path, value):
     doc = builtin_scenario("cp2_ta", A_DEFAULT).to_json_dict()
     _set(doc, path, value)
     with pytest.raises(SchemaError):
+        load_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("sides", 0, "monotone"), "no", "sides[0].monotone"),
+    (("sides", 0, "ledger", "disks", 1, "count"), True,
+     "sides[0].ledger.disks[1].count"),
+    (("sides", 0, "lattice_params"), {"k": True, "N": 2},
+     "sides[0].lattice_params.k"),
+])
+def test_loader_scalar_errors_name_their_path(path, value, where):
+    doc = builtin_scenario("cp2_ta", A_DEFAULT).to_json_dict()
+    _set(doc, path, value)
+    with pytest.raises(SchemaError, match=rf"^{re.escape(where)}: "):
         load_scenario(json.dumps(doc))
 
 
@@ -298,3 +321,16 @@ def test_mutated_documents_end_in_typed_errors(doc):
         evaluate_pair(scenario, use_subspaces=True, ring=scenario.ring)
     except FloerDiskError:
         pass
+
+
+@pytest.mark.parametrize("name, low, high, top", [
+    ("cp2_ta", F(0), F(1, 3), True), ("p1xp1_ta", F(0), F(1, 2), True),
+    ("bl3_ta", F(0), F(1, 2), False), ("ts2_la", F(0), F(10 ** 9), False),
+    ("trp2_la", F(0), F(10 ** 9), False)])
+def test_builtin_parameter_intervals(name, low, high, top):
+    builtin_scenario(name, {"a": (low + high) / 2})
+    for a in (low, high + F(1, 100)) + (() if top else (high,)):
+        with pytest.raises(BadParams, match="outside"):
+            builtin_scenario(name, {"a": a})
+    if top:
+        builtin_scenario(name, {"a": high})
