@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import __version__
 from .criterion import evaluate_pair, gate_inputs
 from .errors import (BadParams, DimensionMismatch, FloerDiskError, SchemaError,
-                     UnknownScenario, ValidationError)
+                     UnknownLabel, UnknownScenario, ValidationError)
 from .invariants import area_spectrum, oc_low
 from .potential import (potential_from_ledger, residue_critical_points,
                         truncate_to_level, unit_critical_analysis)
@@ -34,26 +34,34 @@ VALIDATION_ERROR = 3
 COMPUTATION_ERROR = 4
 
 # OSError covers scenario and polytope files that are missing, are
-# directories or cannot be read.
+# directories or cannot be read; UnknownLabel is a --bulk label that names
+# no disk.
 _VALIDATION_FAILURES = (SchemaError, ValidationError, UnknownScenario,
-                        BadParams, OSError)
+                        BadParams, UnknownLabel, OSError)
 
 # Most points a sweep may have; the grid is counted before any is evaluated.
 SWEEP_POINT_LIMIT = 10_000
 
 
+def _parse_assignments(text: str, what: str, parse) -> dict:
+    """'key=value,...' as a dict of parsed values; a chunk without '=value'
+    or a key given twice is BadParams."""
+    out = {}
+    for chunk in text.split(","):
+        key, _, value = chunk.partition("=")
+        key = key.strip()
+        if not value:
+            raise BadParams(f"bad {what} assignment {chunk!r}")
+        if key in out:
+            raise BadParams(f"{what} {key!r} given twice")
+        out[key] = parse(value)
+    return out
+
+
 def _parse_builtin_ref(text: str) -> Scenario:
     name, _, param_text = text.partition(":")
-    params = {}
-    if param_text:
-        for chunk in param_text.split(","):
-            key, _, value = chunk.partition("=")
-            key = key.strip()
-            if not value:
-                raise BadParams(f"bad parameter assignment {chunk!r}")
-            if key in params:
-                raise BadParams(f"parameter {key!r} given twice")
-            params[key] = parse_rational(value)
+    params = (_parse_assignments(param_text, "parameter", parse_rational)
+              if param_text else {})
     return builtin_scenario(name.strip(), params)
 
 
@@ -91,16 +99,6 @@ def _parse_subspace(text: str, field: Ring) -> AffineSubspace:
         raise BadParams(f"--subspace: {exc}") from exc
 
 
-def _parse_local_system(text: str) -> dict:
-    out = {}
-    for chunk in text.split(","):
-        key, _, value = chunk.partition("=")
-        if not value:
-            raise BadParams(f"bad local-system assignment {chunk!r}")
-        out[key.strip()] = parse_rational(value)
-    return out
-
-
 def _side_overrides(args) -> dict:
     """The --subspace / --local-system overrides of the first side."""
     overrides = {}
@@ -110,7 +108,8 @@ def _side_overrides(args) -> dict:
         overrides["subspace"] = _parse_subspace(args.subspace,
                                                 Ring.parse(args.field))
     if args.local_system:
-        overrides["local_system"] = _parse_local_system(args.local_system)
+        overrides["local_system"] = _parse_assignments(
+            args.local_system, "local-system", parse_rational)
     return overrides
 
 
@@ -221,6 +220,9 @@ def _cmd_criterion(args, out):
                                      _side_overrides(args))
     if args.vs:
         scenario = combine(scenario, _resolve_scenario(args.vs))
+    if len(scenario.sides) < 2:
+        raise BadParams("criterion needs two sides: give --vs or a "
+                        "two-sided scenario")
     ring = Ring.parse(args.ring) if args.ring else scenario.ring
     verdict = evaluate_pair(scenario, use_subspaces=bool(args.field),
                             monotone_variant=args.monotone_variant,
@@ -277,6 +279,8 @@ def _margin_root(inputs_at, low: Fraction, high: Fraction):
 def _cmd_sweep(args, out):
     if args.param != "a":
         raise BadParams("only the parameter 'a' can be swept")
+    if not args.vs:
+        raise BadParams("sweep needs the second side: give --vs")
     start = parse_rational(args.start)
     stop = parse_rational(args.stop)
     step = parse_rational(args.step)
@@ -286,12 +290,11 @@ def _cmd_sweep(args, out):
     ring = Ring.parse(args.ring) if args.ring else None
     grid = _sweep_grid(start, stop, step)
     overrides = _side_overrides(args)
-    second = _resolve_scenario(args.vs) if args.vs else None
+    second = _resolve_scenario(args.vs)
 
     def scenario_at(a: Fraction) -> Scenario:
-        first = _apply_side_overrides(builtin_scenario(name, {"a": a}),
-                                      overrides)
-        return combine(first, second) if second is not None else first
+        return combine(_apply_side_overrides(builtin_scenario(name, {"a": a}),
+                                             overrides), second)
 
     points = []
     for a in grid:
@@ -326,11 +329,7 @@ def _cmd_potential(args, out):
     scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
                                      _side_overrides(args))
     side = scenario.sides[0]
-    hits = None
-    if args.bulk:
-        hits = {k: int(v) for k, v in
-                ((chunk.partition("=")[0], chunk.partition("=")[2])
-                 for chunk in args.bulk.split(","))}
+    hits = _parse_assignments(args.bulk, "bulk", int) if args.bulk else None
     poly = potential_from_ledger(side, divisor_hits=hits)
     result = {"terms": poly.to_dicts()}
     warnings = []
@@ -470,6 +469,12 @@ _COMMANDS = {
 }
 
 
+def _write_error(out, kind: str, exc: Exception, code: int) -> int:
+    out.write(json.dumps({"error": {"type": kind, "message": str(exc)}},
+                         indent=2, sort_keys=True) + "\n")
+    return code
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -498,20 +503,11 @@ def main(argv=None, out=None) -> int:
                 raise _UsageError("--field requires an explicit --ring")
         return _COMMANDS[args.command](args, out)
     except (_UsageError, ValueError) as exc:
-        out.write(json.dumps({"error": {"type": "usage",
-                                        "message": str(exc)}},
-                             indent=2, sort_keys=True) + "\n")
-        return USAGE_ERROR
+        return _write_error(out, "usage", exc, USAGE_ERROR)
     except _VALIDATION_FAILURES as exc:
-        out.write(json.dumps({"error": {"type": type(exc).__name__,
-                                        "message": str(exc)}},
-                             indent=2, sort_keys=True) + "\n")
-        return VALIDATION_ERROR
+        return _write_error(out, type(exc).__name__, exc, VALIDATION_ERROR)
     except FloerDiskError as exc:
-        out.write(json.dumps({"error": {"type": type(exc).__name__,
-                                        "message": str(exc)}},
-                             indent=2, sort_keys=True) + "\n")
-        return COMPUTATION_ERROR
+        return _write_error(out, type(exc).__name__, exc, COMPUTATION_ERROR)
 
 
 def console_entry() -> None:

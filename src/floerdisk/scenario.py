@@ -8,9 +8,10 @@ literature; nothing here computes holomorphic curves.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .abelian import (FgAbelianGroup, GroupElement, GroupHom,
@@ -249,19 +250,7 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
     if len(side.fundamental_class) != h2x.ngens:
         raise ValidationError(f"side {side.name}: fundamental class length")
 
-    # bd o j = 0
-    for i in range(h2x.ngens):
-        unit = tuple(1 if t == i else 0 for t in range(h2x.ngens))
-        image = side.bd.apply(side.j.apply(unit))
-        if not image.is_zero(Z):
-            raise ValidationError(f"side {side.name}: exactness (bd o j != 0)")
-
-    # ker bd = im j, as subgroups of H2(X,L) over Z
-    for v in kernel_basis(side.bd.matrix, side.h1.relations):
-        if solve_linear(side.j.matrix, v, Z,
-                        relations=side.h2_rel.relations) is None:
-            raise ValidationError(
-                f"side {side.name}: exactness (ker bd exceeds im j)")
+    _check_exactness(side)
 
     # ledger invariants
     for disk in side.ledger.disks:
@@ -275,8 +264,8 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
         if len(disk.boundary) != side.h1.ngens:
             raise ValidationError(
                 f"side {side.name}: disk {disk.label} boundary length")
-        expected = side.bd.apply(disk.rel_class)
-        if not expected.equals(GroupElement(side.h1, disk.boundary), Z):
+        expected = side.bd.apply(disk.rel_class).coords
+        if not side.h1.elements_equal(expected, disk.boundary, Z):
             raise ValidationError(
                 f"side {side.name}: boundary mismatch for disk {disk.label}")
 
@@ -314,6 +303,23 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
         if len(side.asserted_invariant) != h2x.ngens:
             raise ValidationError(
                 f"side {side.name}: asserted invariant length")
+
+
+def _check_exactness(side: LagrangianSide):
+    """bd o j = 0 and ker bd = im j over Z: the Smith-normal-form part of
+    side validation.  It reads j and bd alone, so it runs once per (j, bd)
+    object pair; the loader and replace() make new objects, checked anew."""
+    j, bd = side.j, side.bd
+    if getattr(bd, "_exact_after", None) is j:
+        return
+    for column in zip(*j.matrix):
+        if not bd.apply(column).is_zero(Z):
+            raise ValidationError(f"side {side.name}: exactness (bd o j != 0)")
+    for v in kernel_basis(bd.matrix, bd.target.relations):
+        if solve_linear(j.matrix, v, Z, relations=j.target.relations) is None:
+            raise ValidationError(
+                f"side {side.name}: exactness (ker bd exceeds im j)")
+    object.__setattr__(bd, "_exact_after", j)
 
 
 # --- JSON ingestion ----------------------------------------------------------
@@ -550,247 +556,151 @@ def _scenario_to_dict(scenario: Scenario) -> dict:
 
 
 # --- built-in scenarios ---------------------------------------------------
+#
+# One table entry per builtin.  Only the disk areas and the cutoff move with
+# a, affinely: each is a pair (c0, c1) meaning c0 + c1*a.  Derived: j = [I; 0]
+# (H2(X) comes first in H2(X,L)); bd sends the i-th other H2(X,L) generator
+# to the i-th H1 generator; boundary = bd(rel_class); [L] = 0; Maslov 2.
 
-BUILTIN_NAMES = ("cp2_ta", "cp2_clifford", "p1xp1_ta", "p1xp1_clifford",
-                 "bl3_ta", "bl3_clifford", "ts2_la", "trp2_la")
-
-F2 = Ring.prime_field(2)
-
-
-# The parametric builtins.  a must lie in the open interval (low, high), on
-# which every disk area is affine in a; top_allowed also admits a = high,
-# where the family ends at a monotone torus with a different ledger.
-A_INTERVALS = {
-    "cp2_ta": (Fraction(0), Fraction(1, 3), True),
-    "p1xp1_ta": (Fraction(0), Fraction(1, 2), True),
-    "bl3_ta": (Fraction(0), Fraction(1, 2), False),
-    "ts2_la": (Fraction(0), Fraction(10 ** 9), False),
-    "trp2_la": (Fraction(0), Fraction(10 ** 9), False),
-}
+_A, _THIRD, _HALF = (0, 1), (Fraction(1, 3), 0), (Fraction(1, 2), 0)
+_T, _CL = ("dbeta", "dalpha"), ("db1", "db2")   # H1(L) of T_a, of Clifford
 
 
-def _cp2_ambient():
-    h2x = FgAbelianGroup(("H",))
-    return h2x, IntersectionForm(h2x, ((1,),))
+@dataclass(frozen=True)
+class _Builtin:
+    ambient: tuple               # (H2(X) generators, form, default ring)
+    side: str
+    h1: tuple
+    h2_rel: tuple
+    disks: tuple                 # rows (label, rel_class, count, area)
+    cutoff: tuple | None = None      # completeness cutoff, affine in a
+    constant: tuple | None = None    # monotonicity constant, affine in a
+    lattice: tuple | None = None     # (k, N)
+    span: tuple | None = None        # F2 subspace through 0
+    asserted: tuple | None = None
+    interval: tuple | None = None    # the A_INTERVALS row
 
 
-def _cp2_ta(a):
-    # Disk data: four index-2 families, three of area a with boundaries
-    # -2*dbeta + {-1,0,1}*dalpha (counts 1,2,1) and one of area (1-a)/2 with
-    # boundary dbeta.  At a = 1/3 the two levels merge and the torus is
-    # monotone.
-    h2x, form = _cp2_ambient()
-    h1 = FgAbelianGroup(("dbeta", "dalpha"))
-    h2_rel = FgAbelianGroup(("H", "beta", "alpha"))
-    j = GroupHom(h2x, h2_rel, ((1,), (0,), (0,)))
-    bd = GroupHom(h2_rel, h1, ((0, 1, 0), (0, 0, 1)))
-    monotone = a == Fraction(1, 3)
-    disks = (
-        DiskClass("H-2b-a", (1, -2, -1), (-2, -1), 2, a, 1),
-        DiskClass("H-2b", (1, -2, 0), (-2, 0), 2, a, 2),
-        DiskClass("H-2b+a", (1, -2, 1), (-2, 1), 2, a, 1),
-        DiskClass("b", (0, 1, 0), (1, 0), 2, (1 - a) / 2, 1),
-    )
-    ledger = DiskLedger(disks, None if monotone else 1 - 2 * a)
-    side = LagrangianSide(
-        name="T_a", h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=(0,), ledger=ledger,
-        monotone=monotone,
-        monotonicity_constant=a if monotone else None,
-        lattice_params=None if monotone else (3, 2),
-    )
-    return Scenario(h2x, form, (side,), Ring.parse("Z/8"))
+_CP2 = (("H",), ((1,),), "Z/8")
+_P1XP1 = (("H1", "H2"), ((0, 1), (1, 0)), "Z/4")
+_BL3 = (("H1", "H2", "E1", "E2"),
+        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)), "Z/2")
 
-
-def _cp2_clifford():
-    h2x, form = _cp2_ambient()
-    h1 = FgAbelianGroup(("db1", "db2"))
-    h2_rel = FgAbelianGroup(("H", "beta1", "beta2"))
-    j = GroupHom(h2x, h2_rel, ((1,), (0,), (0,)))
-    bd = GroupHom(h2_rel, h1, ((0, 1, 0), (0, 0, 1)))
-    third = Fraction(1, 3)
-    disks = (
-        DiskClass("b1", (0, 1, 0), (1, 0), 2, third, 1),
-        DiskClass("b2", (0, 0, 1), (0, 1), 2, third, 1),
-        DiskClass("H-b1-b2", (1, -1, -1), (-1, -1), 2, third, 1),
-    )
-    side = LagrangianSide(
-        name="T_Cl", h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=(0,), ledger=DiskLedger(disks, None),
-        monotone=True, monotonicity_constant=third,
-    )
-    return Scenario(h2x, form, (side,), Ring.parse("Z/8"))
-
-
-def _p1xp1_ambient():
-    h2x = FgAbelianGroup(("H1", "H2"))
-    return h2x, IntersectionForm(h2x, ((0, 1), (1, 0)))
-
-
-def _p1xp1_ta(a):
-    h2x, form = _p1xp1_ambient()
-    h1 = FgAbelianGroup(("dbeta", "dalpha"))
-    h2_rel = FgAbelianGroup(("H1", "H2", "beta", "alpha"))
-    j = GroupHom(h2x, h2_rel, ((1, 0), (0, 1), (0, 0), (0, 0)))
-    bd = GroupHom(h2_rel, h1, ((0, 0, 1, 0), (0, 0, 0, 1)))
-    monotone = a == Fraction(1, 2)
-    disks = (
-        DiskClass("H1-b-a", (1, 0, -1, -1), (-1, -1), 2, a, 1),
-        DiskClass("H1-b", (1, 0, -1, 0), (-1, 0), 2, a, 1),
-        DiskClass("H2-b", (0, 1, -1, 0), (-1, 0), 2, a, 1),
-        DiskClass("H2-b+a", (0, 1, -1, 1), (-1, 1), 2, a, 1),
-        DiskClass("b", (0, 0, 1, 0), (1, 0), 2, 1 - a, 1),
-    )
-    ledger = DiskLedger(disks, None if monotone else 2 - 3 * a)
-    side = LagrangianSide(
-        name="That_a", h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=(0, 0), ledger=ledger,
-        monotone=monotone,
-        monotonicity_constant=a if monotone else None,
-        lattice_params=None if monotone else (2, 1),
-        subspace=AffineSubspace(F2, (0, 0), ((1, 0),)),
-    )
-    return Scenario(h2x, form, (side,), Ring.parse("Z/4"))
-
-
-def _p1xp1_clifford():
-    h2x, form = _p1xp1_ambient()
-    h1 = FgAbelianGroup(("db1", "db2"))
-    h2_rel = FgAbelianGroup(("H1", "H2", "beta1", "beta2"))
-    j = GroupHom(h2x, h2_rel, ((1, 0), (0, 1), (0, 0), (0, 0)))
-    bd = GroupHom(h2_rel, h1, ((0, 0, 1, 0), (0, 0, 0, 1)))
-    half = Fraction(1, 2)
-    disks = (
-        DiskClass("b1", (0, 0, 1, 0), (1, 0), 2, half, 1),
-        DiskClass("b2", (0, 0, 0, 1), (0, 1), 2, half, 1),
-        DiskClass("H1-b1", (1, 0, -1, 0), (-1, 0), 2, half, 1),
-        DiskClass("H2-b2", (0, 1, 0, -1), (0, -1), 2, half, 1),
-    )
-    side = LagrangianSide(
-        name="That_Cl", h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=(0, 0), ledger=DiskLedger(disks, None),
-        monotone=True, monotonicity_constant=half,
-        subspace=AffineSubspace(F2, (0, 0), ((0, 1),)),
-    )
-    return Scenario(h2x, form, (side,), Ring.parse("Z/4"))
-
-
-def _bl3_ambient():
-    h2x = FgAbelianGroup(("H1", "H2", "E1", "E2"))
-    form = IntersectionForm(h2x, ((0, 1, 0, 0), (1, 0, 0, 0),
-                                  (0, 0, -1, 0), (0, 0, 0, -1)))
-    return h2x, form
-
-
-def _bl3_ta(a):
-    # Same four least-area families as the p1xp1 torus, plus the two extra
-    # area-1/2 disks with boundaries +-dalpha whose classes sum to
-    # H1+H2-E1-E2.  The ledger stops below 1-a: that level is where the
-    # (monotone-partner) threshold argument takes over, so the single
-    # area-(1-a) family is deliberately not listed.
-    h2x, form = _bl3_ambient()
-    h1 = FgAbelianGroup(("dbeta", "dalpha"))
-    h2_rel = FgAbelianGroup(("H1", "H2", "E1", "E2", "beta", "alpha"))
-    j = GroupHom(h2x, h2_rel, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                               (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0)))
-    bd = GroupHom(h2_rel, h1, ((0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)))
-    half = Fraction(1, 2)
-    disks = (
-        DiskClass("H1-b-a", (1, 0, 0, 0, -1, -1), (-1, -1), 2, a, 1),
-        DiskClass("H1-b", (1, 0, 0, 0, -1, 0), (-1, 0), 2, a, 1),
-        DiskClass("H2-b", (0, 1, 0, 0, -1, 0), (-1, 0), 2, a, 1),
-        DiskClass("H2-b+a", (0, 1, 0, 0, -1, 1), (-1, 1), 2, a, 1),
-        DiskClass("H1-E1+a", (1, 0, -1, 0, 0, 1), (0, 1), 2, half, 1),
-        DiskClass("H2-E2-a", (0, 1, 0, -1, 0, -1), (0, -1), 2, half, 1),
-    )
-    side = LagrangianSide(
-        name="Tbar_a", h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=(0, 0, 0, 0), ledger=DiskLedger(disks, 1 - a),
-        subspace=AffineSubspace(F2, (0, 0), ((1, 0),)),
-    )
-    return Scenario(h2x, form, (side,), Ring.parse("Z/2"))
-
-
-def _bl3_clifford():
+_TABLE = {
+    # At a = 1/3 the levels a and (1-a)/2 merge: the torus is monotone.
+    "cp2_ta": _Builtin(_CP2, "T_a", _T, ("H", "beta", "alpha"), (
+        ("H-2b-a", (1, -2, -1), 1, _A),
+        ("H-2b", (1, -2, 0), 2, _A),
+        ("H-2b+a", (1, -2, 1), 1, _A),
+        ("b", (0, 1, 0), 1, (Fraction(1, 2), Fraction(-1, 2)))),
+        cutoff=(1, -2), lattice=(3, 2), interval=(0, Fraction(1, 3), True)),
+    "cp2_clifford": _Builtin(_CP2, "T_Cl", _CL, ("H", "beta1", "beta2"), (
+        ("b1", (0, 1, 0), 1, _THIRD),
+        ("b2", (0, 0, 1), 1, _THIRD),
+        ("H-b1-b2", (1, -1, -1), 1, _THIRD)),
+        constant=_THIRD),
+    "p1xp1_ta": _Builtin(_P1XP1, "That_a", _T, ("H1", "H2", "beta", "alpha"), (
+        ("H1-b-a", (1, 0, -1, -1), 1, _A),
+        ("H1-b", (1, 0, -1, 0), 1, _A),
+        ("H2-b", (0, 1, -1, 0), 1, _A),
+        ("H2-b+a", (0, 1, -1, 1), 1, _A),
+        ("b", (0, 0, 1, 0), 1, (1, -1))),
+        cutoff=(2, -3), lattice=(2, 1), span=((1, 0),),
+        interval=(0, Fraction(1, 2), True)),
+    "p1xp1_clifford": _Builtin(
+        _P1XP1, "That_Cl", _CL, ("H1", "H2", "beta1", "beta2"), (
+            ("b1", (0, 0, 1, 0), 1, _HALF),
+            ("b2", (0, 0, 0, 1), 1, _HALF),
+            ("H1-b1", (1, 0, -1, 0), 1, _HALF),
+            ("H2-b2", (0, 1, 0, -1), 1, _HALF)),
+        constant=_HALF, span=((0, 1),)),
+    # The p1xp1 rows of area a and two area-1/2 disks.  The ledger stops
+    # below 1-a, where the (monotone-partner) threshold argument takes over,
+    # so the single area-(1-a) family is deliberately not listed.
+    "bl3_ta": _Builtin(
+        _BL3, "Tbar_a", _T, ("H1", "H2", "E1", "E2", "beta", "alpha"), (
+            ("H1-b-a", (1, 0, 0, 0, -1, -1), 1, _A),
+            ("H1-b", (1, 0, 0, 0, -1, 0), 1, _A),
+            ("H2-b", (0, 1, 0, 0, -1, 0), 1, _A),
+            ("H2-b+a", (0, 1, 0, 0, -1, 1), 1, _A),
+            ("H1-E1+a", (1, 0, -1, 0, 0, 1), 1, _HALF),
+            ("H2-E2-a", (0, 1, 0, -1, 0, -1), 1, _HALF)),
+        cutoff=(1, -1), span=((1, 0),), interval=(0, Fraction(1, 2), False)),
     # No six-facet ledger is recorded here: the invariant with subspace is an
     # asserted input, so the side carries asserted_invariant instead of disks.
-    h2x, form = _bl3_ambient()
-    h1 = FgAbelianGroup(("db1", "db2"))
-    h2_rel = FgAbelianGroup(("H1", "H2", "E1", "E2"))
-    j = GroupHom(h2x, h2_rel, ((1, 0, 0, 0), (0, 1, 0, 0),
-                               (0, 0, 1, 0), (0, 0, 0, 1)))
-    bd = GroupHom(h2_rel, h1, ((0, 0, 0, 0), (0, 0, 0, 0)))
-    side = LagrangianSide(
-        name="Tbar_Cl", h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=(0, 0, 0, 0), ledger=DiskLedger((), None),
-        monotone=True, monotonicity_constant=Fraction(1, 2),
-        subspace=AffineSubspace(F2, (0, 0), ((0, 1),)),
-        asserted_invariant=(0, 1, 0, 0),
-    )
-    return Scenario(h2x, form, (side,), Ring.parse("Z/2"))
-
-
-def _ts2_la(a):
+    "bl3_clifford": _Builtin(
+        _BL3, "Tbar_Cl", _CL, ("H1", "H2", "E1", "E2"), (),
+        constant=_HALF, span=((0, 1),), asserted=(0, 1, 0, 0)),
     # Cotangent-bundle picture of the p1xp1 torus: the beta disk crosses the
-    # removed divisor and disappears; the remaining four classes are
-    # rewritten in the basis (zero-section S, beta-lift, alpha-lift) of
-    # H2(T*S^2, L), where S spans ker(bd) = im(j).
-    h2x = FgAbelianGroup(("S",))
-    form = IntersectionForm(h2x, ((-2,),))
-    h1 = FgAbelianGroup(("dbeta", "dalpha"))
-    h2_rel = FgAbelianGroup(("S", "beta", "alpha"))
-    j = GroupHom(h2x, h2_rel, ((1,), (0,), (0,)))
-    bd = GroupHom(h2_rel, h1, ((0, 1, 0), (0, 0, 1)))
-    disks = (
-        DiskClass("S-b-a", (1, -1, -1), (-1, -1), 2, a, 1),
-        DiskClass("S-b", (1, -1, 0), (-1, 0), 2, a, 1),
-        DiskClass("-b", (0, -1, 0), (-1, 0), 2, a, 1),
-        DiskClass("-b+a", (0, -1, 1), (-1, 1), 2, a, 1),
-    )
-    side = LagrangianSide(
-        name="Lhat_a", h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=(0,), ledger=DiskLedger(disks, None),
-        monotone=True, monotonicity_constant=a,
-        subspace=AffineSubspace(F2, (0, 0), ((1, 0),)),
-    )
-    return Scenario(h2x, form, (side,), Ring.parse("Z/4"))
-
-
-def _trp2_la(a):
-    # Cotangent-bundle picture of the CP^2 torus.  H2(T*RP^2; Z/8) is a
-    # two-element group generated by four times the generator written here;
-    # presenting the bookkeeping group as free rank one keeps 4*[RP2]
-    # nonzero mod 8 (it has order two there), which is the faithful model of
-    # that coefficient group.  The pairing on it is trivial.
-    h2x = FgAbelianGroup(("RP2",))
-    form = IntersectionForm(h2x, ((0,),))
-    h1 = FgAbelianGroup(("dbeta", "dalpha"))
-    h2_rel = FgAbelianGroup(("u", "beta", "alpha"))
-    j = GroupHom(h2x, h2_rel, ((1,), (0,), (0,)))
-    bd = GroupHom(h2_rel, h1, ((0, 1, 0), (0, 0, 1)))
-    disks = (
-        DiskClass("u-2b-a", (1, -2, -1), (-2, -1), 2, a, 1),
-        DiskClass("u-2b", (1, -2, 0), (-2, 0), 2, a, 2),
-        DiskClass("u-2b+a", (1, -2, 1), (-2, 1), 2, a, 1),
-    )
-    side = LagrangianSide(
-        name="L_a", h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=(0,), ledger=DiskLedger(disks, None),
-        monotone=True, monotonicity_constant=a,
-    )
-    return Scenario(h2x, form, (side,), Ring.parse("Z/8"))
-
-
-_BUILTINS = {
-    "cp2_ta": _cp2_ta,
-    "cp2_clifford": _cp2_clifford,
-    "p1xp1_ta": _p1xp1_ta,
-    "p1xp1_clifford": _p1xp1_clifford,
-    "bl3_ta": _bl3_ta,
-    "bl3_clifford": _bl3_clifford,
-    "ts2_la": _ts2_la,
-    "trp2_la": _trp2_la,
+    # removed divisor and disappears; S is the zero-section, spanning im(j).
+    "ts2_la": _Builtin(
+        (("S",), ((-2,),), "Z/4"), "Lhat_a", _T, ("S", "beta", "alpha"), (
+            ("S-b-a", (1, -1, -1), 1, _A),
+            ("S-b", (1, -1, 0), 1, _A),
+            ("-b", (0, -1, 0), 1, _A),
+            ("-b+a", (0, -1, 1), 1, _A)),
+        constant=_A, span=((1, 0),), interval=(0, Fraction(10 ** 9), False)),
+    # Cotangent-bundle picture of the CP^2 torus.  H2(T*RP^2; Z/8) has two
+    # elements, generated by 4*[RP2]; the free rank-one bookkeeping group
+    # keeps 4*[RP2] nonzero (of order two) mod 8.  The pairing is trivial.
+    "trp2_la": _Builtin(
+        (("RP2",), ((0,),), "Z/8"), "L_a", _T, ("u", "beta", "alpha"), (
+            ("u-2b-a", (1, -2, -1), 1, _A),
+            ("u-2b", (1, -2, 0), 2, _A),
+            ("u-2b+a", (1, -2, 1), 1, _A)),
+        constant=_A, interval=(0, Fraction(10 ** 9), False)),
 }
+
+BUILTIN_NAMES = tuple(_TABLE)
+
+# Parametric builtins: a in (low, high), or a = high if the flag is set:
+# the monotone end of the family (no cutoff, constant a, no lattice).
+A_INTERVALS = {name: entry.interval
+               for name, entry in _TABLE.items() if entry.interval}
+
+
+def _make_topology(entry: _Builtin) -> tuple:
+    """(H2(X), form, ring, side template): all that an entry fixes for every
+    a.  Sides from one template share (j, bd), so exactness is checked once."""
+    gens, form, ring = entry.ambient
+    h2x, h1 = FgAbelianGroup(gens), FgAbelianGroup(entry.h1)
+    h2_rel = FgAbelianGroup(entry.h2_rel)
+    n, m = len(gens), len(entry.h2_rel)
+    j = tuple(tuple(int(r == c) for c in range(n)) for r in range(m))
+    bd = tuple(tuple(int(c == n + r) for c in range(m))
+               for r in range(len(entry.h1)))
+    template = LagrangianSide(
+        name=entry.side, h1=h1, h2_rel=h2_rel, j=GroupHom(h2x, h2_rel, j),
+        bd=GroupHom(h2_rel, h1, bd), fundamental_class=(0,) * n,
+        ledger=DiskLedger(()), asserted_invariant=entry.asserted,
+        subspace=(AffineSubspace(Ring.prime_field(2), (0,) * len(entry.h1),
+                                 entry.span) if entry.span else None))
+    return h2x, IntersectionForm(h2x, form), Ring.parse(ring), template
+
+
+@functools.cache
+def _topology(name: str) -> tuple:
+    return _make_topology(_TABLE[name])
+
+
+def _make_side(entry: _Builtin, template: LagrangianSide,
+               a: Fraction) -> LagrangianSide:
+    """The entry's side at a (any value for a fixed entry)."""
+    top = entry.interval is not None and a == entry.interval[1]
+
+    def at(value):
+        return None if value is None else value[0] + value[1] * a
+
+    disks = tuple(DiskClass(label, rel, template.bd.apply(rel).coords, 2,
+                            at(area), count)
+                  for label, rel, count, area in entry.disks)
+    constant = a if top else at(entry.constant)
+    cutoff = None if top else at(entry.cutoff)
+    return replace(template, name=entry.side,
+                   ledger=DiskLedger(disks, cutoff),
+                   monotone=constant is not None,
+                   monotonicity_constant=constant,
+                   lattice_params=None if top else entry.lattice)
 
 
 def builtin_scenario(name: str, params=None) -> Scenario:
@@ -799,23 +709,23 @@ def builtin_scenario(name: str, params=None) -> Scenario:
     The builtins in A_INTERVALS take exactly one exact rational parameter,
     a, inside their interval; the others (monotone partners) take none.
     """
-    if name not in _BUILTINS:
+    if name not in _TABLE:
         raise UnknownScenario(
             f"unknown scenario {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
     params = dict(params or {})
-    a = params.pop("a", None) if name in A_INTERVALS else None
+    a = params.pop("a", None) if name in A_INTERVALS else 0
     if params:
         raise BadParams(f"unexpected parameters: {sorted(params)}")
-    if name not in A_INTERVALS:
-        return _BUILTINS[name]()
     if a is None:
         raise BadParams("this scenario needs the exact rational parameter a")
     a = Fraction(a)
-    low, high, top_allowed = A_INTERVALS[name]
-    if not (low < a < high or (top_allowed and a == high)):
-        bracket = "]" if top_allowed else ")"
-        raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
-    return _BUILTINS[name](a)
+    if name in A_INTERVALS:
+        low, high, top_allowed = A_INTERVALS[name]
+        if not (low < a < high or (top_allowed and a == high)):
+            bracket = "]" if top_allowed else ")"
+            raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
+    h2x, form, ring, template = _topology(name)
+    return Scenario(h2x, form, (_make_side(_TABLE[name], template, a),), ring)
 
 
 def sphere_pair(a, b, k: int) -> Scenario:
@@ -830,31 +740,21 @@ def sphere_pair(a, b, k: int) -> Scenario:
         raise BadParams("parameters must be positive")
     if k < 1:
         raise BadParams("k must be a positive integer")
-    h2x = FgAbelianGroup(("S", "Sp"))
-    form = IntersectionForm(h2x, ((-2, 1), (1, -2)))
 
-    def make_side(name, sphere_index, area):
-        h1 = FgAbelianGroup(("dbeta", "dalpha"))
-        h2_rel = FgAbelianGroup(("S", "Sp", "beta", "alpha"))
-        j = GroupHom(h2x, h2_rel, ((1, 0), (0, 1), (0, 0), (0, 0)))
-        bd = GroupHom(h2_rel, h1, ((0, 0, 1, 0), (0, 0, 0, 1)))
-        s = tuple(1 if t == sphere_index else 0 for t in range(2))
-        disks = (
-            DiskClass("S-b-a", s + (-1, -1), (-1, -1), 2, area, 1),
-            DiskClass("S-b", s + (-1, 0), (-1, 0), 2, area, 1),
-            DiskClass("-b", (0, 0, -1, 0), (-1, 0), 2, area, 1),
-            DiskClass("-b+a", (0, 0, -1, 1), (-1, 1), 2, area, 1),
-        )
-        cutoff = area + (1 - k * area)
-        if cutoff <= area:
+    def entry(name, s, area):
+        if k * area >= 1:
             raise BadParams(f"parameter {area} too large for k = {k}")
-        return LagrangianSide(
-            name=name, h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-            fundamental_class=(0, 0), ledger=DiskLedger(disks, cutoff),
-            lattice_params=(k, 1),
-            subspace=AffineSubspace(F2, (0, 0), ((1, 0),)),
-        )
+        # ts2-style rows on the sphere s; the cutoff is area + (1 - k*area)
+        return _Builtin(
+            (("S", "Sp"), ((-2, 1), (1, -2)), "Z/2"), name, _T,
+            ("S", "Sp", "beta", "alpha"), (
+                ("S-b-a", s + (-1, -1), 1, _A),
+                ("S-b", s + (-1, 0), 1, _A),
+                ("-b", (0, 0, -1, 0), 1, _A),
+                ("-b+a", (0, 0, -1, 1), 1, _A)),
+            cutoff=(1, 1 - k), lattice=(k, 1), span=((1, 0),))
 
-    return Scenario(h2x, form,
-                    (make_side("T_a", 0, a), make_side("T'_b", 1, b)),
-                    Ring.parse("Z/2"))
+    first, second = entry("T_a", (1, 0), a), entry("T'_b", (0, 1), b)
+    h2x, form, ring, template = _make_topology(first)
+    return Scenario(h2x, form, (_make_side(first, template, a),
+                                _make_side(second, template, b)), ring)

@@ -303,7 +303,10 @@ def test_benchmark_tracer_rebinds_every_layer(monkeypatch):
 
     argvs = [GOLDEN_COMMANDS["sweep_p1xp1"],
              ["criterion", "--builtin", "p1xp1_ta:a=1/5", "--vs",
-              "p1xp1_clifford", "--ring", "Z/2", "--field", "F2"]]
+              "p1xp1_clifford", "--ring", "Z/2", "--field", "F2"],
+             ["sweep", "--builtin", "bl3_ta", "--vs", "bl3_clifford",
+              "--ring", "Z/2", "--field", "F2", "--monotone-variant",
+              "--from", "1/10", "--to", "2/5", "--step", "1/10"]]
 
     def outputs():
         result = []
@@ -347,3 +350,55 @@ def test_local_weight_past_the_bit_limit(tmp_path):
     assert code == 0
     assert _error(["invariant", "--scenario", str(path), "--ring", "Q"]) == \
         (4, "WeightTooLarge")
+
+
+def test_missing_second_side_is_bad_params(tmp_path):
+    assert _error(["sweep", "--builtin", "cp2_ta", "--ring", "Z/8", "--from",
+                   "1/10", "--to", "1/10", "--step", "1/10"]) == \
+        (3, "BadParams")
+    assert _error(["criterion", "--builtin", "cp2_ta:a=1/10",
+                   "--ring", "Z/8"]) == (3, "BadParams")
+    # a two-sided scenario file needs no --vs
+    import floerdisk.scenario as scen
+    pair = scen.combine(scen.builtin_scenario("cp2_ta", {"a": "1/10"}),
+                        scen.builtin_scenario("cp2_clifford"))
+    path = tmp_path / "pair.json"
+    path.write_text(pair.canonical_json())
+    code, text = run(["criterion", "--scenario", str(path), "--ring", "Z/8"])
+    assert code == 0
+    assert json.loads(text)["result"]["conclusion"] == "non_displaceable"
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--builtin", "cp2_ta:a=1/5", "--bulk", "b=1,b=2"],
+    ["potential", "--builtin", "cp2_ta:a=1/5", "--bulk", "b"],
+    ["invariant", "--builtin", "cp2_ta:a=1/10", "--ring", "Z/8",
+     "--local-system", "dbeta=3,dbeta=1,dalpha=1"],
+    ["invariant", "--builtin", "cp2_ta:a=1/10", "--ring", "Z/8",
+     "--local-system", "dbeta"],
+    ["invariant", "--builtin", "cp2_ta:a", "--ring", "Z/8"]])
+def test_repeated_or_empty_assignment_is_bad_params(argv):
+    assert _error(argv) == (3, "BadParams")
+
+
+def test_bulk_values_must_be_integers():
+    assert _error(["potential", "--builtin", "cp2_ta:a=1/5",
+                   "--bulk", "b=1/2"]) == (2, "usage")
+
+
+def test_unknown_bulk_label_is_a_validation_error():
+    assert _error(["potential", "--builtin", "cp2_ta:a=1/5",
+                   "--bulk", "zz=1"]) == (3, "UnknownLabel")
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["probes", "p1xp1", "--point", "1/0,1"], 2, "usage"),
+    (["probes", "p1xp1", "--point", "0,3/4", "--bound", "0"], 3, "BadParams"),
+    (["probes", "p1xp1", "--point", "0,3/4", "--bound", "1000000"], 4,
+     "ProbeSearchTooLarge")])
+def test_error_document_layout(argv, code, kind):
+    got, text = run(argv)
+    message = json.loads(text)["error"]["message"]
+    assert got == code
+    assert text == json.dumps({"error": {"type": kind, "message": message}},
+                              indent=2, sort_keys=True) + "\n"

@@ -3,11 +3,14 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import floerdisk.abelian as abelian_module
+import floerdisk.scenario as scenario_module
 from floerdisk.abelian import kernel_basis, transpose
 from floerdisk.cli import main
 from floerdisk.criterion import evaluate_pair
@@ -15,8 +18,10 @@ from floerdisk.errors import (BadParams, FloerDiskError, SchemaError,
                               UnknownScenario, ValidationError)
 from floerdisk.invariants import oc_low
 from floerdisk.rings import Ring
-from floerdisk.scenario import (BUILTIN_NAMES, builtin_scenario, combine,
-                                load_scenario, sphere_pair)
+from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, Scenario,
+                                builtin_scenario, combine, load_scenario,
+                                sphere_pair)
+from oracles import oracle_builtin_scenario, oracle_sphere_pair
 
 F = Fraction
 A_DEFAULT = {"a": F(1, 10)}
@@ -334,3 +339,93 @@ def test_builtin_parameter_intervals(name, low, high, top):
             builtin_scenario(name, {"a": a})
     if top:
         builtin_scenario(name, {"a": high})
+
+
+# --- the builtin table against the hand-written builders -------------------
+
+def _oracle_cases():
+    for name in BUILTIN_NAMES:
+        if name not in A_INTERVALS:
+            yield name, None
+            continue
+        low, high, top_allowed = A_INTERVALS[name]
+        width = min(high, 3) - low
+        for k in range(1, 37):
+            yield name, low + k * width / 37
+        if top_allowed:
+            yield name, high
+
+
+@pytest.mark.parametrize("name, a", list(_oracle_cases()))
+def test_builtin_table_matches_oracle(name, a):
+    params = None if a is None else {"a": a}
+    assert builtin_scenario(name, params).canonical_json() == \
+        oracle_builtin_scenario(name, a).canonical_json()
+
+
+@pytest.mark.parametrize("a, b, k", [
+    (F(1, 5), F(1, 6), 2), (F(1, 10), F(1, 10), 3), (F(1, 4), F(1, 4), 3)])
+def test_sphere_pair_matches_oracle(a, b, k):
+    assert sphere_pair(a, b, k).canonical_json() == \
+        oracle_sphere_pair(a, b, k).canonical_json()
+
+
+def test_sphere_pair_past_its_bound_matches_oracle():
+    with pytest.raises(BadParams) as expected:
+        oracle_sphere_pair(F(1, 2), F(1, 2), 3)
+    with pytest.raises(BadParams) as got:
+        sphere_pair(F(1, 2), F(1, 2), 3)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    calls = []
+    original = abelian_module.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(abelian_module, "smith_normal_form", counted)
+    scenario_module._topology.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("name, first, again", [
+    ("bl3_ta", {"a": F(1, 5)}, {"a": F(1, 4)}),
+    ("cp2_ta", {"a": F(1, 10)}, {"a": F(1, 3)}),
+    ("bl3_clifford", None, None)])
+def test_rebuilt_builtin_makes_no_snf_calls(snf_calls, name, first, again):
+    builtin_scenario(name, first)
+    assert snf_calls
+    del snf_calls[:]
+    builtin_scenario(name, again)
+    assert snf_calls == []
+
+
+def test_every_load_checks_exactness(snf_calls, monkeypatch):
+    text = builtin_scenario("cp2_ta", A_DEFAULT).canonical_json()
+    kernels = []
+    original = scenario_module.kernel_basis
+
+    def counted(*args, **kwargs):
+        kernels.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "kernel_basis", counted)
+    load_scenario(text)
+    load_scenario(text)
+    assert len(kernels) == 2
+    doc = json.loads(text)
+    doc["sides"][0]["bd"] = [[1, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValidationError, match=r"exactness \(bd o j"):
+        load_scenario(json.dumps(doc))
+
+
+def test_replaced_j_is_checked_again():
+    scenario = builtin_scenario("cp2_ta", A_DEFAULT)
+    side = scenario.side
+    broken = replace(side, j=replace(side.j, matrix=((0,), (0,), (0,))))
+    with pytest.raises(ValidationError, match=r"exactness \(ker bd"):
+        Scenario(scenario.h2x, scenario.form, (broken,), scenario.ring)
