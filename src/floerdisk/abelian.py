@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, TorsionGroup
-from .rings import INTEGERS_MOD, PRIME_FIELD, RATIONALS, Ring, reduce
+from .rings import RATIONALS, Ring, reduce
 
 Matrix = tuple  # tuple of row tuples
 Vector = tuple
@@ -229,16 +229,6 @@ def solve_linear(m, b, ring: Ring, relations=()):
     return x
 
 
-def in_lattice(rows_matrix, vector, ring: Ring) -> bool:
-    """Is the vector in the row span of rows_matrix over the ring?"""
-    rows = freeze(rows_matrix)
-    if not rows:
-        if ring.kind in (INTEGERS_MOD, PRIME_FIELD):
-            return all(reduce(x, ring).is_zero for x in vector)
-        return all(Fraction(x) == 0 for x in vector)
-    return solve_linear(transpose(rows), vector, ring) is not None
-
-
 # --- groups --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -289,10 +279,12 @@ class FgAbelianGroup:
         """Does the coordinate vector represent 0 in the group over the ring?"""
         if len(coords) != self.ngens:
             raise DimensionMismatch("coordinate length != generator count")
-        return in_lattice(self.relations, tuple(coords), ring)
-
-    def elements_equal(self, x, y, ring: Ring) -> bool:
-        return self.is_zero(vec_sub(tuple(x), tuple(y)), ring)
+        if not self.relations:   # each coordinate alone; the hot path
+            if ring.is_finite:
+                return all(reduce(x, ring).is_zero for x in coords)
+            return all(Fraction(x) == 0 for x in coords)
+        return solve_linear(((),) * self.ngens, coords, ring,
+                            relations=self.relations) is not None
 
     def describe(self, coords) -> str:
         """Render coordinates against generator labels, e.g. "4*H - 8*beta"."""
@@ -328,7 +320,7 @@ class GroupElement:
         return self.group.is_zero(self.coords, ring)
 
     def equals(self, other: "GroupElement", ring: Ring) -> bool:
-        return self.group.elements_equal(self.coords, other.coords, ring)
+        return self.group.is_zero(vec_sub(self.coords, other.coords), ring)
 
     def __str__(self):
         return self.group.describe(self.coords)
@@ -359,10 +351,7 @@ class GroupHom:
                 raise ValueError(
                     "hom does not kill a source relation; not well defined")
 
-    def apply(self, element_or_coords):
-        coords = (element_or_coords.coords
-                  if isinstance(element_or_coords, GroupElement)
-                  else tuple(element_or_coords))
+    def apply(self, coords) -> GroupElement:
         return GroupElement(self.target, mat_vec(self.matrix, coords))
 
 
@@ -389,8 +378,6 @@ def pair(form: IntersectionForm, x: GroupElement, y: GroupElement, ring: Ring):
     """Evaluate x^T * form * y and reduce into the ring."""
     if x.group != form.group or y.group != form.group:
         raise DimensionMismatch("pairing arguments live in the wrong group")
-    if not form.group.is_free:
-        raise TorsionGroup("intersection pairing requires a free group")
     total = 0
     for i, xi in enumerate(x.coords):
         if xi == 0:

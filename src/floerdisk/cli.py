@@ -284,9 +284,12 @@ def _cmd_sweep(args, out):
     start = parse_rational(args.start)
     stop = parse_rational(args.stop)
     step = parse_rational(args.step)
-    name = args.scenario.partition(":")[0]
+    name, _, param_text = args.scenario.partition(":")
     if name not in A_INTERVALS:
         raise BadParams("sweeps need a parametric builtin for the swept side")
+    if param_text:
+        raise BadParams(f"the swept builtin {args.scenario!r} takes no "
+                        f"parameters; --from, --to and --step set a")
     ring = Ring.parse(args.ring) if args.ring else None
     grid = _sweep_grid(start, stop, step)
     overrides = _side_overrides(args)
@@ -329,14 +332,17 @@ def _cmd_potential(args, out):
     scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
                                      _side_overrides(args))
     side = scenario.sides[0]
+    ring = Ring.parse(args.residue_ring) if args.residue_ring else None
+    if ring is not None and not ring.is_finite:
+        raise BadParams(f"--residue-ring {ring.name}: the residue search "
+                        f"needs a finite ring")
     hits = _parse_assignments(args.bulk, "bulk", int) if args.bulk else None
     poly = potential_from_ledger(side, divisor_hits=hits)
     result = {"terms": poly.to_dicts()}
     warnings = []
     if args.analyze_units:
         result["unit_analysis"] = unit_critical_analysis(poly).as_dict()
-    if args.residue_ring:
-        ring = Ring.parse(args.residue_ring)
+    if ring is not None:
         levels = poly.t_levels()
         truncated = truncate_to_level(poly, levels[0]) if levels else poly
         result["residue_level"] = rational_str(levels[0]) if levels else None

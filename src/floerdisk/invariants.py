@@ -122,17 +122,6 @@ def _local_weight(side, local_map, boundary, ring):
     return weight
 
 
-def _resolve_local_map(side, weighted, local_system):
-    if not weighted:
-        return None
-    local_map = local_system if local_system is not None \
-        else side.local_system_dict()
-    if local_map is None:
-        raise MissingLocalSystem(
-            f"side {side.name}: weighted sum requested without a local system")
-    return dict(local_map)
-
-
 def _selected_disks(side, level, coset: AffineSubspace | None):
     """Ledger disks at the level with boundary nonzero in H1(L; Z),
     optionally restricted to an affine coset read modulo the coset's field."""
@@ -163,13 +152,11 @@ def _weighted_sum(side, disks, attr, ring, local_map) -> tuple:
 
 def boundary_sum(side: LagrangianSide, ring: Ring, level,
                  coset: AffineSubspace | None = None,
-                 weighted: bool = False,
                  local_system=None) -> GroupElement:
     """Sum of count * weight * boundary over the selected disks, in H1(L; ring)."""
-    local_map = _resolve_local_map(side, weighted, local_system)
     disks = _selected_disks(side, level, coset)
     return GroupElement(side.h1, _weighted_sum(side, disks, "boundary", ring,
-                                               local_map))
+                                               local_system))
 
 
 @dataclass(frozen=True)
@@ -180,25 +167,25 @@ class CosetReport:
     cancels: bool
 
 
-def grouped_cancellation(side: LagrangianSide, subspace: AffineSubspace,
-                         ring: Ring, level, weighted: bool = False,
+def grouped_cancellation(side: LagrangianSide,
+                         subspace: AffineSubspace | None, ring: Ring, level,
                          local_system=None):
     """Check that boundaries cancel over the ring coset by coset.
 
-    Two disks land in the same group when their boundaries differ by a
-    subspace element over the subspace's field.  Returns (all_cancel,
-    per-coset reports); no disks at the level means vacuous truth.
+    Two disks share a coset when their boundaries differ by a subspace
+    element over its field; without a subspace all share the coset ().
+    Returns (all_cancel, per-coset reports); an empty level cancels.
     """
-    local_map = _resolve_local_map(side, weighted, local_system)
     groups: dict[tuple, list] = {}
     for disk in _selected_disks(side, level, None):
-        groups.setdefault(subspace.coset_key(disk.boundary), []).append(disk)
+        key = () if subspace is None else subspace.coset_key(disk.boundary)
+        groups.setdefault(key, []).append(disk)
 
     reports = []
     all_cancel = True
     for key in sorted(groups):
         disks = groups[key]
-        total = _weighted_sum(side, disks, "boundary", ring, local_map)
+        total = _weighted_sum(side, disks, "boundary", ring, local_system)
         cancels = side.h1.is_zero(total, ring)
         all_cancel = all_cancel and cancels
         reports.append(CosetReport(key, tuple(d.label for d in disks),
@@ -246,9 +233,9 @@ def _in_ambiguity_coset(group, coords, other, ambiguity, ring) -> bool:
 
 
 def oc_low(side: LagrangianSide, ring: Ring,
-           subspace: AffineSubspace | None = None,
-           local_system=None) -> StringInvariantClass:
-    """The least-area string invariant of the side over the ring.
+           subspace: AffineSubspace | None = None) -> StringInvariantClass:
+    """The least-area string invariant of the side over the ring, each disk
+    weighted by the side's local system when it has one.
 
     Raises CancellationFails when the boundary cancellation condition does
     not hold over the ring (coset by coset when a subspace is given), and
@@ -266,32 +253,19 @@ def oc_low(side: LagrangianSide, ring: Ring,
         raise InsufficientLedger(f"side {side.name}: empty ledger")
 
     level = least_area(side)
-    weighted = (local_system is not None
-                or side.local_system_dict() is not None)
-    local_map = _resolve_local_map(side, weighted, local_system)
-
-    if subspace is None:
-        total = boundary_sum(side, ring, level, weighted=weighted,
-                             local_system=local_map)
-        if not side.h1.is_zero(total.coords, ring):
-            raise CancellationFails(
-                f"side {side.name}: boundary sum "
-                f"{side.h1.describe(total.coords)} is nonzero over {ring.name}",
-                boundary_sum=total.coords)
-    else:
-        ok, reports = grouped_cancellation(side, subspace, ring, level,
-                                           weighted=weighted,
-                                           local_system=local_map)
-        if not ok:
-            bad = next(r for r in reports if not r.cancels)
-            raise CancellationFails(
-                f"side {side.name}: coset {bad.key} sum "
-                f"{side.h1.describe(bad.total)} is nonzero over {ring.name}",
-                boundary_sum=bad.total)
+    local_map = side.local_system_dict()
+    ok, reports = grouped_cancellation(side, subspace, ring, level, local_map)
+    if not ok:
+        bad = next(r for r in reports if not r.cancels)
+        where = "boundary" if subspace is None else f"coset {bad.key}"
+        raise CancellationFails(
+            f"side {side.name}: {where} sum "
+            f"{side.h1.describe(bad.total)} is nonzero over {ring.name}",
+            boundary_sum=bad.total)
 
     selected = _selected_disks(side, level, subspace)
     notes = []
-    if weighted and subspace is not None:
+    if local_map is not None and subspace is not None:
         notes.append("extension: local-system weights inside coset sums")
     if not selected:
         notes.append("no least-area disks with nonzero boundary; "
@@ -337,7 +311,7 @@ def _kernel_inside_ambiguity(side, ring: Ring) -> bool:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """First ledger level whose boundary sum fails to cancel over the ring.
+    """First ledger level whose unweighted boundary sums fail to cancel.
 
     threshold None means no level below the cutoff fails; callers must then
     read the bound as ">= cutoff" (or unbounded when the ledger is complete
@@ -354,22 +328,12 @@ class ThresholdResult:
 
 
 def cancellation_threshold(side: LagrangianSide, ring: Ring,
-                           subspace: AffineSubspace | None = None,
-                           weighted: bool = False,
-                           local_system=None) -> ThresholdResult:
+                           subspace: AffineSubspace | None = None
+                           ) -> ThresholdResult:
     levels = []
-    threshold = None
     for level in side.ledger.levels:
-        if subspace is None:
-            total = boundary_sum(side, ring, level, weighted=weighted,
-                                 local_system=local_system)
-            cancels = side.h1.is_zero(total.coords, ring)
-        else:
-            cancels, _ = grouped_cancellation(side, subspace, ring, level,
-                                              weighted=weighted,
-                                              local_system=local_system)
+        cancels, _ = grouped_cancellation(side, subspace, ring, level)
         levels.append((level, cancels))
-        if not cancels and threshold is None:
-            threshold = level
+    threshold = next((level for level, ok in levels if not ok), None)
     return ThresholdResult(threshold, side.ledger.complete_below,
                            tuple(levels))

@@ -20,7 +20,7 @@ from math import isqrt
 
 from .errors import (BasisMismatch, Degenerate, InfiniteRing, NotSingleLevel,
                      ResidueSearchTooLarge, UnknownLabel, UnsupportedShape)
-from .rings import Ring, parse_rational, rational_str, reduce
+from .rings import Ring, rational_str, reduce
 from .scenario import LagrangianSide
 
 
@@ -69,37 +69,9 @@ class NovikovPolynomial:
                    for k, c in merged.items() if c != 0]
         return cls(tuple(sorted(cleaned, key=lambda t: t.key)))
 
-    @classmethod
-    def zero(cls) -> "NovikovPolynomial":
-        return cls(())
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other):
-        return NovikovPolynomial.from_terms(self.terms + other.terms)
-
-    def __neg__(self):
-        return NovikovPolynomial.from_terms(
-            NovikovTerm(-t.coeff, t.t_exp, t.bulk_exp, t.z_exp, t.w_exp)
-            for t in self.terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def times_term(self, factor: NovikovTerm):
-        return NovikovPolynomial.from_terms(
-            NovikovTerm(t.coeff * factor.coeff, t.t_exp + factor.t_exp,
-                        t.bulk_exp + factor.bulk_exp,
-                        t.z_exp + factor.z_exp, t.w_exp + factor.w_exp)
-            for t in self.terms)
-
-    def __mul__(self, other):
-        out = NovikovPolynomial.zero()
-        for term in other.terms:
-            out = out + self.times_term(term)
-        return out
 
     def t_levels(self) -> list[Fraction]:
         return sorted({t.t_exp for t in self.terms})
@@ -108,16 +80,6 @@ class NovikovPolynomial:
         return [{"coeff": rational_str(t.coeff), "t": rational_str(t.t_exp),
                  "ec": t.bulk_exp, "z": t.z_exp, "w": t.w_exp}
                 for t in self.terms]
-
-    @classmethod
-    def from_dicts(cls, rows) -> "NovikovPolynomial":
-        return cls.from_terms(
-            NovikovTerm(parse_rational(str(r["coeff"])),
-                        parse_rational(str(r["t"])),
-                        bulk_exp=int(r.get("ec", 0)),
-                        z_exp=int(r.get("z", 0)),
-                        w_exp=int(r.get("w", 0)))
-            for r in rows)
 
     def __str__(self):
         if not self.terms:

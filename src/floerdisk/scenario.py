@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .abelian import (FgAbelianGroup, GroupElement, GroupHom,
-                      IntersectionForm, kernel_basis, solve_linear)
+                      IntersectionForm, kernel_basis, solve_linear,
+                      vec_sub)
 from .errors import (BadParams, DimensionMismatch, SchemaError, UnknownScenario,
                      ValidationError)
 from .rings import PRIME_FIELD, Ring, rational_from, rational_str
@@ -265,7 +266,7 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
             raise ValidationError(
                 f"side {side.name}: disk {disk.label} boundary length")
         expected = side.bd.apply(disk.rel_class).coords
-        if not side.h1.elements_equal(expected, disk.boundary, Z):
+        if not side.h1.is_zero(vec_sub(expected, disk.boundary), Z):
             raise ValidationError(
                 f"side {side.name}: boundary mismatch for disk {disk.label}")
 

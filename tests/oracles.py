@@ -9,7 +9,8 @@ oracle_search_probes, the old Fraction probe search, reads the facets that
 Polytope2 builds and its contains checks, but not the integer clipping.
 The linear-algebra oracles (oracle_solve_linear and the hand-built quotient
 matrices after it) share the Smith normal form with the library, and
-oracle_oc_low also its unchanged helpers for areas, weights and H1 zero tests.
+oracle_oc_low and oracle_cancellation_threshold also its unchanged helpers
+for areas, weights and H1 zero tests.
 oracle_gate_threshold, the old sampled sweep threshold, reads the library's
 area and cancellation functions but not its gate inputs.
 oracle_builtin_scenario and oracle_sphere_pair, the hand-written builtin
@@ -370,57 +371,71 @@ def oracle_subspace_contains(subspace, vector):
                                subspace.field) is not None
 
 
+def _oracle_weighted_sum(side, disks, attr, width, ring, local):
+    """Sum of count * weight * disk.<attr> on RingElements; every weight is 1
+    without a local map."""
+    from floerdisk.invariants import _local_weight
+    from floerdisk.rings import reduce
+
+    acc = [ring.zero()] * width
+    for disk in disks:
+        weight = (ring.one() if local is None
+                  else _local_weight(side, local, disk.boundary, ring))
+        for i, coord in enumerate(getattr(disk, attr)):
+            acc[i] = acc[i] + weight * reduce(disk.count * coord, ring)
+    return tuple(x.value for x in acc)
+
+
+def _oracle_cosets(side, level, subspace):
+    """(disks at the level with boundary nonzero over Z, their groups): one
+    group without a subspace, else cosets grouped by SNF membership."""
+    nonzero = [d for d in side.ledger.at_level(level)
+               if not side.h1.is_zero(d.boundary, Ring.integers())]
+    if subspace is None:
+        return nonzero, [nonzero]
+    groups = []
+    for disk in nonzero:
+        for group in groups:
+            coset = AffineSubspace(subspace.field, group[0].boundary,
+                                   subspace.span)
+            if oracle_subspace_contains(coset, disk.boundary):
+                group.append(disk)
+                break
+        else:
+            groups.append([disk])
+    return nonzero, groups
+
+
+def _oracle_cancels(side, group, ring, local):
+    total = _oracle_weighted_sum(side, group, "boundary", side.h1.ngens,
+                                 ring, local)
+    return side.h1.is_zero(total, ring)
+
+
 def oracle_oc_low(side, ring, subspace=None):
     """oc_low as first written: RingElement sums, SNF-based subspace
     membership, cosets grouped by that membership, hand-built quotient
     matrices.  Returns (value coords, disk sum, lift unique), or the name of
     the FloerDiskError raised."""
     from floerdisk.errors import FloerDiskError
-    from floerdisk.invariants import _local_weight, least_area
-    from floerdisk.rings import Ring, reduce
-    from floerdisk.scenario import AffineSubspace
+    from floerdisk.invariants import least_area
 
-    Z = Ring.integers()
     local = side.local_system_dict()
-
-    def weighted_sum(disks, attr, width):
-        acc = [ring.zero()] * width
-        for disk in disks:
-            weight = (ring.one() if local is None
-                      else _local_weight(side, local, disk.boundary, ring))
-            for i, coord in enumerate(getattr(disk, attr)):
-                acc[i] = acc[i] + weight * reduce(disk.count * coord, ring)
-        return tuple(x.value for x in acc)
-
     try:
         if not side.ledger.disks:
             if side.asserted_invariant is None:
                 return "InsufficientLedger"
             return side.asserted_invariant, (), True
         level = least_area(side)
-        nonzero = [d for d in side.ledger.at_level(level)
-                   if not side.h1.is_zero(d.boundary, Z)]
-        groups = [nonzero]
-        if subspace is not None:
-            groups = []
-            for disk in nonzero:
-                for group in groups:
-                    coset = AffineSubspace(subspace.field, group[0].boundary,
-                                           subspace.span)
-                    if oracle_subspace_contains(coset, disk.boundary):
-                        group.append(disk)
-                        break
-                else:
-                    groups.append([disk])
-        for group in groups:
-            total = weighted_sum(group, "boundary", side.h1.ngens)
-            if not side.h1.is_zero(total, ring):
-                return "CancellationFails"
+        nonzero, groups = _oracle_cosets(side, level, subspace)
+        if not all(_oracle_cancels(side, g, ring, local) for g in groups):
+            return "CancellationFails"
         selected = [d for d in nonzero if subspace is None
                     or oracle_subspace_contains(subspace, d.boundary)]
         if not selected:
             return (0,) * side.h2x.ngens, (), True
-        disk_sum = weighted_sum(selected, "rel_class", side.h2_rel.ngens)
+        disk_sum = _oracle_weighted_sum(side, selected, "rel_class",
+                                        side.h2_rel.ngens, ring, local)
         lift = oracle_solve_linear(
             append_relation_columns(side.j.matrix, side.h2_rel.relations),
             disk_sum, ring)
@@ -428,6 +443,40 @@ def oracle_oc_low(side, ring, subspace=None):
             return "NoLift"
         return (lift[:side.h2x.ngens], disk_sum,
                 oracle_kernel_inside_ambiguity(side, ring))
+    except FloerDiskError as exc:
+        return type(exc).__name__
+
+
+def oracle_cancellation_threshold(side, ring, subspace=None, weighted=False,
+                                  local_system=None):
+    """cancellation_threshold with its two branches: the whole boundary sum
+    at each level without a subspace, each coset sum with one; weighted
+    (by local_system, else the side's own) only on request.  Returns
+    (threshold, cutoff, levels), or the name of the FloerDiskError raised."""
+    from floerdisk.errors import FloerDiskError, MissingLocalSystem
+
+    try:
+        local = None
+        if weighted:
+            local = (local_system if local_system is not None
+                     else side.local_system_dict())
+            if local is None:
+                raise MissingLocalSystem(f"side {side.name}: weighted sum "
+                                         f"requested without a local system")
+        levels = []
+        threshold = None
+        for level in side.ledger.levels:
+            if subspace is None:
+                _, (group,) = _oracle_cosets(side, level, None)
+                cancels = _oracle_cancels(side, group, ring, local)
+            else:
+                _, groups = _oracle_cosets(side, level, subspace)
+                cancels = all(_oracle_cancels(side, g, ring, local)
+                              for g in groups)
+            levels.append((level, cancels))
+            if not cancels and threshold is None:
+                threshold = level
+        return threshold, side.ledger.complete_below, tuple(levels)
     except FloerDiskError as exc:
         return type(exc).__name__
 

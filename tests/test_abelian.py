@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from floerdisk.abelian import (FgAbelianGroup, GroupElement, GroupHom,
-                               IntersectionForm, freeze, identity, in_lattice,
+                               IntersectionForm, freeze, identity,
                                kernel_basis, mat_vec, pair, smith_normal_form,
                                solve_linear, transpose)
 from floerdisk.errors import DimensionMismatch, TorsionGroup
@@ -181,7 +181,8 @@ def test_form_rejects_torsion():
 
 def test_in_lattice_mod_n():
     # row lattice of (2) in Z/8: {0, 2, 4, 6}
-    assert in_lattice(((2,),), (4,), Ring.integers_mod(8))
-    assert not in_lattice(((2,),), (3,), Ring.integers_mod(8))
-    assert not in_lattice((), (3,), Ring.integers_mod(8))
-    assert in_lattice((), (8,), Ring.integers_mod(8))
+    z8 = Ring.integers_mod(8)
+    assert FgAbelianGroup(("x",), ((2,),)).is_zero((4,), z8)
+    assert not FgAbelianGroup(("x",), ((2,),)).is_zero((3,), z8)
+    assert not FgAbelianGroup(("x",)).is_zero((3,), z8)
+    assert FgAbelianGroup(("x",)).is_zero((8,), z8)

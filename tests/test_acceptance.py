@@ -174,10 +174,9 @@ def test_criterion_6_local_system_counterexample():
         a = F(1, 10)
         side = builtin_scenario("cp2_ta", {"a": a}).side
         rho = {"dalpha": F(-1), "dbeta": F(1)}
-        weighted_sum = boundary_sum(side, Q, a, weighted=True,
-                                    local_system=rho)
+        weighted_sum = boundary_sum(side, Q, a, local_system=rho)
         assert weighted_sum.coords == (0, 0)
-        invariant = oc_low(side, Q, local_system=rho)
+        invariant = oc_low(replace(side, local_system=tuple(rho.items())), Q)
         assert invariant.value.coords == (0,)
 
         scenario = cp2_pair(a)

@@ -147,10 +147,37 @@ def test_validation_exit_code():
 
 
 def test_computation_exit_code():
-    # residue search over an infinite ring is a computation error
-    code, text = run(["potential", "--builtin", "cp2_ta:a=1/5",
-                      "--residue-ring", "Q"])
+    # a least-area boundary sum that does not cancel is a computation error
+    code, text = run(["invariant", "--builtin", "cp2_ta:a=1/10",
+                      "--ring", "Z"])
     assert code == 4
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+def test_infinite_residue_ring_is_bad_params(ring):
+    assert _error(["potential", "--builtin", "cp2_ta:a=1/5",
+                   "--residue-ring", ring]) == (3, "BadParams")
+
+
+@pytest.mark.parametrize("swept", ["cp2_ta:a=1/10", "cp2_ta:b=1"])
+def test_swept_builtin_parameters_are_bad_params(swept):
+    assert _error(["sweep", "--builtin", swept, "--vs", "cp2_clifford",
+                   "--ring", "Z/8", "--from", "1/10", "--to", "1/10",
+                   "--step", "1/10"]) == (3, "BadParams")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--builtin", "cp2_ta:a=1/10", "--vs", "cp2_clifford", "--ring", "Z"],
+     "invariant undefined: side T_a: boundary sum -8*dbeta is nonzero "
+     "over Z"),
+    (["--builtin", "p1xp1_ta:a=1/5", "--vs", "p1xp1_clifford",
+      "--ring", "Z/4", "--field", "F2"],
+     "invariant undefined: side That_a: coset (0, 0) sum 2*dbeta is "
+     "nonzero over Z/4")])
+def test_cancellation_failure_reasons(argv, reason):
+    code, text = run(["criterion", *argv])
+    assert code == 0
+    assert json.loads(text)["result"]["reason"] == reason
 
 
 def test_residue_search_refuses_large_moduli():

@@ -87,7 +87,7 @@ def test_oc_solves_modulo_target_relations():
     # disk sum = 2u + 4t = 2u modulo the relation, so the lift is 2g
     assert invariant.value.coords == (2,)
     image = side.j.apply(invariant.value.coords)
-    assert side.h2_rel.elements_equal(image.coords, invariant.disk_sum, Z)
+    assert image.equals(side.h2_rel.element(invariant.disk_sum), Z)
 
 
 def test_invariant_coset_equality_with_nonzero_ambiguity():

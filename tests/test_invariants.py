@@ -6,7 +6,7 @@ import pytest
 
 from floerdisk.abelian import FgAbelianGroup, GroupHom, IntersectionForm
 from floerdisk.errors import (CancellationFails, HypothesisViolated,
-                              InsufficientLedger, MissingLocalSystem, NoLift)
+                              InsufficientLedger, NoLift)
 from floerdisk.invariants import (area_progression, area_spectrum,
                                   boundary_sum, cancellation_threshold,
                                   grouped_cancellation, least_area, next_area,
@@ -103,13 +103,8 @@ def test_boundary_sum_cp2_mod8():
 
 def test_boundary_sum_weighted_rational():
     rho = {"dbeta": F(1), "dalpha": F(-1)}
-    total = boundary_sum(cp2(), Q, F(1, 10), weighted=True, local_system=rho)
+    total = boundary_sum(cp2(), Q, F(1, 10), local_system=rho)
     assert total.coords == (0, 0)
-
-
-def test_weighted_needs_local_system():
-    with pytest.raises(MissingLocalSystem):
-        boundary_sum(cp2(), Q, F(1, 10), weighted=True)
 
 
 def test_boundary_sum_single_coset_filter():
@@ -166,7 +161,7 @@ def test_oc_cp2_fails_over_z_and_q():
 
 def test_oc_cp2_weighted_vanishes():
     rho = {"dbeta": F(1), "dalpha": F(-1)}
-    invariant = oc_low(cp2(), Q, local_system=rho)
+    invariant = oc_low(replace(cp2(), local_system=tuple(rho.items())), Q)
     assert invariant.value.coords == (0,)
     assert invariant.is_zero()
 
@@ -239,8 +234,7 @@ def test_oc_j_image_matches_disk_sum():
     for side, ring, subspace in cases:
         invariant = oc_low(side, ring, subspace=subspace)
         image = side.j.apply(invariant.value.coords)
-        assert side.h2_rel.elements_equal(image.coords, invariant.disk_sum,
-                                          ring)
+        assert image.equals(side.h2_rel.element(invariant.disk_sum), ring)
 
 
 def _simple_side(disks, ngens_abs=1, cutoff=None, name="synthetic"):
@@ -296,8 +290,7 @@ def test_oc_random_scenarios_lift_property():
         side = _simple_side(tuple(disks))
         invariant = oc_low(side, ring)
         image = side.j.apply(invariant.value.coords)
-        assert side.h2_rel.elements_equal(image.coords, invariant.disk_sum,
-                                          ring)
+        assert image.equals(side.h2_rel.element(invariant.disk_sum), ring)
 
 
 def test_oc_empty_selection_warns():

@@ -1,5 +1,6 @@
-"""The quotient solves in solve_linear / kernel_basis, the disk-sum loop and
-the cached F_p echelon against the paths they replaced (tests/oracles.py)."""
+"""The quotient solves in solve_linear / kernel_basis, the disk-sum loop,
+the cached F_p echelon and the one cancellation routine against the paths
+they replaced (tests/oracles.py)."""
 
 import random
 from dataclasses import replace
@@ -9,16 +10,19 @@ from types import SimpleNamespace
 import pytest
 
 from floerdisk.abelian import FgAbelianGroup, kernel_basis, solve_linear
+from floerdisk.errors import FloerDiskError
 from floerdisk.invariants import (_in_ambiguity_coset,
-                                  _kernel_inside_ambiguity, oc_low)
+                                  _kernel_inside_ambiguity,
+                                  cancellation_threshold,
+                                  grouped_cancellation, oc_low)
 from floerdisk.rings import Ring
 from floerdisk.scenario import (AffineSubspace, BUILTIN_NAMES,
                                 builtin_scenario, sphere_pair)
 
-from oracles import (append_relation_columns, oracle_in_ambiguity_coset,
-                     oracle_kernel, oracle_kernel_inside_ambiguity,
-                     oracle_oc_low, oracle_solve_linear,
-                     oracle_subspace_contains)
+from oracles import (append_relation_columns, oracle_cancellation_threshold,
+                     oracle_in_ambiguity_coset, oracle_kernel,
+                     oracle_kernel_inside_ambiguity, oracle_oc_low,
+                     oracle_solve_linear, oracle_subspace_contains)
 
 RINGS = ([Ring.integers(), Ring.rationals()]
          + [Ring.integers_mod(n) for n in range(2, 17)]
@@ -132,3 +136,33 @@ def test_oc_low_matches_old_path_on_builtins(name, side):
                 got = type(exc).__name__
             assert got == oracle_oc_low(side, ring, subspace), \
                 (name, ring.name, subspace)
+
+
+def _weighted_levels(side, ring, subspace):
+    """Each ledger level's cancellation weighted by the side's local system,
+    or the name of the FloerDiskError raised."""
+    try:
+        return tuple((level, grouped_cancellation(
+            side, subspace, ring, level, side.local_system_dict())[0])
+            for level in side.ledger.levels)
+    except FloerDiskError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name, side", list(_builtin_sides()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_threshold_matches_two_branch_path_on_builtins(name, side):
+    subspaces = [None] + ([side.subspace] if side.subspace else [])
+    for ring in RINGS:
+        for subspace in subspaces:
+            got = cancellation_threshold(side, ring, subspace=subspace)
+            assert (got.threshold, got.cutoff, got.levels) == \
+                oracle_cancellation_threshold(side, ring, subspace), \
+                (name, ring.name, subspace)
+            if side.local_system is None:
+                continue
+            expected = oracle_cancellation_threshold(side, ring, subspace,
+                                                     weighted=True)
+            got = _weighted_levels(side, ring, subspace)
+            assert got == (expected if isinstance(expected, str)
+                           else expected[2]), (name, ring.name, subspace)
