@@ -18,16 +18,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .criterion import evaluate_pair, gate_inputs
+from .criterion import evaluate_pair, gate_inputs, side_subspace
 from .errors import (BadParams, DimensionMismatch, FloerDiskError, SchemaError,
                      UnknownLabel, UnknownScenario, ValidationError)
 from .invariants import area_spectrum, oc_low
 from .potential import (potential_from_ledger, residue_critical_points,
                         truncate_to_level, unit_critical_analysis)
 from .probes import builtin_polytope, polytope_from_json, search_probes
-from .rings import Ring, parse_rational, rational_str
+from .rings import PRIME_FIELD, Ring, parse_rational, rational_str
 from .scenario import (A_INTERVALS, AffineSubspace, BUILTIN_NAMES, Scenario,
-                       builtin_scenario, combine, load_scenario)
+                       builtin_scenario, combine, decode_json, load_scenario)
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
@@ -58,22 +58,11 @@ def _parse_assignments(text: str, what: str, parse) -> dict:
     return out
 
 
-def _parse_builtin_ref(text: str) -> Scenario:
-    name, _, param_text = text.partition(":")
-    params = (_parse_assignments(param_text, "parameter", parse_rational)
-              if param_text else {})
-    return builtin_scenario(name.strip(), params)
-
-
-def _scenario_search_paths():
-    raw = os.environ.get("FLOER_LEDGER_PATH", "")
-    return [p for p in raw.split(os.pathsep) if p]
-
-
 def _load_scenario_file(path: str) -> Scenario:
     candidates = [path]
     if not os.path.isabs(path):
-        candidates += [os.path.join(d, path) for d in _scenario_search_paths()]
+        search = os.environ.get("FLOER_LEDGER_PATH", "").split(os.pathsep)
+        candidates += [os.path.join(d, path) for d in search if d]
     for candidate in candidates:
         if os.path.exists(candidate):
             with open(candidate, "rb") as handle:
@@ -82,10 +71,13 @@ def _load_scenario_file(path: str) -> Scenario:
 
 
 def _resolve_scenario(ref: str) -> Scenario:
-    base = ref.partition(":")[0]
-    if base in BUILTIN_NAMES:
-        return _parse_builtin_ref(ref)
-    return _load_scenario_file(ref)
+    """A builtin 'name' or 'name:a=1/10', else a scenario file."""
+    name, _, param_text = ref.partition(":")
+    if name not in BUILTIN_NAMES:
+        return _load_scenario_file(ref)
+    params = (_parse_assignments(param_text, "parameter", parse_rational)
+              if param_text else {})
+    return builtin_scenario(name, params)
 
 
 def _parse_subspace(text: str, field: Ring) -> AffineSubspace:
@@ -99,14 +91,35 @@ def _parse_subspace(text: str, field: Ring) -> AffineSubspace:
         raise BadParams(f"--subspace: {exc}") from exc
 
 
-def _side_overrides(args) -> dict:
+def _field(args) -> Ring | None:
+    """--field as a prime field, or None when it is not given; a name that
+    is no ring is a usage error, any other ring BadParams."""
+    if args.field is None:
+        return None
+    field = Ring.parse(args.field)
+    if field.kind != PRIME_FIELD:
+        raise BadParams(f"--field {field.name} is not a prime field")
+    return field
+
+
+def _check_field(sides, field: Ring | None) -> None:
+    """Every subspace of the sides evaluated under --field lies over it."""
+    if field is None:
+        return
+    for side in sides:
+        if side.subspace is not None and side.subspace.field != field:
+            raise BadParams(f"side {side.name}: its subspace lies over "
+                            f"{side.subspace.field.name}, not over --field "
+                            f"{field.name}")
+
+
+def _side_overrides(args, field: Ring | None) -> dict:
     """The --subspace / --local-system overrides of the first side."""
     overrides = {}
     if args.subspace:
-        if not args.field:
+        if field is None:
             raise BadParams("--subspace requires --field")
-        overrides["subspace"] = _parse_subspace(args.subspace,
-                                                Ring.parse(args.field))
+        overrides["subspace"] = _parse_subspace(args.subspace, field)
     if args.local_system:
         overrides["local_system"] = _parse_assignments(
             args.local_system, "local-system", parse_rational)
@@ -163,7 +176,7 @@ def _emit(report: dict, fmt: str, stream) -> None:
         stream.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _oc_payload(invariant, side) -> dict:
+def _oc_payload(invariant) -> dict:
     group = invariant.value.group
     return {
         "coords": [str(c) for c in invariant.value.coords],
@@ -192,16 +205,18 @@ def _cmd_validate(args, out):
 
 
 def _cmd_invariant(args, out):
+    field = _field(args)
     scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
-                                     _side_overrides(args))
+                                     _side_overrides(args, field))
     side = scenario.sides[0]
+    _check_field([side], field)
     ring = Ring.parse(args.ring) if args.ring else scenario.ring
-    subspace = side.subspace if args.field else None
+    subspace = side_subspace(side, field is not None)
     spectrum = area_spectrum(side)
     invariant = oc_low(side, ring, subspace=subspace)
     result = dict(spectrum.as_dict())
-    result["oc_low"] = _oc_payload(invariant, side)
-    options = {"ring": ring.name, "subspaces": bool(args.field)}
+    result["oc_low"] = _oc_payload(invariant)
+    options = {"ring": ring.name, "subspaces": field is not None}
     _emit(_report("invariant", scenario, options, result,
                   warnings=invariant.notes), args.format, out)
     return 0
@@ -216,20 +231,22 @@ def _verdict_result(verdict) -> dict:
 
 
 def _cmd_criterion(args, out):
+    field = _field(args)
     scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
-                                     _side_overrides(args))
+                                     _side_overrides(args, field))
     if args.vs:
         scenario = combine(scenario, _resolve_scenario(args.vs))
     if len(scenario.sides) < 2:
         raise BadParams("criterion needs two sides: give --vs or a "
                         "two-sided scenario")
+    _check_field(scenario.sides, field)
     ring = Ring.parse(args.ring) if args.ring else scenario.ring
-    verdict = evaluate_pair(scenario, use_subspaces=bool(args.field),
+    verdict = evaluate_pair(scenario, use_subspaces=field is not None,
                             monotone_variant=args.monotone_variant,
                             ring=ring)
-    options = {"ring": ring.name, "subspaces": bool(args.field),
+    options = {"ring": ring.name, "subspaces": field is not None,
                "monotone_variant": args.monotone_variant}
-    if args.field:
+    if field is not None:
         options["field"] = args.field
     _emit(_report("criterion", scenario, options, _verdict_result(verdict),
                   warnings=verdict.notes), args.format, out)
@@ -277,6 +294,7 @@ def _margin_root(inputs_at, low: Fraction, high: Fraction):
 
 
 def _cmd_sweep(args, out):
+    field = _field(args)
     if args.param != "a":
         raise BadParams("only the parameter 'a' can be swept")
     if not args.vs:
@@ -292,7 +310,7 @@ def _cmd_sweep(args, out):
                         f"parameters; --from, --to and --step set a")
     ring = Ring.parse(args.ring) if args.ring else None
     grid = _sweep_grid(start, stop, step)
-    overrides = _side_overrides(args)
+    overrides = _side_overrides(args, field)
     second = _resolve_scenario(args.vs)
 
     def scenario_at(a: Fraction) -> Scenario:
@@ -302,8 +320,9 @@ def _cmd_sweep(args, out):
     points = []
     for a in grid:
         scenario = scenario_at(a)
+        _check_field(scenario.sides, field)
         ring = ring or scenario.ring
-        verdict = evaluate_pair(scenario, use_subspaces=bool(args.field),
+        verdict = evaluate_pair(scenario, use_subspaces=field is not None,
                                 monotone_variant=args.monotone_variant,
                                 ring=ring)
         entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
@@ -314,13 +333,13 @@ def _cmd_sweep(args, out):
         points.append(entry)
     result = {"param": args.param, "points": points}
     threshold = _margin_root(
-        lambda t: gate_inputs(*scenario_at(t).sides, ring, bool(args.field),
+        lambda t: gate_inputs(*scenario_at(t).sides, ring, field is not None,
                               args.monotone_variant),
         *A_INTERVALS[name][:2])
     if threshold is not None:
         result["gate_threshold"] = threshold
         result["gate_passes_iff"] = f"a < {threshold}"
-    options = {"ring": ring.name, "subspaces": bool(args.field),
+    options = {"ring": ring.name, "subspaces": field is not None,
                "monotone_variant": args.monotone_variant,
                "from": rational_str(start), "to": rational_str(stop),
                "step": rational_str(step)}
@@ -329,8 +348,7 @@ def _cmd_sweep(args, out):
 
 
 def _cmd_potential(args, out):
-    scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
-                                     _side_overrides(args))
+    scenario = _resolve_scenario(args.scenario)
     side = scenario.sides[0]
     ring = Ring.parse(args.residue_ring) if args.residue_ring else None
     if ring is not None and not ring.is_finite:
@@ -339,7 +357,6 @@ def _cmd_potential(args, out):
     hits = _parse_assignments(args.bulk, "bulk", int) if args.bulk else None
     poly = potential_from_ledger(side, divisor_hits=hits)
     result = {"terms": poly.to_dicts()}
-    warnings = []
     if args.analyze_units:
         result["unit_analysis"] = unit_critical_analysis(poly).as_dict()
     if ring is not None:
@@ -352,8 +369,7 @@ def _cmd_potential(args, out):
         result["residue_ring"] = ring.name
     options = {"bulk": args.bulk, "analyze_units": args.analyze_units,
                "residue_ring": args.residue_ring}
-    _emit(_report("potential", scenario, options, result, warnings=warnings),
-          args.format, out)
+    _emit(_report("potential", scenario, options, result), args.format, out)
     return 0
 
 
@@ -362,7 +378,7 @@ def _cmd_probes(args, out):
         poly = builtin_polytope(args.polytope)
     else:
         with open(args.polytope, "rb") as handle:
-            poly = polytope_from_json(json.loads(handle.read().decode()))
+            poly = polytope_from_json(decode_json(handle.read()))
     x_text, _, y_text = args.point.partition(",")
     point = (parse_rational(x_text), parse_rational(y_text))
     hits = search_probes(poly, point, args.bound)
@@ -399,80 +415,74 @@ class _UsageError(Exception):
     pass
 
 
+def _name(text: str) -> str:
+    """A scenario name or file; an empty one is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("the name is empty")
+    return text
+
+
 def _build_parser() -> _Parser:
+    """The whole argv declaration; each subcommand registers exactly the
+    options its handler reads."""
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    coefficients = _Parser(add_help=False)
+    coefficients.add_argument("--ring", help="coefficient ring, e.g. Z/8")
+    coefficients.add_argument(
+        "--field", help="prime field for subspace refinement, e.g. F2")
+    coefficients.add_argument(
+        "--subspace", help="override side 1 subspace: 'b1,b2;s1,s2|t1,t2'")
+    coefficients.add_argument(
+        "--local-system", help="override side 1 local system: 'gen=unit,...'")
+    pair = _Parser(add_help=False)
+    pair.add_argument("--vs", help="second side: builtin ref or file")
+    pair.add_argument("--monotone-variant", action="store_true")
+
     parser = _Parser(prog="floerdisk")
     parser.add_argument("--version", action="store_true",
                         help="print the version and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, scenario=True):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if scenario:
-            p.add_argument("--builtin", dest="scenario",
+    def command(name, run, *parents, scenario=True, file=False):
+        """A subcommand; by default it reads exactly one scenario name, which
+        with file=True may also be a positional FILE."""
+        p = sub.add_parser(name, parents=[fmt, *parents])
+        p.set_defaults(run=run)
+        if not scenario:
+            return p
+        names = p.add_mutually_exclusive_group(required=True)
+        if file:
+            names.add_argument("scenario", nargs="?", metavar="FILE",
+                               type=_name, default=argparse.SUPPRESS,
+                               help="scenario file (same as --scenario)")
+        names.add_argument("--builtin", dest="scenario", type=_name,
                            help="builtin name, optionally name:a=1/10")
-            p.add_argument("--scenario", dest="scenario_file",
-                           help="scenario JSON file")
-            p.add_argument("--ring", help="coefficient ring, e.g. Z/8")
-            p.add_argument("--field",
-                           help="prime field for subspace refinement, e.g. F2")
-            p.add_argument("--subspace",
-                           help="override side 1 subspace: 'b1,b2;s1,s2|t1,t2'")
-            p.add_argument("--local-system", dest="local_system",
-                           help="override side 1 local system: 'gen=unit,...'")
+        names.add_argument("--scenario", type=_name, help="scenario JSON file")
+        return p
 
-    p = sub.add_parser("validate")
-    p.add_argument("target", nargs="?",
-                   help="scenario file (same as --scenario)")
-    add_common(p)
-
-    p = sub.add_parser("invariant")
-    add_common(p)
-
-    p = sub.add_parser("criterion")
-    add_common(p)
-    p.add_argument("--vs", help="second side: builtin ref or file")
-    p.add_argument("--monotone-variant", dest="monotone_variant",
-                   action="store_true")
-
-    p = sub.add_parser("sweep")
-    add_common(p)
-    p.add_argument("--vs", help="second side: builtin ref or file")
-    p.add_argument("--monotone-variant", dest="monotone_variant",
-                   action="store_true")
+    command("validate", _cmd_validate, file=True)
+    command("invariant", _cmd_invariant, coefficients)
+    command("criterion", _cmd_criterion, coefficients, pair)
+    p = command("sweep", _cmd_sweep, coefficients, pair)
     p.add_argument("--param", default="a")
     p.add_argument("--from", dest="start", required=True)
     p.add_argument("--to", dest="stop", required=True)
     p.add_argument("--step", required=True)
-
-    p = sub.add_parser("potential")
-    add_common(p)
+    p = command("potential", _cmd_potential)
     p.add_argument("--bulk", help="divisor hits per disk label: 'b=1'")
-    p.add_argument("--analyze-units", dest="analyze_units",
-                   action="store_true")
-    p.add_argument("--residue-ring", dest="residue_ring",
+    p.add_argument("--analyze-units", action="store_true")
+    p.add_argument("--residue-ring",
                    help="finite ring for the truncated-level critical search")
-
-    p = sub.add_parser("probes")
+    p = command("probes", _cmd_probes, scenario=False)
     p.add_argument("polytope", help="polytope JSON file, or 'p1xp1' / 'cp2'")
     p.add_argument("--point", required=True, help="interior point 'x,y'")
     p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p = sub.add_parser("builtin-list")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-
+    command("builtin-list", _cmd_builtin_list, scenario=False)
     return parser
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "invariant": _cmd_invariant,
-    "criterion": _cmd_criterion,
-    "sweep": _cmd_sweep,
-    "potential": _cmd_potential,
-    "probes": _cmd_probes,
-    "builtin-list": _cmd_builtin_list,
-}
+_PARSER = _build_parser()
 
 
 def _write_error(out, kind: str, exc: Exception, code: int) -> int:
@@ -483,31 +493,18 @@ def _write_error(out, kind: str, exc: Exception, code: int) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "version", False) and args.command is None:
-            out.write(__version__ + "\n")
-            return 0
+        args = _PARSER.parse_args(argv)
         if args.command is None:
+            if args.version:
+                out.write(__version__ + "\n")
+                return 0
             raise _UsageError("a subcommand is required")
-        if hasattr(args, "scenario"):
-            if getattr(args, "target", None):
-                if args.scenario or args.scenario_file:
-                    raise _UsageError(
-                        "give either a positional file or --builtin/--scenario")
-                args.scenario_file = args.target
-            if args.scenario and args.scenario_file:
-                raise _UsageError("--builtin and --scenario are exclusive")
-            if args.scenario_file:
-                args.scenario = args.scenario_file
-            if not args.scenario and args.command != "builtin-list":
-                raise _UsageError("one of --builtin or --scenario is required")
-            # the coefficient ring and the subspace field are independent
-            # choices; subspace mode therefore wants both spelled out
-            if getattr(args, "field", None) and not args.ring:
-                raise _UsageError("--field requires an explicit --ring")
-        return _COMMANDS[args.command](args, out)
+        # the coefficient ring and the subspace field are independent
+        # choices; subspace mode therefore wants both spelled out
+        if getattr(args, "field", None) is not None and not args.ring:
+            raise _UsageError("--field requires an explicit --ring")
+        return args.run(args, out)
     except (_UsageError, ValueError) as exc:
         return _write_error(out, "usage", exc, USAGE_ERROR)
     except _VALIDATION_FAILURES as exc:

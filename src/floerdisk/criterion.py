@@ -99,6 +99,17 @@ def gate_inputs(left, right, ring: Ring, use_subspaces: bool = False,
     return a, b, threshold.effective_bound, None, (other.name, threshold)
 
 
+def side_subspace(side, use_subspaces: bool):
+    """The subspace the side is evaluated with: None without subspaces, else
+    its own, which must exist."""
+    if not use_subspaces:
+        return None
+    if side.subspace is None:
+        raise ValidationError(f"side {side.name}: subspace evaluation "
+                              f"requested but no subspace is defined")
+    return side.subspace
+
+
 def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
                   monotone_variant: bool = False,
                   ring: Ring | None = None) -> Verdict:
@@ -125,17 +136,11 @@ def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
         return Verdict(TOPOLOGICAL, audit=audit, notes=notes)
 
     # 2. string invariants (and the lower-index pairings)
-    if use_subspaces:
-        for side in (left, right):
-            if side.subspace is None:
-                raise ValidationError(
-                    f"side {side.name}: subspace evaluation requested but no "
-                    f"subspace is defined")
+    sub_left = side_subspace(left, use_subspaces)
+    sub_right = side_subspace(right, use_subspaces)
     try:
-        oc_left = oc_low(left, ring,
-                         subspace=left.subspace if use_subspaces else None)
-        oc_right = oc_low(right, ring,
-                          subspace=right.subspace if use_subspaces else None)
+        oc_left = oc_low(left, ring, subspace=sub_left)
+        oc_right = oc_low(right, ring, subspace=sub_right)
     except (CancellationFails, NoLift, InsufficientLedger,
             MissingLocalSystem) as exc:
         record("invariant", {"ring": ring.name}, f"undefined: {exc}")

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .abelian import GroupElement, kernel_basis, solve_linear, vec_sub
 from .errors import (CancellationFails, HypothesisViolated, InsufficientLedger,
-                     MissingLocalSystem, NoLift, ValidationError,
-                     WeightTooLarge)
+                     MissingLocalSystem, NoLift, NonInvertibleDenominator,
+                     ValidationError, WeightTooLarge)
 from .rings import Ring, rational_str, reduce
 from .scenario import AffineSubspace, LagrangianSide
 
@@ -107,8 +107,12 @@ def _local_weight(side, local_map, boundary, ring):
         if label not in local_map:
             raise MissingLocalSystem(
                 f"side {side.name}: local system misses generator {label}")
-        value = reduce(local_map[label], ring)
-        if not value.is_unit:
+        try:
+            value = reduce(local_map[label], ring)
+            unit = value.is_unit
+        except NonInvertibleDenominator:
+            value, unit = rational_str(local_map[label]), False
+        if not unit:
             raise ValidationError(
                 f"side {side.name}: local system value {value} for {label} "
                 f"is not a unit in {ring.name}")
@@ -162,7 +166,7 @@ def boundary_sum(side: LagrangianSide, ring: Ring, level,
 @dataclass(frozen=True)
 class CosetReport:
     key: tuple
-    labels: tuple
+    disks: tuple
     total: tuple
     cancels: bool
 
@@ -188,8 +192,7 @@ def grouped_cancellation(side: LagrangianSide,
         total = _weighted_sum(side, disks, "boundary", ring, local_system)
         cancels = side.h1.is_zero(total, ring)
         all_cancel = all_cancel and cancels
-        reports.append(CosetReport(key, tuple(d.label for d in disks),
-                                   total, cancels))
+        reports.append(CosetReport(key, tuple(disks), total, cancels))
     return all_cancel, reports
 
 
@@ -263,7 +266,9 @@ def oc_low(side: LagrangianSide, ring: Ring,
             f"{side.h1.describe(bad.total)} is nonzero over {ring.name}",
             boundary_sum=bad.total)
 
-    selected = _selected_disks(side, level, subspace)
+    # the least-level disks in the subspace are its base's coset
+    base = () if subspace is None else subspace.coset_key(subspace.base)
+    selected = next((r.disks for r in reports if r.key == base), ())
     notes = []
     if local_map is not None and subspace is not None:
         notes.append("extension: local-system weights inside coset sums")

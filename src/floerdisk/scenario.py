@@ -475,15 +475,23 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
     )
 
 
+def decode_json(data):
+    """The JSON value in bytes or text; bytes that are not UTF-8, text that
+    is not JSON or nests too deep for the parser are SchemaError."""
+    try:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
 def load_scenario(document) -> Scenario:
     """Parse and fully validate a scenario document (bytes, str, or dict)."""
-    if isinstance(document, (bytes, bytearray)):
-        document = document.decode("utf-8")
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+    if isinstance(document, (bytes, bytearray, str)):
+        document = decode_json(document)
     if not isinstance(document, dict):
         raise SchemaError("top level must be a JSON object")
 

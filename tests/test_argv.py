@@ -1,0 +1,197 @@
+"""The argv contract: which options each subcommand declares, a parser built
+once per process, and every argv ending in one JSON document with exit code
+0, 2, 3 or 4."""
+
+import argparse
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import floerdisk.cli as cli
+import floerdisk.scenario as scen
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# The option strings (positionals by metavar or dest) of each subcommand.
+SCENARIO_NAMES = {"--builtin", "--scenario"}
+COEFFICIENTS = {"--ring", "--field", "--subspace", "--local-system"}
+PAIR = {"--vs", "--monotone-variant"}
+COMMON = {"-h", "--help", "--format"}
+OPTIONS = {
+    "validate": COMMON | SCENARIO_NAMES | {"FILE"},
+    "invariant": COMMON | SCENARIO_NAMES | COEFFICIENTS,
+    "criterion": COMMON | SCENARIO_NAMES | COEFFICIENTS | PAIR,
+    "sweep": COMMON | SCENARIO_NAMES | COEFFICIENTS | PAIR
+    | {"--param", "--from", "--to", "--step"},
+    "potential": COMMON | SCENARIO_NAMES
+    | {"--bulk", "--analyze-units", "--residue-ring"},
+    "probes": COMMON | {"polytope", "--point", "--bound"},
+    "builtin-list": COMMON,
+}
+
+
+def _subparsers():
+    action = next(a for a in cli._PARSER._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_declares_exactly_its_options():
+    declared = {name: {s for a in parser._actions
+                       for s in (a.option_strings or [a.metavar or a.dest])}
+                for name, parser in _subparsers().items()}
+    assert declared == OPTIONS
+
+
+def test_main_builds_no_parser_per_call(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["builtin-list"], ["probes", "p1xp1", "--point", "0,3/4"],
+                 ["invariant", "--builtin", "cp2_ta:a=1/10", "--ring", "Z/8"]):
+        assert cli.main(argv, out=io.StringIO()) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ring", "Z/8"), ("--field", "F2"), ("--subspace", "0,0;0,1"),
+    ("--local-system", "dbeta=1,dalpha=3")])
+@pytest.mark.parametrize("command", ["validate", "potential"])
+def test_unread_coefficient_options_are_usage_errors(command, flag, value):
+    out = io.StringIO()
+    assert cli.main([command, "--builtin", "cp2_ta:a=1/5", flag, value],
+                    out=out) == 2
+    assert json.loads(out.getvalue())["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", ""], ["validate", "--builtin", ""],
+    ["validate", "--scenario", ""], ["invariant", "--builtin", ""],
+    ["validate"], ["potential"],
+    ["validate", "x.json", "--builtin", "cp2_clifford"],
+    ["invariant", "--builtin", "cp2_ta:a=1/10", "--scenario", "x.json"]])
+def test_not_exactly_one_scenario_name_is_a_usage_error(argv):
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == 2
+    assert json.loads(out.getvalue())["error"]["type"] == "usage"
+
+
+def test_entry_point_exit_status():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    run = [sys.executable, "-m", "floerdisk.cli"]
+    done = subprocess.run(run + ["--version"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0.1.0\n")
+    done = subprocess.run(run + ["invariant", "--builtin", "cp2_ta:a=1/10",
+                                 "--ring", "Z"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 4
+    assert json.loads(done.stdout)["error"]["type"] == "CancellationFails"
+
+
+# --- argv fuzz ----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """File names the fuzz may draw: a valid scenario, a truncated JSON file
+    and one that starts with byte 0xff."""
+    root = tmp_path_factory.mktemp("argv")
+    good = scen.builtin_scenario("cp2_ta", {"a": "1/10"}).canonical_json()
+    contents = {"@good": good.encode(), "@truncated": b'{"vertices": [',
+                "@undecodable": b"\xff{}"}
+    paths = {}
+    for key, data in contents.items():
+        path = root / (key[1:] + ".json")
+        path.write_bytes(data)
+        paths[key] = str(path)
+    return paths
+
+
+FILES = st.sampled_from(["@good", "@truncated", "@undecodable"])
+RATIONALS = st.sampled_from(["1/10", "1/5", "1/3", "1/4", "1/20", "2/5",
+                             "-1/2", "3", "1/0", "", "x"])
+RINGS = st.sampled_from(["Z/8", "Z/2", "Z/4", "Z", "Q", "F2", "F3", "F2",
+                         "Z/8", "Z/1", "Z/0", "F4", "", "R"])
+SCENARIOS = st.one_of(
+    st.builds("{}:a={}".format,
+              st.sampled_from(["cp2_ta", "p1xp1_ta", "bl3_ta"]), RATIONALS),
+    st.sampled_from(["cp2_clifford", "p1xp1_clifford", "bl3_clifford",
+                     "cp2_ta", "p1xp1_ta", "bl3_ta", "nope", ""]),
+    FILES)
+# The value drawn for each option; None marks a switch.
+VALUES = {
+    "FILE": SCENARIOS, "--builtin": SCENARIOS, "--scenario": SCENARIOS,
+    "--vs": SCENARIOS, "--ring": RINGS, "--field": RINGS,
+    "--residue-ring": RINGS,
+    "--subspace": st.sampled_from(["0,0;0,1", "1,0;1,0", "0,0;0,1,1",
+                                   "1,1;", "", "x"]),
+    "--local-system": st.sampled_from(
+        ["dbeta=1,dalpha=3", "dbeta=1/2,dalpha=1", "dbeta=2,dalpha=1",
+         "dalpha=-1,dbeta=1", "dbeta", "dbeta=1,dbeta=1", ""]),
+    "--bulk": st.sampled_from(["b=1", "zz=1", "b=1/2", "b", "b=1,b=2"]),
+    "--from": RATIONALS, "--to": RATIONALS, "--step": RATIONALS,
+    "--param": st.sampled_from(["a", "b"]),
+    "--bound": st.sampled_from(["1", "3", "8", "0", "-1", "x"]),
+    "--point": st.sampled_from(["0,3/4", "1/2,1/5", "1/3,1/3", "1/0,1",
+                                "", "0"]),
+    "--format": st.sampled_from(["json", "xml"]),
+    "polytope": st.one_of(st.sampled_from(["p1xp1", "cp2"]), FILES),
+    "--monotone-variant": None, "--analyze-units": None}
+# What a command needs to do any work besides its scenario name: the
+# options without a default.
+NEEDED = {"probes": ["polytope", "--point"], "criterion": ["--vs"],
+          "sweep": ["--vs", "--from", "--to", "--step"]}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with mostly its own options, sometimes one it does not
+    declare, and usually exactly one scenario name."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    chosen = [flag for flag in NEEDED.get(command, [])
+              if draw(st.integers(0, 9)) < 9]
+    spellings = sorted(OPTIONS[command] & (SCENARIO_NAMES | {"FILE"}))
+    if spellings:
+        count = draw(st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2]))
+        chosen += draw(st.lists(st.sampled_from(spellings), min_size=count,
+                                max_size=count, unique=True))
+    rest = sorted((OPTIONS[command] & VALUES.keys()) - set(chosen)
+                  - set(spellings))
+    chosen += draw(st.lists(st.sampled_from(rest), max_size=4, unique=True))
+    if draw(st.integers(0, 4)) == 4:
+        chosen.append(draw(st.sampled_from(sorted(VALUES))))
+    argv = [command]
+    for flag in chosen:
+        value = VALUES[flag]
+        if flag in ("FILE", "polytope"):
+            argv.append(draw(value))
+        elif value is None:
+            argv.append(flag)
+        else:
+            argv += [flag, draw(value)]
+    return argv
+
+
+@settings(max_examples=500)
+@given(argv=argvs())
+def test_every_argv_ends_in_one_json_document(files, argv):
+    argv = [files.get(x, x) for x in argv]
+    out = io.StringIO()
+    code = cli.main(argv, out=out)
+    assert code in (0, 2, 3, 4), argv
+    document = json.loads(out.getvalue())
+    assert isinstance(document, dict), argv
+    assert ("error" in document) == (code != 0), argv

@@ -429,3 +429,77 @@ def test_error_document_layout(argv, code, kind):
     assert got == code
     assert text == json.dumps({"error": {"type": kind, "message": message}},
                               indent=2, sort_keys=True) + "\n"
+
+
+P1XP1_PAIR = ["--builtin", "p1xp1_ta:a=1/5", "--vs", "p1xp1_clifford",
+              "--ring", "Z/2"]
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    # a name that is no ring, as for --ring
+    (["criterion", *P1XP1_PAIR, "--field", "F4"], 2, "usage"),
+    # a ring that is not a prime field
+    (["criterion", *P1XP1_PAIR, "--field", "Q"], 3, "BadParams"),
+    (["invariant", "--builtin", "p1xp1_ta:a=1/5", "--ring", "Z/2",
+      "--field", "Z/2"], 3, "BadParams"),
+    # the builtins' subspaces lie over F2
+    (["criterion", *P1XP1_PAIR, "--field", "F3"], 3, "BadParams"),
+    (["sweep", *P1XP1_PAIR, "--field", "F3", "--from", "1/5", "--to",
+      "1/5", "--step", "1/5"], 3, "BadParams"),
+    # a side with no subspace, as criterion reports it
+    (["invariant", "--builtin", "cp2_ta:a=1/10", "--ring", "Z/8",
+      "--field", "F2"], 3, "ValidationError")])
+def test_field_is_parsed_and_checked(argv, code, kind):
+    assert _error(argv) == (code, kind)
+
+
+def test_field_mismatch_names_side_and_fields():
+    code, text = run(["criterion", *P1XP1_PAIR, "--field", "F3"])
+    assert json.loads(text)["error"]["message"] == (
+        "side That_a: its subspace lies over F2, not over --field F3")
+    code, text = run(["invariant", "--builtin", "cp2_ta:a=1/10",
+                      "--ring", "Z/8", "--field", "F2"])
+    assert json.loads(text)["error"]["message"] == (
+        "side T_a: subspace evaluation requested but no subspace is defined")
+
+
+def test_invariant_with_field_uses_the_subspace():
+    code, text = run(["invariant", "--builtin", "p1xp1_ta:a=1/5",
+                      "--ring", "Z/2", "--field", "F2"])
+    assert code == 0
+    assert json.loads(text)["options"]["subspaces"] is True
+
+
+@pytest.mark.parametrize("ring, value", [
+    ("Z/8", "1/2"), ("Z/8", "2"), ("Z", "1/2")])
+def test_non_unit_local_system_flag_is_a_validation_error(ring, value):
+    code, text = run(["invariant", "--builtin", "cp2_ta:a=1/10", "--ring",
+                      ring, "--local-system", f"dbeta={value},dalpha=1"])
+    assert code == 3
+    assert json.loads(text)["error"] == {
+        "type": "ValidationError",
+        "message": f"side T_a: local system value {value} for dbeta is not "
+                   f"a unit in {ring}"}
+
+
+@pytest.mark.parametrize("ring", ["Z/8", "Z"])
+def test_non_invertible_local_system_in_a_document(tmp_path, ring):
+    import floerdisk.scenario as scen
+    doc = scen.builtin_scenario("cp2_ta", {"a": "1/10"}).to_json_dict()
+    doc["sides"][0]["local_system"] = {"dbeta": "1/2", "dalpha": "1"}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    assert _error(["invariant", "--scenario", str(path), "--ring", ring]) == \
+        (3, "ValidationError")
+
+
+@pytest.mark.parametrize("data", [
+    b'{"vertices": [', b"\xff{}",
+    # valid JSON that nests past the parser's recursion limit
+    b"[" * 100_000 + b"]" * 100_000])
+@pytest.mark.parametrize("command", [["validate"],
+                                     ["probes", "--point", "0,1"]])
+def test_undecodable_files_are_schema_errors(tmp_path, command, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert _error([command[0], str(path), *command[1:]]) == (3, "SchemaError")
