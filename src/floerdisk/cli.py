@@ -11,6 +11,7 @@ error, 4 computation error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import os
 import sys
@@ -18,7 +19,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .criterion import evaluate_pair, gate_inputs, side_subspace
+from .criterion import (evaluate_pair, gate_inputs, gate_reason,
+                        side_subspace)
 from .errors import (BadParams, DimensionMismatch, FloerDiskError, SchemaError,
                      UnknownLabel, UnknownScenario, ValidationError)
 from .invariants import area_spectrum, oc_low
@@ -27,7 +29,8 @@ from .potential import (potential_from_ledger, residue_critical_points,
 from .probes import builtin_polytope, polytope_from_json, search_probes
 from .rings import PRIME_FIELD, Ring, parse_rational, rational_str
 from .scenario import (A_INTERVALS, AffineSubspace, BUILTIN_NAMES, Scenario,
-                       builtin_scenario, combine, decode_json, load_scenario)
+                       builtin_scenario, check_a, combine, decode_json,
+                       load_scenario)
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
@@ -116,11 +119,11 @@ def _check_field(sides, field: Ring | None) -> None:
 def _side_overrides(args, field: Ring | None) -> dict:
     """The --subspace / --local-system overrides of the first side."""
     overrides = {}
-    if args.subspace:
+    if args.subspace is not None:
         if field is None:
             raise BadParams("--subspace requires --field")
         overrides["subspace"] = _parse_subspace(args.subspace, field)
-    if args.local_system:
+    if args.local_system is not None:
         overrides["local_system"] = _parse_assignments(
             args.local_system, "local-system", parse_rational)
     return overrides
@@ -210,7 +213,7 @@ def _cmd_invariant(args, out):
                                      _side_overrides(args, field))
     side = scenario.sides[0]
     _check_field([side], field)
-    ring = Ring.parse(args.ring) if args.ring else scenario.ring
+    ring = scenario.ring if args.ring is None else Ring.parse(args.ring)
     subspace = side_subspace(side, field is not None)
     spectrum = area_spectrum(side)
     invariant = oc_low(side, ring, subspace=subspace)
@@ -234,13 +237,13 @@ def _cmd_criterion(args, out):
     field = _field(args)
     scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
                                      _side_overrides(args, field))
-    if args.vs:
+    if args.vs is not None:
         scenario = combine(scenario, _resolve_scenario(args.vs))
     if len(scenario.sides) < 2:
         raise BadParams("criterion needs two sides: give --vs or a "
                         "two-sided scenario")
     _check_field(scenario.sides, field)
-    ring = Ring.parse(args.ring) if args.ring else scenario.ring
+    ring = scenario.ring if args.ring is None else Ring.parse(args.ring)
     verdict = evaluate_pair(scenario, use_subspaces=field is not None,
                             monotone_variant=args.monotone_variant,
                             ring=ring)
@@ -267,37 +270,54 @@ def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list:
     return [start + i * step for i in range(count)]
 
 
-def _margin_root(inputs_at, low: Fraction, high: Fraction):
-    """The t in (low, high), as a string, such that for a in (low, high)
-    the area gate passes iff a < t; None when there is no such t.
+def _gate_lines(inputs_at, low: Fraction, high: Fraction):
+    """The gate inputs (a, b, A, B) as exact functions of the swept a on the
+    builtin's open interval (low, high); None when a sample fails.
 
-    Every gate input is affine in a on the builtin's open interval, so two
-    exact evaluations inside it fix each margin X(a) - (a + b), X in {A, B}.
-    Each margin falls as a grows: a + b holds the swept side's least area,
-    a itself, and no bound grows with a.  Any other margin gives None.
+    Every gate input is affine in a there (no two of the builtin's affine
+    quantities cross inside it), so two exact samples at its thirds fix it.
     """
     t1, t2 = low + (high - low) / 3, high - (high - low) / 3
     try:
-        (a1, b1, *bounds1, _), (a2, b2, *bounds2, _) = map(inputs_at, (t1, t2))
+        s1, s2 = (inputs_at(t)[:4] for t in (t1, t2))
     except FloerDiskError:
         return None
-    roots = []
-    for x1, x2 in zip(bounds1, bounds2):
-        if x1 is None:
+    return lambda a: tuple(None if x1 is None
+                           else x1 + (x2 - x1) * (a - t1) / (t2 - t1)
+                           for x1, x2 in zip(s1, s2))
+
+
+def _gate_breaks(lines, low: Fraction, high: Fraction) -> tuple:
+    """(threshold, roots) of the gate margins X(a) - (a + b), X in {A, B}.
+
+    roots: every point of (low, high) where a margin vanishes; between two
+    of them the gate outcome is constant.  threshold: the t in (low, high),
+    as a string, such that the gate passes iff a < t, or None.  It is the
+    least root when each margin falls as a grows (a + b holds the swept
+    side's least area, a itself, and no bound grows with a).
+    """
+    lo, hi = lines(low), lines(high)
+    roots, falls = [], True
+    for x_lo, x_hi in zip(lo[2:], hi[2:]):
+        if x_lo is None:
             continue
-        m1, m2 = x1 - a1 - b1, x2 - a2 - b2
-        if m2 >= m1:
-            return None
-        roots.append(t1 + m1 * (t2 - t1) / (m1 - m2))
-    t = min(roots, default=high)
-    return rational_str(t) if low < t < high else None
+        m_lo, m_hi = x_lo - lo[0] - lo[1], x_hi - hi[0] - hi[1]
+        falls = falls and m_hi < m_lo
+        if m_lo != m_hi:
+            roots.append(low + m_lo * (high - low) / (m_lo - m_hi))
+    t = min(roots, default=high) if falls else high
+    return (rational_str(t) if low < t < high else None,
+            sorted({r for r in roots if low < r < high}))
 
 
 def _cmd_sweep(args, out):
+    """The decision tree runs once per open chamber of a between the gate
+    margins' roots, at the chamber's first grid point, and once at each root
+    and at the closed top end; every other point is answered by lookup."""
     field = _field(args)
     if args.param != "a":
         raise BadParams("only the parameter 'a' can be swept")
-    if not args.vs:
+    if args.vs is None:
         raise BadParams("sweep needs the second side: give --vs")
     start = parse_rational(args.start)
     stop = parse_rational(args.stop)
@@ -308,8 +328,9 @@ def _cmd_sweep(args, out):
     if param_text:
         raise BadParams(f"the swept builtin {args.scenario!r} takes no "
                         f"parameters; --from, --to and --step set a")
-    ring = Ring.parse(args.ring) if args.ring else None
     grid = _sweep_grid(start, stop, step)
+    for a in grid:
+        check_a(name, a)
     overrides = _side_overrides(args, field)
     second = _resolve_scenario(args.vs)
 
@@ -317,44 +338,61 @@ def _cmd_sweep(args, out):
         return combine(_apply_side_overrides(builtin_scenario(name, {"a": a}),
                                              overrides), second)
 
-    points = []
+    last = scenario_at(grid[-1])
+    ring = last.ring if args.ring is None else Ring.parse(args.ring)
+    use_subspaces = field is not None
+    low, high, _ = A_INTERVALS[name]
+    lines = _gate_lines(
+        lambda t: gate_inputs(*scenario_at(t).sides, ring, use_subspaces,
+                              args.monotone_variant), low, high)
+    threshold, roots = (_gate_breaks(lines, low, high) if lines
+                        else (None, None))
+    verdicts, points = {}, []
     for a in grid:
-        scenario = scenario_at(a)
-        _check_field(scenario.sides, field)
-        ring = ring or scenario.ring
-        verdict = evaluate_pair(scenario, use_subspaces=field is not None,
-                                monotone_variant=args.monotone_variant,
-                                ring=ring)
+        chamber = (None if roots is None or a in roots or a == high
+                   else bisect.bisect(roots, a))
+        verdict = verdicts.get(chamber)
+        if verdict is None:
+            scenario = last if a == grid[-1] else scenario_at(a)
+            _check_field(scenario.sides, field)
+            verdict = evaluate_pair(scenario, use_subspaces=use_subspaces,
+                                    monotone_variant=args.monotone_variant,
+                                    ring=ring)
+            reason = verdict.reason or ""
+            if chamber is not None and not reason.startswith("area spectrum"):
+                verdicts[chamber] = verdict
+        else:
+            reason = verdict.reason or ""
+            if reason.startswith("area gate"):
+                reason = gate_reason(*lines(a))
         entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
         if verdict.theorem:
             entry["theorem"] = verdict.theorem
-        if verdict.reason:
-            entry["reason"] = verdict.reason
+        if reason:
+            entry["reason"] = reason
         points.append(entry)
     result = {"param": args.param, "points": points}
-    threshold = _margin_root(
-        lambda t: gate_inputs(*scenario_at(t).sides, ring, field is not None,
-                              args.monotone_variant),
-        *A_INTERVALS[name][:2])
     if threshold is not None:
         result["gate_threshold"] = threshold
         result["gate_passes_iff"] = f"a < {threshold}"
-    options = {"ring": ring.name, "subspaces": field is not None,
+    options = {"ring": ring.name, "subspaces": use_subspaces,
                "monotone_variant": args.monotone_variant,
                "from": rational_str(start), "to": rational_str(stop),
                "step": rational_str(step)}
-    _emit(_report("sweep", scenario, options, result), args.format, out)
+    _emit(_report("sweep", last, options, result), args.format, out)
     return 0
 
 
 def _cmd_potential(args, out):
     scenario = _resolve_scenario(args.scenario)
     side = scenario.sides[0]
-    ring = Ring.parse(args.residue_ring) if args.residue_ring else None
+    ring = (Ring.parse(args.residue_ring) if args.residue_ring is not None
+            else None)
     if ring is not None and not ring.is_finite:
         raise BadParams(f"--residue-ring {ring.name}: the residue search "
                         f"needs a finite ring")
-    hits = _parse_assignments(args.bulk, "bulk", int) if args.bulk else None
+    hits = (_parse_assignments(args.bulk, "bulk", int)
+            if args.bulk is not None else None)
     poly = potential_from_ledger(side, divisor_hits=hits)
     result = {"terms": poly.to_dicts()}
     if args.analyze_units:
@@ -406,7 +444,23 @@ def _cmd_builtin_list(args, out):
 
 # --- argument parsing -----------------------------------------------------------
 
+class _StoreOnce(argparse.Action):
+    """Store an option's value; an option given twice is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", None, _StoreOnce)
+        self.register("action", "store", _StoreOnce)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -415,10 +469,10 @@ class _UsageError(Exception):
     pass
 
 
-def _name(text: str) -> str:
-    """A scenario name or file; an empty one is a usage error."""
+def _value(text: str) -> str:
+    """An option value or scenario name; an empty one is a usage error."""
     if not text:
-        raise argparse.ArgumentTypeError("the name is empty")
+        raise argparse.ArgumentTypeError("the value is empty")
     return text
 
 
@@ -428,15 +482,20 @@ def _build_parser() -> _Parser:
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="json")
     coefficients = _Parser(add_help=False)
-    coefficients.add_argument("--ring", help="coefficient ring, e.g. Z/8")
+    coefficients.add_argument("--ring", type=_value,
+                              help="coefficient ring, e.g. Z/8")
     coefficients.add_argument(
-        "--field", help="prime field for subspace refinement, e.g. F2")
+        "--field", type=_value,
+        help="prime field for subspace refinement, e.g. F2")
     coefficients.add_argument(
-        "--subspace", help="override side 1 subspace: 'b1,b2;s1,s2|t1,t2'")
+        "--subspace", type=_value,
+        help="override side 1 subspace: 'b1,b2;s1,s2|t1,t2'")
     coefficients.add_argument(
-        "--local-system", help="override side 1 local system: 'gen=unit,...'")
+        "--local-system", type=_value,
+        help="override side 1 local system: 'gen=unit,...'")
     pair = _Parser(add_help=False)
-    pair.add_argument("--vs", help="second side: builtin ref or file")
+    pair.add_argument("--vs", type=_value,
+                      help="second side: builtin ref or file")
     pair.add_argument("--monotone-variant", action="store_true")
 
     parser = _Parser(prog="floerdisk")
@@ -454,11 +513,12 @@ def _build_parser() -> _Parser:
         names = p.add_mutually_exclusive_group(required=True)
         if file:
             names.add_argument("scenario", nargs="?", metavar="FILE",
-                               type=_name, default=argparse.SUPPRESS,
+                               type=_value, default=argparse.SUPPRESS,
                                help="scenario file (same as --scenario)")
-        names.add_argument("--builtin", dest="scenario", type=_name,
+        names.add_argument("--builtin", dest="scenario", type=_value,
                            help="builtin name, optionally name:a=1/10")
-        names.add_argument("--scenario", type=_name, help="scenario JSON file")
+        names.add_argument("--scenario", type=_value,
+                           help="scenario JSON file")
         return p
 
     command("validate", _cmd_validate, file=True)
@@ -470,9 +530,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="stop", required=True)
     p.add_argument("--step", required=True)
     p = command("potential", _cmd_potential)
-    p.add_argument("--bulk", help="divisor hits per disk label: 'b=1'")
+    p.add_argument("--bulk", type=_value,
+                   help="divisor hits per disk label: 'b=1'")
     p.add_argument("--analyze-units", action="store_true")
-    p.add_argument("--residue-ring",
+    p.add_argument("--residue-ring", type=_value,
                    help="finite ring for the truncated-level critical search")
     p = command("probes", _cmd_probes, scenario=False)
     p.add_argument("polytope", help="polytope JSON file, or 'p1xp1' / 'cp2'")
@@ -495,14 +556,16 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = _PARSER.parse_args(argv)
+        if args.version:
+            if args.command is not None:
+                raise _UsageError("--version takes no subcommand")
+            out.write(__version__ + "\n")
+            return 0
         if args.command is None:
-            if args.version:
-                out.write(__version__ + "\n")
-                return 0
             raise _UsageError("a subcommand is required")
         # the coefficient ring and the subspace field are independent
         # choices; subspace mode therefore wants both spelled out
-        if getattr(args, "field", None) is not None and not args.ring:
+        if getattr(args, "field", None) is not None and args.ring is None:
             raise _UsageError("--field requires an explicit --ring")
         return args.run(args, out)
     except (_UsageError, ValueError) as exc:

@@ -67,13 +67,21 @@ class Verdict:
         return out
 
 
+def gate_reason(a, b, big_a, big_b) -> str | None:
+    """Why the strict gate a + b < min(A, B) fails, or None when it passes;
+    None plays the role of infinity."""
+    total = Fraction(a) + Fraction(b)
+    bounds = [x for x in (big_a, big_b) if x is not None]
+    if not bounds or total < min(bounds):
+        return None
+    if total == min(bounds):
+        return f"area gate boundary: a+b = {_fmt(total)} equals min(A,B)"
+    return f"area gate: a+b = {_fmt(total)} >= min(A,B) = {_fmt(min(bounds))}"
+
+
 def area_gate(a, b, big_a, big_b) -> bool:
     """Strict inequality a + b < min(A, B); None plays the role of infinity."""
-    total = Fraction(a) + Fraction(b)
-    for bound in (big_a, big_b):
-        if bound is not None and total >= bound:
-            return False
-    return True
+    return gate_reason(a, b, big_a, big_b) is None
 
 
 def gate_inputs(left, right, ring: Ring, use_subspaces: bool = False,
@@ -174,21 +182,14 @@ def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
         record("cancellation_threshold", {"side": side, "ring": ring.name},
                _describe_threshold(result))
 
-    gate = area_gate(a, b, big_a, big_b)
+    reason = gate_reason(a, b, big_a, big_b)
     record("area_gate",
            {"a": _fmt(a), "b": _fmt(b), "A": _fmt(big_a), "B": _fmt(big_b)},
-           "pass" if gate else "fail")
-    if not gate:
-        bounds = [x for x in (big_a, big_b) if x is not None]
-        min_bound = min(bounds) if bounds else None
-        if min_bound is not None and a + b == min_bound:
+           "fail" if reason else "pass")
+    if reason:
+        if reason.startswith("area gate boundary"):
             notes.append("boundary case a+b = min(A,B): the strict gate "
                          "fails; a continuity argument may still apply")
-            reason = (f"area gate boundary: a+b = {_fmt(a + b)} equals "
-                      f"min(A,B)")
-        else:
-            reason = (f"area gate: a+b = {_fmt(a + b)} >= min(A,B) = "
-                      f"{_fmt(min_bound)}")
         return Verdict(INCONCLUSIVE, reason=reason, audit=audit, notes=notes)
 
     # ambiguity of the lift must not be able to change the outcome

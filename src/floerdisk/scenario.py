@@ -712,6 +712,14 @@ def _make_side(entry: _Builtin, template: LagrangianSide,
                    lattice_params=None if top else entry.lattice)
 
 
+def check_a(name: str, a: Fraction) -> None:
+    """BadParams unless a lies in the parametric builtin's A_INTERVALS row."""
+    low, high, top_allowed = A_INTERVALS[name]
+    if not (low < a < high or (top_allowed and a == high)):
+        bracket = "]" if top_allowed else ")"
+        raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
+
+
 def builtin_scenario(name: str, params=None) -> Scenario:
     """Construct one of the built-in scenarios by name.
 
@@ -729,10 +737,7 @@ def builtin_scenario(name: str, params=None) -> Scenario:
         raise BadParams("this scenario needs the exact rational parameter a")
     a = Fraction(a)
     if name in A_INTERVALS:
-        low, high, top_allowed = A_INTERVALS[name]
-        if not (low < a < high or (top_allowed and a == high)):
-            bracket = "]" if top_allowed else ")"
-            raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
+        check_a(name, a)
     h2x, form, ring, template = _topology(name)
     return Scenario(h2x, form, (_make_side(_TABLE[name], template, a),), ring)
 

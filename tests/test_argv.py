@@ -87,6 +87,49 @@ def test_not_exactly_one_scenario_name_is_a_usage_error(argv):
     assert json.loads(out.getvalue())["error"]["type"] == "usage"
 
 
+# Options whose empty value is a usage error, as an empty scenario name is.
+NONEMPTY = {"--builtin", "--scenario", "--vs", "--ring", "--field",
+            "--subspace", "--local-system", "--bulk", "--residue-ring"}
+CP2 = ["--builtin", "cp2_ta:a=1/10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", *CP2, "--ring", ""],
+    ["invariant", *CP2, "--ring", "Z/8", "--field", ""],
+    ["invariant", *CP2, "--ring", "Z/2", "--field", "F2", "--subspace", ""],
+    ["invariant", *CP2, "--ring", "Z/8", "--local-system", ""],
+    ["criterion", *CP2, "--ring", "Z/8", "--vs", ""],
+    ["sweep", "--builtin", "cp2_ta", "--vs", "", "--from", "1/10", "--to",
+     "1/5", "--step", "1/10"],
+    ["potential", *CP2, "--bulk", ""],
+    ["potential", *CP2, "--residue-ring", ""],
+    ["invariant", *CP2, "--builtin", "cp2_ta:a=1/5"],
+    ["validate", "--scenario", "x.json", "--scenario", "y.json"],
+    ["invariant", *CP2, "--ring", "Z/8", "--ring", "Z/4"],
+    ["criterion", *CP2, "--vs", "cp2_clifford", "--vs", "cp2_clifford"],
+    ["potential", *CP2, "--bulk", "b=1", "--bulk", "b=2"],
+    ["probes", "p1xp1", "--point", "0,3/4", "--bound", "3", "--bound", "4"],
+    ["--version", "builtin-list"],
+    ["--version", "invariant", *CP2]])
+def test_empty_or_repeated_values_are_usage_errors(argv):
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == 2
+    assert json.loads(out.getvalue())["error"]["type"] == "usage"
+
+
+def usage_by_construction(argv) -> bool:
+    """Does the argv give --version with a subcommand, an empty value to an
+    option of NONEMPTY, or a value option twice?"""
+    if argv[0] == "--version":
+        return True
+    if any(flag in NONEMPTY and value == ""
+           for flag, value in zip(argv, argv[1:])):
+        return True
+    options = [x for x in argv
+               if x.startswith("--") and VALUES.get(x) is not None]
+    return len(options) != len(set(options))
+
+
 def test_entry_point_exit_status():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -141,7 +184,7 @@ VALUES = {
     "--local-system": st.sampled_from(
         ["dbeta=1,dalpha=3", "dbeta=1/2,dalpha=1", "dbeta=2,dalpha=1",
          "dalpha=-1,dbeta=1", "dbeta", "dbeta=1,dbeta=1", ""]),
-    "--bulk": st.sampled_from(["b=1", "zz=1", "b=1/2", "b", "b=1,b=2"]),
+    "--bulk": st.sampled_from(["b=1", "zz=1", "b=1/2", "b", "b=1,b=2", ""]),
     "--from": RATIONALS, "--to": RATIONALS, "--step": RATIONALS,
     "--param": st.sampled_from(["a", "b"]),
     "--bound": st.sampled_from(["1", "3", "8", "0", "-1", "x"]),
@@ -159,7 +202,8 @@ NEEDED = {"probes": ["polytope", "--point"], "criterion": ["--vs"],
 @st.composite
 def argvs(draw):
     """A subcommand with mostly its own options, sometimes one it does not
-    declare, and usually exactly one scenario name."""
+    declare or one given twice, and usually exactly one scenario name;
+    now and then --version before it."""
     command = draw(st.sampled_from(sorted(OPTIONS)))
     chosen = [flag for flag in NEEDED.get(command, [])
               if draw(st.integers(0, 9)) < 9]
@@ -173,7 +217,12 @@ def argvs(draw):
     chosen += draw(st.lists(st.sampled_from(rest), max_size=4, unique=True))
     if draw(st.integers(0, 4)) == 4:
         chosen.append(draw(st.sampled_from(sorted(VALUES))))
-    argv = [command]
+    given = [flag for flag in chosen if flag.startswith("--")
+             and VALUES[flag] is not None]
+    if given and draw(st.integers(0, 9)) == 9:
+        chosen.append(draw(st.sampled_from(given)))
+    argv = ["--version"] if draw(st.integers(0, 29)) == 29 else []
+    argv.append(command)
     for flag in chosen:
         value = VALUES[flag]
         if flag in ("FILE", "polytope"):
@@ -195,3 +244,5 @@ def test_every_argv_ends_in_one_json_document(files, argv):
     document = json.loads(out.getvalue())
     assert isinstance(document, dict), argv
     assert ("error" in document) == (code != 0), argv
+    if usage_by_construction(argv):
+        assert code == 2, argv

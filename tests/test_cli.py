@@ -294,6 +294,30 @@ def test_sweep_grid_edges(monkeypatch):
     assert _error(SWEEP + grid + ["--step", "1/30"]) == (3, "BadParams")
 
 
+@pytest.mark.parametrize("swept, grid, message", [
+    ("cp2_ta", ["--from", "0", "--to", "1/5", "--step", "1/10"],
+     "a = 0 outside (0, 1/3]"),
+    ("cp2_ta", ["--from", "1/10", "--to", "2/5", "--step", "1/10"],
+     "a = 2/5 outside (0, 1/3]"),
+    ("cp2_ta", ["--from", "1/12", "--to", "1/2", "--step", "1/12"],
+     "a = 5/12 outside (0, 1/3]"),
+    ("bl3_ta", ["--from", "1/4", "--to", "1/2", "--step", "1/4"],
+     "a = 1/2 outside (0, 1/2)")])
+def test_sweep_grid_leaving_the_interval(monkeypatch, swept, grid, message):
+    # the first grid point out of range is named before any evaluation
+    calls = []
+    monkeypatch.setattr("floerdisk.cli.evaluate_pair",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr("floerdisk.cli.gate_inputs",
+                        lambda *args, **kwargs: calls.append(args))
+    code, text = run(["sweep", "--builtin", swept, "--vs",
+                      swept.replace("_ta", "_clifford"), "--ring", "Z/8",
+                      *grid])
+    assert (code, json.loads(text)) == \
+        (3, {"error": {"type": "BadParams", "message": message}})
+    assert calls == []
+
+
 @pytest.mark.parametrize("local_system, value", [
     (None, "4*H"), ("dbeta=1,dalpha=3", "0"), ("dbeta=1,dalpha=5", "4*H")])
 def test_local_system_override(local_system, value):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import floerdisk.invariants as invariants
 from floerdisk.abelian import FgAbelianGroup, kernel_basis, solve_linear
 from floerdisk.errors import FloerDiskError
 from floerdisk.invariants import (_in_ambiguity_coset,
@@ -136,6 +137,25 @@ def test_oc_low_matches_old_path_on_builtins(name, side):
                 got = type(exc).__name__
             assert got == oracle_oc_low(side, ring, subspace), \
                 (name, ring.name, subspace)
+
+
+def test_kernel_inside_ambiguity_once_per_topology(monkeypatch):
+    sides = [side for _, side in _builtin_sides()]
+    invariants._kernel_inside.cache_clear()
+    for side in sides:
+        for ring in RINGS:
+            assert _kernel_inside_ambiguity(side, ring) == \
+                oracle_kernel_inside_ambiguity(side, ring), (side.name, ring)
+    # a second pass, on copies with another ledger, reads the cache only
+    calls = []
+    monkeypatch.setattr(invariants, "kernel_basis",
+                        lambda *args: calls.append(args))
+    for side in sides:
+        rebuilt = replace(side, ledger=replace(side.ledger, disks=()))
+        for ring in RINGS:
+            assert _kernel_inside_ambiguity(rebuilt, ring) == \
+                oracle_kernel_inside_ambiguity(side, ring)
+    assert calls == []
 
 
 def _weighted_levels(side, ring, subspace):

@@ -1,5 +1,7 @@
 """Sweeps: the exact gate threshold from affine margins, its agreement with
-every grid point, and how often a sweep validates a side."""
+every grid point, the chamber walk against the per-point sweep, the affine
+premise it rests on, and how often a sweep validates a side or runs the
+decision tree."""
 
 import io
 import json
@@ -7,7 +9,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import floerdisk.cli as cli
 import floerdisk.scenario as scenario_module
 from floerdisk.cli import main
 from floerdisk.criterion import area_gate, gate_inputs
@@ -15,7 +19,7 @@ from floerdisk.errors import FloerDiskError, ValidationError
 from floerdisk.rings import Ring
 from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, Scenario,
                                 builtin_scenario, combine)
-from oracles import oracle_gate_threshold
+from oracles import oracle_gate_threshold, oracle_sweep
 
 F = Fraction
 
@@ -222,10 +226,226 @@ def test_replaced_side_is_validated_again(validations):
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_sweep_validates_each_side_once(validations, n):
-    # n swept builds, the --vs side once, and the two builds that fix the
-    # gate margins: n + 3 calls, where re-validating every side made 4n + 12
+    # one swept build per chamber of a the grid meets (the root 1/9 splits
+    # 1/20..6/20 into two) and one for the last point, the --vs side once,
+    # and the two builds that fix the gate margins; re-validating every side
+    # at every point made 4n + 12 calls, and one build per point n + 3
+    builds = {1: 1, 6: 3}[n]
     code, report = run(sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
                                   "1/20", F(n, 20), "1/20"))
     assert code == 0
     assert len(report["result"]["points"]) == n
-    assert len(validations) == n + 3
+    assert len(validations) == builds + 3
+
+
+# --- the chamber walk against the per-point sweep -----------------------------
+
+def oracle_text(argv):
+    """What the per-point sweep prints for the argv: its report, or the
+    error document of what it raises."""
+    try:
+        document = oracle_sweep(cli._PARSER.parse_args(argv))
+    except FloerDiskError as exc:
+        document = {"error": {"type": type(exc).__name__,
+                              "message": str(exc)}}
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def main_text(argv):
+    out = io.StringIO()
+    main(argv, out=out)
+    return out.getvalue()
+
+
+def grids(name):
+    """Steps 1/36, 1/20 and 1/60 over the builtin's interval, below 1, each
+    up to the closed top end where there is one.  They land on 1/9 (1/36),
+    1/4 (all three), 2/5 (1/20, 1/60) and the tops 1/3 and 1/2."""
+    low, high, top = A_INTERVALS[name]
+    for d in (36, 20, 60):
+        inside = [F(k, d) for k in range(1, d + 1)
+                  if low < F(k, d) < min(high, 1) or top and F(k, d) == high]
+        yield inside[0], inside[-1], F(1, d)
+
+
+@pytest.mark.parametrize("name, second", SWEEP_PAIRS)
+def test_chamber_walk_matches_per_point_sweep(name, second):
+    for flags in FLAG_SETS:
+        for grid in grids(name):
+            argv = sweep_argv(name, second, flags, *grid)
+            assert main_text(argv) == oracle_text(argv), argv
+
+
+OVERRIDES = [
+    ("p1xp1_ta", "p1xp1_clifford",
+     ["--ring", "Z/2", "--field", "F2", "--subspace", "0,0;0,1"]),
+    ("p1xp1_ta", "p1xp1_clifford",
+     ["--ring", "Z/2", "--field", "F2", "--subspace", "1,0;1,0"]),
+    ("p1xp1_ta", "p1xp1_clifford", ["--ring", "Z/4", "--field", "F2",
+                                    "--subspace", "1,1;",
+                                    "--monotone-variant"]),
+    ("cp2_ta", "cp2_clifford", ["--ring", "Z/8", "--local-system",
+                                "dbeta=1,dalpha=3"]),
+    ("cp2_ta", "cp2_clifford", ["--ring", "Z/8", "--local-system",
+                                "dbeta=1,dalpha=5", "--monotone-variant"]),
+    ("cp2_ta", "cp2_ta:a=1/5", ["--ring", "Q", "--local-system",
+                                "dbeta=1,dalpha=-1"]),
+    ("bl3_ta", "bl3_clifford", ["--ring", "Z/2", "--field", "F2",
+                                "--subspace", "0,0;0,1",
+                                "--monotone-variant"]),
+]
+
+
+@pytest.mark.parametrize("name, second, flags", OVERRIDES)
+def test_chamber_walk_matches_per_point_sweep_with_overrides(name, second,
+                                                             flags):
+    for grid in grids(name):
+        argv = sweep_argv(name, second, flags, *grid)
+        assert main_text(argv) == oracle_text(argv), argv
+
+
+def test_chamber_walk_on_a_monotone_swept_side(tmp_path):
+    # the file-based side K of test_monotone_swept_side_threshold: the swept
+    # ts2_la side is the monotone one and b = a moves
+    doc = builtin_scenario("ts2_la", {"a": F(1, 10)}).to_json_dict()
+    side = doc["sides"][0]
+    side.update(name="K", monotone=False)
+    side.pop("b")
+    side["ledger"]["complete_below"] = "1/2"
+    path = tmp_path / "K.json"
+    path.write_text(json.dumps(doc))
+    for flags in FLAG_SETS:
+        for start, stop, step in (("1/10", "1/2", "1/10"),
+                                  ("1/60", "59/60", "1/60"),
+                                  ("2/5", "2/5", "1/7")):
+            argv = sweep_argv("ts2_la", str(path), flags, start, stop, step)
+            assert main_text(argv) == oracle_text(argv), argv
+
+
+@st.composite
+def random_sweeps(draw):
+    """A pair, a flag set and a grid of up to 25 points of step 1/d inside
+    the swept builtin's interval (up to 3 for ts2_la and trp2_la)."""
+    name, second = draw(st.sampled_from(SWEEP_PAIRS))
+    flags = draw(st.sampled_from(FLAG_SETS))
+    low, high, top = A_INTERVALS[name]
+    high = min(high, 3)
+    d = draw(st.integers(3, 90))
+    ks = [k for k in range(1, int(high * d) + 1)
+          if low < F(k, d) < high or top and F(k, d) == high]
+    first = draw(st.integers(0, len(ks) - 1))
+    stride = draw(st.integers(1, 3))
+    last = draw(st.integers(first, min(len(ks) - 1, first + 24 * stride)))
+    start, stop = F(ks[first], d), F(ks[last], d)
+    return sweep_argv(name, second, flags, start, stop,
+                      F(stride, d) if start != stop else F(1, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=random_sweeps())
+def test_chamber_walk_matches_per_point_sweep_on_random_grids(argv):
+    assert main_text(argv) == oracle_text(argv)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    calls = []
+    original = cli.evaluate_pair
+
+    def counted(scenario, *args, **kwargs):
+        calls.append(scenario.sides[0].ledger.disks[0].area)
+        return original(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_pair", counted)
+    return calls
+
+
+def test_sweep_runs_the_tree_once_per_chamber(evaluations):
+    # 20 points: the open chambers (0, 1/9) and (1/9, 1/3), then the
+    # closed top end 1/3 on its own
+    argv = sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
+                      "1/60", "1/3", "1/60")
+    text = main_text(argv)
+    assert len(json.loads(text)["result"]["points"]) == 20
+    assert evaluations == [F(1, 60), F(7, 60), F(1, 3)]
+    assert text == oracle_text(argv)
+
+
+def test_sweep_evaluates_a_root_on_the_grid(evaluations):
+    # 1/4 is the p1xp1 root: it is evaluated on its own, between the
+    # chambers on either side
+    code, report = run(sweep_argv("p1xp1_ta", "p1xp1_clifford",
+                                  ["--ring", "Z/2", "--field", "F2"],
+                                  "1/20", "9/20", "1/20"))
+    assert code == 0
+    assert evaluations == [F(1, 20), F(1, 4), F(3, 10)]
+    assert report["result"]["points"][4]["reason"].startswith(
+        "area gate boundary")
+
+
+def test_a_chamber_without_an_area_spectrum_is_evaluated_point_by_point(
+        monkeypatch, evaluations):
+    # Step 3's gate inputs made to fail above the root 1/9, with a message
+    # that names a: every point of that chamber is evaluated on its own.
+    # The sweep's own two samples read cli.gate_inputs and still succeed.
+    import floerdisk.criterion as criterion
+    from floerdisk.errors import HypothesisViolated
+    from floerdisk.invariants import least_area
+    original = criterion.gate_inputs
+
+    def failing(left, right, *args):
+        if least_area(left) > F(1, 9):
+            raise HypothesisViolated(f"a = {least_area(left)} is too large")
+        return original(left, right, *args)
+
+    monkeypatch.setattr(criterion, "gate_inputs", failing)
+    argv = sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
+                      "1/60", "19/60", "1/60")
+    points = json.loads(main_text(argv))["result"]["points"]
+    assert evaluations == [F(1, 60)] + [F(k, 60) for k in range(7, 20)]
+    # the per-point sweep's threshold reads the failing inputs: points only
+    assert points == json.loads(oracle_text(argv))["result"]["points"]
+    assert points[-1]["reason"] == \
+        "area spectrum unavailable: a = 19/60 is too large"
+
+
+def test_failed_samples_fall_back_to_every_point(monkeypatch, evaluations):
+    from floerdisk.errors import InsufficientLedger
+
+    def failing(*args):
+        raise InsufficientLedger("no sample")
+
+    argv = sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
+                      "1/60", "1/3", "1/60")
+    expected = json.loads(oracle_text(argv))["result"]
+    monkeypatch.setattr(cli, "gate_inputs", failing)
+    result = json.loads(main_text(argv))["result"]
+    assert evaluations == [F(k, 60) for k in range(1, 21)]
+    assert result["points"] == expected["points"]
+    assert "gate_threshold" not in result
+
+
+def _affine_quantities(entry):
+    """The builtin's affine quantities (c0, c1), meaning c0 + c1*a: its disk
+    areas, cutoff, monotonicity constant and progression bound
+    a + (1 - k*a)/N."""
+    quantities = {tuple(map(F, area)) for *_, area in entry.disks}
+    quantities |= {tuple(map(F, q)) for q in (entry.cutoff, entry.constant)
+                   if q is not None}
+    if entry.lattice is not None:
+        k, n = entry.lattice
+        quantities.add((F(1, n), 1 - F(k, n)))
+    return sorted(quantities)
+
+
+@pytest.mark.parametrize("name", sorted(A_INTERVALS))
+def test_no_two_affine_quantities_cross_inside_the_interval(name):
+    # The chamber walk reuses one verdict across an open chamber: that is
+    # sound only if no two of these quantities meet strictly inside.
+    low, high, _ = A_INTERVALS[name]
+    quantities = _affine_quantities(scenario_module._TABLE[name])
+    for i, (p0, p1) in enumerate(quantities):
+        for q0, q1 in quantities[i + 1:]:
+            if p1 != q1:
+                root = (q0 - p0) / (p1 - q1)
+                assert not low < root < high, (name, (p0, p1), (q0, q1))
