@@ -328,18 +328,19 @@ def _cmd_sweep(args, out):
     if param_text:
         raise BadParams(f"the swept builtin {args.scenario!r} takes no "
                         f"parameters; --from, --to and --step set a")
+    ring = Ring.parse(args.ring) if args.ring is not None else None
     grid = _sweep_grid(start, stop, step)
-    for a in grid:
-        check_a(name, a)
     overrides = _side_overrides(args, field)
     second = _resolve_scenario(args.vs)
+    for a in grid:
+        check_a(name, a)
 
     def scenario_at(a: Fraction) -> Scenario:
         return combine(_apply_side_overrides(builtin_scenario(name, {"a": a}),
                                              overrides), second)
 
     last = scenario_at(grid[-1])
-    ring = last.ring if args.ring is None else Ring.parse(args.ring)
+    ring = ring or last.ring
     use_subspaces = field is not None
     low, high, _ = A_INTERVALS[name]
     lines = _gate_lines(
@@ -347,24 +348,25 @@ def _cmd_sweep(args, out):
                               args.monotone_variant), low, high)
     threshold, roots = (_gate_breaks(lines, low, high) if lines
                         else (None, None))
+    # chamber -> (its verdict, whether its reason is the gate's at its point)
     verdicts, points = {}, []
     for a in grid:
         chamber = (None if roots is None or a in roots or a == high
                    else bisect.bisect(roots, a))
-        verdict = verdicts.get(chamber)
-        if verdict is None:
+        if chamber in verdicts:
+            verdict, gated = verdicts[chamber]
+            reason = gate_reason(*lines(a)) if gated else verdict.reason
+        else:
             scenario = last if a == grid[-1] else scenario_at(a)
             _check_field(scenario.sides, field)
             verdict = evaluate_pair(scenario, use_subspaces=use_subspaces,
                                     monotone_variant=args.monotone_variant,
                                     ring=ring)
-            reason = verdict.reason or ""
-            if chamber is not None and not reason.startswith("area spectrum"):
-                verdicts[chamber] = verdict
-        else:
-            reason = verdict.reason or ""
-            if reason.startswith("area gate"):
-                reason = gate_reason(*lines(a))
+            reason = verdict.reason
+            if (chamber is not None
+                    and verdict.audit[-1]["check"] != "area_spectrum"):
+                gated = reason is not None and reason == gate_reason(*lines(a))
+                verdicts[chamber] = verdict, gated
         entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
         if verdict.theorem:
             entry["theorem"] = verdict.theorem

@@ -187,7 +187,7 @@ def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
            {"a": _fmt(a), "b": _fmt(b), "A": _fmt(big_a), "B": _fmt(big_b)},
            "fail" if reason else "pass")
     if reason:
-        if reason.startswith("area gate boundary"):
+        if a + b == min(x for x in (big_a, big_b) if x is not None):
             notes.append("boundary case a+b = min(A,B): the strict gate "
                          "fails; a continuity argument may still apply")
         return Verdict(INCONCLUSIVE, reason=reason, audit=audit, notes=notes)

@@ -12,9 +12,7 @@ matrices after it) share the Smith normal form with the library, and
 oracle_oc_low and oracle_cancellation_threshold also its unchanged helpers
 for areas, weights and H1 zero tests.
 oracle_gate_threshold, the old sampled sweep threshold, reads the library's
-area and cancellation functions but not its gate inputs.  oracle_sweep, the
-per-point sweep, shares the CLI's option helpers, evaluate_pair and
-gate_inputs, but not the chamber walk.
+area and cancellation functions but not its gate inputs.
 oracle_builtin_scenario and oracle_sphere_pair, the hand-written builtin
 builders, share the scenario data model and its validation.
 """
@@ -524,93 +522,6 @@ def oracle_gate_threshold(scenario_at, ring, use_subspaces, monotone_variant):
     if intercept + slope * a3 != big3 or slope == 1:
         return None
     return rational_str((intercept - b) / (1 - slope))
-
-
-def _oracle_margin_root(inputs_at, low, high):
-    """The sweep's gate threshold as the per-point sweep found it: the least
-    root in (low, high) of the margins X(a) - (a + b), X in {A, B}, sampled
-    at the interval's thirds, or None when a sample fails, a margin does not
-    fall, or the root lies outside."""
-    from floerdisk.errors import FloerDiskError
-    from floerdisk.rings import rational_str
-
-    t1, t2 = low + (high - low) / 3, high - (high - low) / 3
-    try:
-        (a1, b1, *bounds1, _), (a2, b2, *bounds2, _) = map(inputs_at, (t1, t2))
-    except FloerDiskError:
-        return None
-    roots = []
-    for x1, x2 in zip(bounds1, bounds2):
-        if x1 is None:
-            continue
-        m1, m2 = x1 - a1 - b1, x2 - a2 - b2
-        if m2 >= m1:
-            return None
-        roots.append(t1 + m1 * (t2 - t1) / (m1 - m2))
-    t = min(roots, default=high)
-    return rational_str(t) if low < t < high else None
-
-
-def oracle_sweep(args):
-    """The per-point sweep: every grid point builds the pair and runs the
-    whole decision tree.  Takes the parsed `sweep` argv and returns the
-    report that `cli.main` prints, raising what the sweep raises.  It shares
-    the CLI's option helpers and report layout."""
-    from floerdisk import cli
-    from floerdisk.criterion import evaluate_pair, gate_inputs
-    from floerdisk.rings import parse_rational, rational_str
-    from floerdisk.scenario import A_INTERVALS, builtin_scenario, combine
-
-    field = cli._field(args)
-    if args.param != "a":
-        raise BadParams("only the parameter 'a' can be swept")
-    if not args.vs:
-        raise BadParams("sweep needs the second side: give --vs")
-    start = parse_rational(args.start)
-    stop = parse_rational(args.stop)
-    step = parse_rational(args.step)
-    name, _, param_text = args.scenario.partition(":")
-    if name not in A_INTERVALS:
-        raise BadParams("sweeps need a parametric builtin for the swept side")
-    if param_text:
-        raise BadParams(f"the swept builtin {args.scenario!r} takes no "
-                        f"parameters; --from, --to and --step set a")
-    ring = Ring.parse(args.ring) if args.ring else None
-    grid = cli._sweep_grid(start, stop, step)
-    overrides = cli._side_overrides(args, field)
-    second = cli._resolve_scenario(args.vs)
-
-    def scenario_at(a):
-        return combine(cli._apply_side_overrides(
-            builtin_scenario(name, {"a": a}), overrides), second)
-
-    points = []
-    for a in grid:
-        scenario = scenario_at(a)
-        cli._check_field(scenario.sides, field)
-        ring = ring or scenario.ring
-        verdict = evaluate_pair(scenario, use_subspaces=field is not None,
-                                monotone_variant=args.monotone_variant,
-                                ring=ring)
-        entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
-        if verdict.theorem:
-            entry["theorem"] = verdict.theorem
-        if verdict.reason:
-            entry["reason"] = verdict.reason
-        points.append(entry)
-    result = {"param": args.param, "points": points}
-    threshold = _oracle_margin_root(
-        lambda t: gate_inputs(*scenario_at(t).sides, ring, field is not None,
-                              args.monotone_variant),
-        *A_INTERVALS[name][:2])
-    if threshold is not None:
-        result["gate_threshold"] = threshold
-        result["gate_passes_iff"] = f"a < {threshold}"
-    options = {"ring": ring.name, "subspaces": field is not None,
-               "monotone_variant": args.monotone_variant,
-               "from": rational_str(start), "to": rational_str(stop),
-               "step": rational_str(step)}
-    return cli._report("sweep", scenario, options, result)
 
 
 # --- builtins, one hand-written builder each ------------------------------

@@ -14,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 import floerdisk.cli as cli
 import floerdisk.scenario as scenario_module
 from floerdisk.cli import main
-from floerdisk.criterion import area_gate, gate_inputs
-from floerdisk.errors import FloerDiskError, ValidationError
-from floerdisk.rings import Ring
+from floerdisk.criterion import area_gate, evaluate_pair, gate_inputs
+from floerdisk.errors import BadParams, FloerDiskError, ValidationError
+from floerdisk.rings import Ring, parse_rational, rational_str
 from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, Scenario,
                                 builtin_scenario, combine)
-from oracles import oracle_gate_threshold, oracle_sweep
+from oracles import oracle_gate_threshold
 
 F = Fraction
 
@@ -240,12 +240,93 @@ def test_sweep_validates_each_side_once(validations, n):
 
 # --- the chamber walk against the per-point sweep -----------------------------
 
+def oracle_margin_root(inputs_at, low, high):
+    """The sweep's gate threshold as the per-point sweep found it: the least
+    root in (low, high) of the margins X(a) - (a + b), X in {A, B}, sampled
+    at the interval's thirds, or None when a sample fails, a margin does not
+    fall, or the root lies outside."""
+    t1, t2 = low + (high - low) / 3, high - (high - low) / 3
+    try:
+        (a1, b1, *bounds1, _), (a2, b2, *bounds2, _) = map(inputs_at, (t1, t2))
+    except FloerDiskError:
+        return None
+    roots = []
+    for x1, x2 in zip(bounds1, bounds2):
+        if x1 is None:
+            continue
+        m1, m2 = x1 - a1 - b1, x2 - a2 - b2
+        if m2 >= m1:
+            return None
+        roots.append(t1 + m1 * (t2 - t1) / (m1 - m2))
+    t = min(roots, default=high)
+    return rational_str(t) if low < t < high else None
+
+
+def oracle_sweep(args):
+    """The per-point sweep: every grid point builds the pair and runs the
+    whole decision tree.  Takes the parsed `sweep` argv and returns the
+    report that `cli.main` prints, raising what the sweep raises.  It shares
+    the CLI's option helpers and report layout."""
+    field = cli._field(args)
+    if args.param != "a":
+        raise BadParams("only the parameter 'a' can be swept")
+    if not args.vs:
+        raise BadParams("sweep needs the second side: give --vs")
+    start = parse_rational(args.start)
+    stop = parse_rational(args.stop)
+    step = parse_rational(args.step)
+    name, _, param_text = args.scenario.partition(":")
+    if name not in A_INTERVALS:
+        raise BadParams("sweeps need a parametric builtin for the swept side")
+    if param_text:
+        raise BadParams(f"the swept builtin {args.scenario!r} takes no "
+                        f"parameters; --from, --to and --step set a")
+    ring = Ring.parse(args.ring) if args.ring else None
+    grid = cli._sweep_grid(start, stop, step)
+    overrides = cli._side_overrides(args, field)
+    second = cli._resolve_scenario(args.vs)
+
+    def scenario_at(a):
+        return combine(cli._apply_side_overrides(
+            builtin_scenario(name, {"a": a}), overrides), second)
+
+    points = []
+    for a in grid:
+        scenario = scenario_at(a)
+        cli._check_field(scenario.sides, field)
+        ring = ring or scenario.ring
+        verdict = evaluate_pair(scenario, use_subspaces=field is not None,
+                                monotone_variant=args.monotone_variant,
+                                ring=ring)
+        entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
+        if verdict.theorem:
+            entry["theorem"] = verdict.theorem
+        if verdict.reason:
+            entry["reason"] = verdict.reason
+        points.append(entry)
+    result = {"param": args.param, "points": points}
+    threshold = oracle_margin_root(
+        lambda t: gate_inputs(*scenario_at(t).sides, ring, field is not None,
+                              args.monotone_variant),
+        *A_INTERVALS[name][:2])
+    if threshold is not None:
+        result["gate_threshold"] = threshold
+        result["gate_passes_iff"] = f"a < {threshold}"
+    options = {"ring": ring.name, "subspaces": field is not None,
+               "monotone_variant": args.monotone_variant,
+               "from": rational_str(start), "to": rational_str(stop),
+               "step": rational_str(step)}
+    return cli._report("sweep", scenario, options, result)
+
+
 def oracle_text(argv):
     """What the per-point sweep prints for the argv: its report, or the
     error document of what it raises."""
     try:
         document = oracle_sweep(cli._PARSER.parse_args(argv))
-    except FloerDiskError as exc:
+    except ValueError as exc:
+        document = {"error": {"type": "usage", "message": str(exc)}}
+    except (FloerDiskError, OSError) as exc:
         document = {"error": {"type": type(exc).__name__,
                               "message": str(exc)}}
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -320,6 +401,37 @@ def test_chamber_walk_on_a_monotone_swept_side(tmp_path):
                                   ("2/5", "2/5", "1/7")):
             argv = sweep_argv("ts2_la", str(path), flags, start, stop, step)
             assert main_text(argv) == oracle_text(argv), argv
+
+
+@pytest.mark.parametrize("sides", [0, 2])
+def test_a_partner_file_that_is_not_one_side(tmp_path, sides):
+    # a scenario holds one or two sides: a file of none does not load, and
+    # the swept side plus two sides is rejected when the pair is built,
+    # before the gate inputs are sampled
+    doc = combine(make("cp2_ta:a=1/5"), make("cp2_clifford")).to_json_dict()
+    doc["sides"] = doc["sides"][:sides]
+    path = tmp_path / "partner.json"
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--ring", "Z/8", "--field", "F2"]):
+        argv = sweep_argv("cp2_ta", str(path), flags, "1/60", "1/3", "1/60")
+        text = main_text(argv)
+        assert text == oracle_text(argv), argv
+        assert json.loads(text)["error"] == {
+            "type": "ValidationError",
+            "message": "a scenario has one or two sides"}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--vs", "nosuch.json", "--ring", "F4", "--from", "1/10", "--to", "1/5"],
+    ["--vs", "nosuch.json", "--ring", "Z/8", "--from", "0", "--to", "1/5"],
+    ["--vs", "cp2_clifford", "--ring", "F4", "--from", "0", "--to", "1/5"],
+    ["--vs", "nosuch.json", "--ring", "Z/8", "--from", "1/10", "--to", "1/2"],
+    ["--vs", "cp2_clifford", "--ring", "Z/8", "--from", "0", "--to", "1/5",
+     "--field", "F2", "--subspace", "1,0;0,1,0"],
+    ["--vs", "cp2_clifford", "--ring", "F4", "--from", "1/5", "--to", "1/10"]])
+def test_two_faults_are_reported_as_the_per_point_sweep_reports_them(flags):
+    argv = ["sweep", "--builtin", "cp2_ta", "--step", "1/10", *flags]
+    assert main_text(argv) == oracle_text(argv), argv
 
 
 @st.composite
