@@ -12,8 +12,8 @@ moment-polytope probe displaceability.  All arithmetic is exact.
 __version__ = "0.1.0"
 
 from .rings import Ring, RingElement, reduce, units_of
-from .abelian import (FgAbelianGroup, GroupElement, GroupHom,
-                      IntersectionForm, pair, smith_normal_form, solve_linear)
+from .abelian import (FgAbelianGroup, GroupHom, IntersectionForm, pair,
+                      smith_normal_form, solve_linear)
 from .scenario import (AffineSubspace, BUILTIN_NAMES, DiskClass, DiskLedger,
                        LagrangianSide, Scenario, builtin_scenario, combine,
                        load_scenario, sphere_pair)

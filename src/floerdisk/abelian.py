@@ -2,8 +2,9 @@
 
 Matrices are tuples of tuples of Python ints (arbitrary precision); all
 dimensions in this artifact are tiny, so no sparse or numpy machinery is
-needed.  The one nontrivial kernel is the Smith normal form, which powers
-element equality, structure computation, and solve_linear / kernel_basis:
+needed.  Group elements are plain coordinate tuples in the group's basis.
+The one nontrivial kernel is the Smith normal form, which powers the zero
+test, structure computation, and solve_linear / kernel_basis:
 these two solve and take kernels modulo a group's relations over every
 ring, and are the only code that builds the quotient matrix.
 """
@@ -269,12 +270,6 @@ class FgAbelianGroup:
     def is_free(self) -> bool:
         return self.structure()[1] == []
 
-    def element(self, coords) -> "GroupElement":
-        return GroupElement(self, tuple(coords))
-
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.ngens)
-
     def is_zero(self, coords, ring: Ring) -> bool:
         """Does the coordinate vector represent 0 in the group over the ring?"""
         if len(coords) != self.ngens:
@@ -307,26 +302,6 @@ class FgAbelianGroup:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    group: FgAbelianGroup
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != self.group.ngens:
-            raise DimensionMismatch("coordinate length != generator count")
-
-    def is_zero(self, ring: Ring) -> bool:
-        return self.group.is_zero(self.coords, ring)
-
-    def equals(self, other: "GroupElement", ring: Ring) -> bool:
-        return self.group.is_zero(vec_sub(self.coords, other.coords), ring)
-
-    def __str__(self):
-        return self.group.describe(self.coords)
-
-
-@dataclass(frozen=True)
 class GroupHom:
     """A homomorphism given by an integer matrix (columns = source generators).
 
@@ -351,9 +326,6 @@ class GroupHom:
                 raise ValueError(
                     "hom does not kill a source relation; not well defined")
 
-    def apply(self, coords) -> GroupElement:
-        return GroupElement(self.target, mat_vec(self.matrix, coords))
-
 
 @dataclass(frozen=True)
 class IntersectionForm:
@@ -374,16 +346,18 @@ class IntersectionForm:
                 "intersection pairing requires a torsion-free group")
 
 
-def pair(form: IntersectionForm, x: GroupElement, y: GroupElement, ring: Ring):
-    """Evaluate x^T * form * y and reduce into the ring."""
-    if x.group != form.group or y.group != form.group:
-        raise DimensionMismatch("pairing arguments live in the wrong group")
+def pair(form: IntersectionForm, x, y, ring: Ring):
+    """Evaluate x^T * form * y on coordinate tuples; the value reduced into
+    the ring, as a plain int (a Fraction over Q)."""
+    n = form.group.ngens
+    if len(x) != n or len(y) != n:
+        raise DimensionMismatch("pairing argument length != generator count")
     total = 0
-    for i, xi in enumerate(x.coords):
+    for i, xi in enumerate(x):
         if xi == 0:
             continue
-        for j, yj in enumerate(y.coords):
+        for j, yj in enumerate(y):
             if yj == 0:
                 continue
             total += xi * form.matrix[i][j] * yj
-    return reduce(total, ring)
+    return reduce(total, ring).value

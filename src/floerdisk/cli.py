@@ -11,7 +11,6 @@ error, 4 computation error.
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import sys
@@ -180,13 +179,13 @@ def _emit(report: dict, fmt: str, stream) -> None:
 
 
 def _oc_payload(invariant) -> dict:
-    group = invariant.value.group
+    group = invariant.group
     return {
-        "coords": [str(c) for c in invariant.value.coords],
+        "coords": [str(c) for c in invariant.value],
         "basis": list(group.generator_labels),
         "ring": invariant.ring.name,
         "value": invariant.describe(),
-        "ambiguity": group.describe(invariant.ambiguity.coords),
+        "ambiguity": group.describe(invariant.ambiguity),
         "asserted": invariant.asserted,
         "selected": list(invariant.selected),
         "notes": list(invariant.notes),
@@ -287,33 +286,29 @@ def _gate_lines(inputs_at, low: Fraction, high: Fraction):
                            for x1, x2 in zip(s1, s2))
 
 
-def _gate_breaks(lines, low: Fraction, high: Fraction) -> tuple:
-    """(threshold, roots) of the gate margins X(a) - (a + b), X in {A, B}.
-
-    roots: every point of (low, high) where a margin vanishes; between two
-    of them the gate outcome is constant.  threshold: the t in (low, high),
-    as a string, such that the gate passes iff a < t, or None.  It is the
-    least root when each margin falls as a grows (a + b holds the swept
-    side's least area, a itself, and no bound grows with a).
+def _gate_threshold(lines, low: Fraction, high: Fraction):
+    """The t such that, on (low, high), the gate passes iff a < t, or None
+    when there is none.  It is the least root of the gate margins
+    X(a) - (a + b), X in {A, B}, when each margin falls as a grows (a + b
+    holds the swept side's least area, a itself, and no bound grows with a).
     """
     lo, hi = lines(low), lines(high)
-    roots, falls = [], True
+    roots = []
     for x_lo, x_hi in zip(lo[2:], hi[2:]):
         if x_lo is None:
             continue
         m_lo, m_hi = x_lo - lo[0] - lo[1], x_hi - hi[0] - hi[1]
-        falls = falls and m_hi < m_lo
-        if m_lo != m_hi:
-            roots.append(low + m_lo * (high - low) / (m_lo - m_hi))
-    t = min(roots, default=high) if falls else high
-    return (rational_str(t) if low < t < high else None,
-            sorted({r for r in roots if low < r < high}))
+        if m_hi >= m_lo:
+            return None
+        roots.append(low + m_lo * (high - low) / (m_lo - m_hi))
+    return min(roots, default=high)
 
 
 def _cmd_sweep(args, out):
-    """The decision tree runs once per open chamber of a between the gate
-    margins' roots, at the chamber's first grid point, and once at each root
-    and at the closed top end; every other point is answered by lookup."""
+    """The decision tree runs once per gate outcome (pass or fail) that the
+    grid meets inside the builtin's open interval, and once at the closed top
+    end; every other point is answered by lookup, and a reason that is the
+    gate's own is rendered again at that point's a."""
     field = _field(args)
     if args.param != "a":
         raise BadParams("only the parameter 'a' can be swept")
@@ -346,15 +341,18 @@ def _cmd_sweep(args, out):
     lines = _gate_lines(
         lambda t: gate_inputs(*scenario_at(t).sides, ring, use_subspaces,
                               args.monotone_variant), low, high)
-    threshold, roots = (_gate_breaks(lines, low, high) if lines
-                        else (None, None))
-    # chamber -> (its verdict, whether its reason is the gate's at its point)
+    threshold = _gate_threshold(lines, low, high) if lines else None
+    # key -> (its verdict, whether its reason is the gate's at its point);
+    # the key is "top", "samples failed", or whether the gate passes at a
     verdicts, points = {}, []
     for a in grid:
-        chamber = (None if roots is None or a in roots or a == high
-                   else bisect.bisect(roots, a))
-        if chamber in verdicts:
-            verdict, gated = verdicts[chamber]
+        if a == high or lines is None:
+            key = "top" if a == high else "samples failed"
+        else:
+            key = (a < threshold if threshold is not None
+                   else gate_reason(*lines(a)) is None)
+        if key in verdicts:
+            verdict, gated = verdicts[key]
             reason = gate_reason(*lines(a)) if gated else verdict.reason
         else:
             scenario = last if a == grid[-1] else scenario_at(a)
@@ -363,10 +361,8 @@ def _cmd_sweep(args, out):
                                     monotone_variant=args.monotone_variant,
                                     ring=ring)
             reason = verdict.reason
-            if (chamber is not None
-                    and verdict.audit[-1]["check"] != "area_spectrum"):
-                gated = reason is not None and reason == gate_reason(*lines(a))
-                verdicts[chamber] = verdict, gated
+            gated = key is False and reason == gate_reason(*lines(a))
+            verdicts[key] = verdict, gated
         entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
         if verdict.theorem:
             entry["theorem"] = verdict.theorem
@@ -374,9 +370,9 @@ def _cmd_sweep(args, out):
             entry["reason"] = reason
         points.append(entry)
     result = {"param": args.param, "points": points}
-    if threshold is not None:
-        result["gate_threshold"] = threshold
-        result["gate_passes_iff"] = f"a < {threshold}"
+    if threshold is not None and low < threshold < high:
+        result["gate_threshold"] = rational_str(threshold)
+        result["gate_passes_iff"] = f"a < {result['gate_threshold']}"
     options = {"ring": ring.name, "subspaces": use_subspaces,
                "monotone_variant": args.monotone_variant,
                "from": rational_str(start), "to": rational_str(stop),
@@ -578,9 +574,5 @@ def main(argv=None, out=None) -> int:
         return _write_error(out, type(exc).__name__, exc, COMPUTATION_ERROR)
 
 
-def console_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_entry()
+    sys.exit(main())

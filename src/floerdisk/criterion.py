@@ -135,12 +135,12 @@ def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
         audit.append({"check": check, "inputs": inputs, "value": value})
 
     # 1. topological intersection of the fundamental classes
-    fund_pairing = pair(form, left.fundamental_element(),
-                        right.fundamental_element(), ring)
+    fund_pairing = pair(form, left.fundamental_class,
+                        right.fundamental_class, ring)
     record("fundamental_pairing",
            {"left": left.name, "right": right.name, "ring": ring.name},
            str(fund_pairing))
-    if not fund_pairing.is_zero:
+    if fund_pairing != 0:
         return Verdict(TOPOLOGICAL, audit=audit, notes=notes)
 
     # 2. string invariants (and the lower-index pairings)
@@ -161,11 +161,11 @@ def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
     record("oc_low_right", {"side": right.name, "ring": ring.name,
                             "subspace": use_subspaces}, oc_right.describe())
 
-    lower_left = pair(form, left.fundamental_element(), oc_right.value, ring)
-    lower_right = pair(form, right.fundamental_element(), oc_left.value, ring)
+    lower_left = pair(form, left.fundamental_class, oc_right.value, ring)
+    lower_right = pair(form, right.fundamental_class, oc_left.value, ring)
     record("lower_index_pairings", {},
            f"[L].oc_K = {lower_left}, [K].oc_L = {lower_right}")
-    if not lower_left.is_zero or not lower_right.is_zero:
+    if lower_left != 0 or lower_right != 0:
         return Verdict(NON_DISPLACEABLE, theorem=RULE_LOWER_INDEX,
                        audit=audit, notes=notes)
 
@@ -201,7 +201,7 @@ def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
     raw = pair(form, oc_left.value, oc_right.value, Ring.rationals())
     record("invariant_pairing", {"ring": ring.name, "representative": str(raw)},
            str(pairing))
-    if pairing.is_zero:
+    if pairing == 0:
         return Verdict(INCONCLUSIVE,
                        reason=f"pairing {raw} = 0 in {ring.name}",
                        audit=audit, notes=notes)

@@ -105,7 +105,8 @@ class NotSingleLevel(FloerDiskError):
 
 
 class UnsupportedShape(FloerDiskError):
-    """The polynomial is outside the structured family this analysis covers."""
+    """The polynomial is outside the structured family this analysis covers,
+    or too large for its work budget."""
 
 
 class ResidueSearchTooLarge(FloerDiskError):

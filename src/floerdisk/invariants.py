@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import GroupElement, kernel_basis, solve_linear, vec_sub
+from .abelian import FgAbelianGroup, kernel_basis, solve_linear, vec_sub
 from .errors import (CancellationFails, HypothesisViolated, InsufficientLedger,
                      MissingLocalSystem, NoLift, NonInvertibleDenominator,
                      ValidationError, WeightTooLarge)
@@ -157,11 +157,10 @@ def _weighted_sum(side, disks, attr, ring, local_map) -> tuple:
 
 def boundary_sum(side: LagrangianSide, ring: Ring, level,
                  coset: AffineSubspace | None = None,
-                 local_system=None) -> GroupElement:
+                 local_system=None) -> tuple:
     """Sum of count * weight * boundary over the selected disks, in H1(L; ring)."""
     disks = _selected_disks(side, level, coset)
-    return GroupElement(side.h1, _weighted_sum(side, disks, "boundary", ring,
-                                               local_system))
+    return _weighted_sum(side, disks, "boundary", ring, local_system)
 
 
 @dataclass(frozen=True)
@@ -201,12 +200,13 @@ def grouped_cancellation(side: LagrangianSide,
 
 @dataclass(frozen=True)
 class StringInvariantClass:
-    """An element of H2(X; ring) defined up to the cyclic subgroup generated
-    by the side's fundamental class."""
+    """An element of H2(X; ring), coordinates in the group's basis, defined
+    up to the cyclic subgroup generated by the side's fundamental class."""
 
-    value: GroupElement
+    group: FgAbelianGroup
+    value: tuple
     ring: Ring
-    ambiguity: GroupElement
+    ambiguity: tuple
     asserted: bool = False
     lift_unique: bool = True
     subspace: AffineSubspace | None = None
@@ -215,19 +215,18 @@ class StringInvariantClass:
     notes: tuple = ()
 
     def is_zero(self) -> bool:
-        return _in_ambiguity_coset(self.value.group, self.value.coords,
-                                   (0,) * len(self.value.coords),
-                                   self.ambiguity.coords, self.ring)
+        return _in_ambiguity_coset(self.group, self.value,
+                                   (0,) * self.group.ngens, self.ambiguity,
+                                   self.ring)
 
     def equals(self, other: "StringInvariantClass") -> bool:
-        if self.ring != other.ring or self.value.group != other.value.group:
+        if self.ring != other.ring or self.group != other.group:
             return False
-        return _in_ambiguity_coset(self.value.group, self.value.coords,
-                                   other.value.coords,
-                                   self.ambiguity.coords, self.ring)
+        return _in_ambiguity_coset(self.group, self.value, other.value,
+                                   self.ambiguity, self.ring)
 
     def describe(self) -> str:
-        return self.value.group.describe(self.value.coords)
+        return self.group.describe(self.value)
 
 
 def _in_ambiguity_coset(group, coords, other, ambiguity, ring) -> bool:
@@ -246,12 +245,12 @@ def oc_low(side: LagrangianSide, ring: Ring,
     NoLift when the disk sum has no preimage under j.
     """
     h2x = side.h2x
-    ambiguity = side.fundamental_element()
+    ambiguity = side.fundamental_class
 
     if not side.ledger.disks:
         if side.asserted_invariant is not None:
             return StringInvariantClass(
-                value=GroupElement(h2x, side.asserted_invariant),
+                group=h2x, value=side.asserted_invariant,
                 ring=ring, ambiguity=ambiguity, asserted=True,
                 notes=("asserted invariant: no ledger backs this value",))
         raise InsufficientLedger(f"side {side.name}: empty ledger")
@@ -277,7 +276,7 @@ def oc_low(side: LagrangianSide, ring: Ring,
         notes.append("no least-area disks with nonzero boundary; "
                      "invariant is zero by empty selection")
         return StringInvariantClass(
-            value=h2x.zero(), ring=ring, ambiguity=ambiguity,
+            group=h2x, value=(0,) * h2x.ngens, ring=ring, ambiguity=ambiguity,
             subspace=subspace, notes=tuple(notes))
 
     disk_sum = _weighted_sum(side, selected, "rel_class", ring, local_map)
@@ -287,14 +286,13 @@ def oc_low(side: LagrangianSide, ring: Ring,
         raise NoLift(
             f"side {side.name}: disk sum {side.h2_rel.describe(disk_sum)} "
             f"has no j-preimage over {ring.name}; scenario is inconsistent")
-    value = GroupElement(h2x, solution)
 
     lift_unique = _kernel_inside_ambiguity(side, ring)
     if not lift_unique:
         notes.append("lift not unique: ker j exceeds the ambiguity subgroup")
 
     return StringInvariantClass(
-        value=value, ring=ring, ambiguity=ambiguity,
+        group=h2x, value=solution, ring=ring, ambiguity=ambiguity,
         lift_unique=lift_unique, subspace=subspace,
         selected=tuple(d.label for d in selected),
         disk_sum=disk_sum, notes=tuple(notes))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (BasisMismatch, Degenerate, InfiniteRing, NotSingleLevel,
                      ResidueSearchTooLarge, UnknownLabel, UnsupportedShape)
@@ -171,24 +171,33 @@ def newton_valuations(terms) -> tuple:
 # --- unit critical points ---------------------------------------------------------
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """Nonzero rational roots of sum coeffs[i] * x^i, by the rational root
-    test after clearing denominators.  Degrees here are tiny."""
-    from math import gcd
+# Most work one unit analysis may plan.  The w exponents may span this much,
+# which bounds the powers of each root w0; the rational root test may try
+# degree * candidates up to it, and trial division may take this many steps.
+UNIT_WORK_BUDGET = 10_000
 
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    low = 0
-    while low < len(coeffs) and coeffs[low] == 0:
-        low += 1
-    coeffs = coeffs[low:]
+
+def _charge_units(work: int, what: str):
+    if work > UNIT_WORK_BUDGET:
+        raise UnsupportedShape(f"unit analysis: {what} exceeds the work "
+                               f"budget of {UNIT_WORK_BUDGET}")
+
+
+def _rational_roots(coeffs: dict) -> list[Fraction]:
+    """Nonzero rational roots of the Laurent polynomial sum c * x^e over
+    the {e: c} items, by the rational root test after clearing
+    denominators."""
+    coeffs = {e: c for e, c in coeffs.items() if c}
     if len(coeffs) <= 1:
         return []
+    low, degree = min(coeffs), max(coeffs) - min(coeffs)
     lcm = 1
-    for c in coeffs:
+    for c in coeffs.values():
         lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
+    ints = {e - low: int(c * lcm) for e, c in coeffs.items()}
+    a0, an = abs(ints[0]), abs(ints[degree])
+    _charge_units(isqrt(a0) + isqrt(an),
+                  "trial division in the rational root test")
 
     def divisors(n):
         out = set()
@@ -200,14 +209,16 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             d += 1
         return out
 
-    roots = []
-    for p in divisors(a0):
-        for q in divisors(an):
+    tops, bottoms = divisors(a0), divisors(an)
+    _charge_units(2 * len(tops) * len(bottoms) * degree,
+                  f"the rational root test at degree {degree}")
+    roots = set()
+    for p in tops:
+        for q in bottoms:
             for sign in (1, -1):
                 candidate = Fraction(sign * p, q)
-                if sum(c * candidate ** i for i, c in enumerate(ints)) == 0:
-                    if candidate not in roots:
-                        roots.append(candidate)
+                if sum(c * candidate ** e for e, c in ints.items()) == 0:
+                    roots.add(candidate)
     return sorted(roots)
 
 
@@ -250,7 +261,8 @@ def unit_critical_analysis(p: NovikovPolynomial) -> CriticalReport:
     one-variable balance problem solved by Newton valuations: a branch is a
     candidate exactly when valuation 0 balances (the residue equation then
     has a root over a characteristic-zero closed residue field; a rational
-    root is reported too when one exists)."""
+    root is reported too when one exists).  An analysis whose planned work
+    passes UNIT_WORK_BUDGET is refused with UnsupportedShape."""
     pw = partial_derivative(p, "w")
     if pw.is_zero:
         raise UnsupportedShape(
@@ -259,20 +271,20 @@ def unit_critical_analysis(p: NovikovPolynomial) -> CriticalReport:
     if len(heads) != 1:
         raise UnsupportedShape(
             "w-derivative does not factor through a single w-polynomial")
-    w_min = min(t.w_exp for t in pw.terms)
-    degree = max(t.w_exp for t in pw.terms) - w_min
-    coeffs = [Fraction(0)] * (degree + 1)
-    for t in pw.terms:
-        coeffs[t.w_exp - w_min] = t.coeff
+    w_exps = [t.w_exp for t in p.terms]
+    low, high = min(w_exps), max(w_exps)
+    _charge_units(high - low, "the span of the w exponents")
 
     pz = partial_derivative(p, "z")
     branches = []
-    for w0 in _rational_roots(coeffs):
+    for w0 in _rational_roots({t.w_exp: t.coeff for t in pw.terms}):
+        # each coefficient at w0 = u/v, scaled alike by u^-low * v^high
+        u, v = w0.numerator, w0.denominator
         collapsed: dict[tuple, Fraction] = {}
         for t in pz.terms:
             key = (t.t_exp, t.z_exp, t.bulk_exp)
             collapsed[key] = collapsed.get(key, Fraction(0)) \
-                + t.coeff * w0 ** t.w_exp
+                + t.coeff * u ** (t.w_exp - low) * v ** (high - t.w_exp)
         support = {(te, ze) for (te, ze, _), c in collapsed.items() if c != 0}
         if not support:
             branches.append(BranchReport(
@@ -294,11 +306,7 @@ def unit_critical_analysis(p: NovikovPolynomial) -> CriticalReport:
             for (te, ze, _), c in collapsed.items():
                 if te == min_t and ze in achievers:
                     achievers[ze] += c
-            z_min = min(achievers)
-            poly = [Fraction(0)] * (max(achievers) - z_min + 1)
-            for ze, c in achievers.items():
-                poly[ze - z_min] = c
-            roots = _rational_roots(poly)
+            roots = _rational_roots(achievers)
             root = roots[0] if roots else None
         note = ("balances at valuation zero" if candidate
                 else "no valuation-zero balance; any solution has "

@@ -14,11 +14,10 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .abelian import (FgAbelianGroup, GroupElement, GroupHom,
-                      IntersectionForm, kernel_basis, solve_linear,
-                      vec_sub)
-from .errors import (BadParams, DimensionMismatch, SchemaError, UnknownScenario,
-                     ValidationError)
+from .abelian import (FgAbelianGroup, GroupHom, IntersectionForm,
+                      kernel_basis, mat_vec, solve_linear, vec_sub)
+from .errors import (BadParams, DimensionMismatch, SchemaError, TorsionGroup,
+                     UnknownScenario, ValidationError)
 from .rings import PRIME_FIELD, Ring, rational_from, rational_str
 
 Z = Ring.integers()
@@ -192,9 +191,6 @@ class LagrangianSide:
     def local_system_dict(self) -> dict | None:
         return dict(self.local_system) if self.local_system is not None else None
 
-    def fundamental_element(self) -> GroupElement:
-        return GroupElement(self.h2x, self.fundamental_class)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -265,7 +261,7 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
         if len(disk.boundary) != side.h1.ngens:
             raise ValidationError(
                 f"side {side.name}: disk {disk.label} boundary length")
-        expected = side.bd.apply(disk.rel_class).coords
+        expected = mat_vec(side.bd.matrix, disk.rel_class)
         if not side.h1.is_zero(vec_sub(expected, disk.boundary), Z):
             raise ValidationError(
                 f"side {side.name}: boundary mismatch for disk {disk.label}")
@@ -314,7 +310,7 @@ def _check_exactness(side: LagrangianSide):
     if getattr(bd, "_exact_after", None) is j:
         return
     for column in zip(*j.matrix):
-        if not bd.apply(column).is_zero(Z):
+        if not bd.target.is_zero(mat_vec(bd.matrix, column), Z):
             raise ValidationError(f"side {side.name}: exactness (bd o j != 0)")
     for v in kernel_basis(bd.matrix, bd.target.relations):
         if solve_linear(j.matrix, v, Z, relations=j.target.relations) is None:
@@ -503,7 +499,7 @@ def load_scenario(document) -> Scenario:
     try:
         form = IntersectionForm(
             h2x, _ints(_need(document, "form", list, "document"), "form", 2))
-    except (ValueError, DimensionMismatch) as exc:
+    except (ValueError, DimensionMismatch, TorsionGroup) as exc:
         raise ValidationError(f"form: {exc}") from exc
 
     sides_data = _need(document, "sides", list, "document")
@@ -700,7 +696,7 @@ def _make_side(entry: _Builtin, template: LagrangianSide,
     def at(value):
         return None if value is None else value[0] + value[1] * a
 
-    disks = tuple(DiskClass(label, rel, template.bd.apply(rel).coords, 2,
+    disks = tuple(DiskClass(label, rel, mat_vec(template.bd.matrix, rel), 2,
                             at(area), count)
                   for label, rel, count, area in entry.disks)
     constant = a if top else at(entry.constant)

@@ -143,6 +143,11 @@ def test_entry_point_exit_status():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 4
     assert json.loads(done.stdout)["error"]["type"] == "CancellationFails"
+    # the exit status is main's return value, a usage error included
+    for argv, code in ((["builtin-list"], 0), (["sweep"], 2)):
+        done = subprocess.run(run + argv, env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == code, argv
 
 
 # --- argv fuzz ----------------------------------------------------------------

@@ -1,9 +1,13 @@
+import io
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from floerdisk import potential
+from floerdisk.cli import main
 from floerdisk.errors import (BasisMismatch, Degenerate, InfiniteRing,
                               NonInvertibleDenominator, NotSingleLevel,
                               ResidueSearchTooLarge, UnknownLabel,
@@ -216,6 +220,17 @@ def test_truncated_potential_critical_line():
     assert branch.candidate and branch.any_unit_z
 
 
+def test_branch_at_a_root_that_is_not_an_integer():
+    # W = z(w^2 - w) + z^2/16: the w-derivative z(2w - 1) vanishes at
+    # w0 = 1/2, where dW/dz = (1/4 - 1/2) + z/8 balances at z = 2
+    p = NovikovPolynomial.from_terms([term(-1, 0, z=1, w=1),
+                                      term(1, 0, z=1, w=2),
+                                      term(F(1, 16), 0, z=2)])
+    (branch,) = unit_critical_analysis(p).branches
+    assert branch.w0 == F(1, 2) and branch.candidate
+    assert branch.residue_rational_root == 2
+
+
 def test_unsupported_shape():
     mixed = NovikovPolynomial.from_terms(
         [term(1, 0, z=0, w=1), term(1, 0, z=1, w=2)])
@@ -224,6 +239,30 @@ def test_unsupported_shape():
     constant = NovikovPolynomial.from_terms([term(1, 0, z=2)])
     with pytest.raises(UnsupportedShape):
         unit_critical_analysis(constant)
+
+
+@pytest.mark.parametrize("alpha, count, what", [
+    ((1, 2, 10 ** 6), 1, "span of the w exponents"),
+    ((1, 2), 10 ** 30, "trial division")])
+def test_unit_analysis_is_bounded_before_it_starts(tmp_path, alpha, count,
+                                                   what):
+    # disks at one area with boundaries (0, e): a document validate accepts
+    doc = builtin_scenario("cp2_ta", {"a": F(1, 10)}).to_json_dict()
+    doc["sides"][0]["ledger"]["disks"] = [
+        {"label": f"d{e}", "rel_class": [0, 0, e], "boundary": [0, e],
+         "maslov": 2, "area": "1/10", "count": count} for e in alpha]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)], out=io.StringIO()) == 0
+    out = io.StringIO()
+    started = time.perf_counter()
+    code = main(["potential", "--scenario", str(path), "--analyze-units"],
+                out=out)
+    assert time.perf_counter() - started < 1
+    error = json.loads(out.getvalue())["error"]
+    assert code == 4 and error["type"] == "UnsupportedShape"
+    assert what in error["message"]
+    assert f"budget of {potential.UNIT_WORK_BUDGET}" in error["message"]
 
 
 # --- residue search -------------------------------------------------------------------

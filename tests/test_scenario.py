@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import floerdisk.abelian as abelian_module
 import floerdisk.scenario as scenario_module
-from floerdisk.abelian import kernel_basis, transpose
+from floerdisk.abelian import kernel_basis, mat_vec, transpose
 from floerdisk.cli import main
 from floerdisk.criterion import evaluate_pair
 from floerdisk.errors import (BadParams, FloerDiskError, SchemaError,
@@ -88,9 +88,9 @@ def test_bl3_ta_extra_disks():
 def test_cp2_exactness_by_snf():
     scenario = builtin_scenario("cp2_ta", {"a": F(1, 10)})
     side = scenario.side
-    assert side.bd.apply((1, 0, 0)).coords == (0, 0)   # bd H = 0
-    assert side.bd.apply((0, 1, 0)).coords == (1, 0)   # bd beta = dbeta
-    assert side.bd.apply((0, 0, 1)).coords == (0, 1)   # bd alpha = dalpha
+    assert mat_vec(side.bd.matrix, (1, 0, 0)) == (0, 0)   # bd H = 0
+    assert mat_vec(side.bd.matrix, (0, 1, 0)) == (1, 0)   # bd beta = dbeta
+    assert mat_vec(side.bd.matrix, (0, 0, 1)) == (0, 1)   # bd alpha = dalpha
     kernel = kernel_basis(side.bd.matrix)
     assert len(kernel) == 1
     assert tuple(abs(x) for x in kernel[0]) == (1, 0, 0)  # ker bd = <H> = im j
@@ -160,6 +160,20 @@ def test_load_rejects_unbounded_nonmonotone_ledger():
     doc["sides"][0]["ledger"]["complete_below"] = "inf"
     with pytest.raises(ValidationError, match="completeness cutoff"):
         load_scenario(json.dumps(doc))
+
+
+def test_load_rejects_torsion_h2x(tmp_path):
+    doc = builtin_scenario("cp2_clifford").to_json_dict()
+    doc["H2_X"]["relations"] = [[2]]
+    message = "form: intersection pairing requires a torsion-free group"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        load_scenario(json.dumps(doc))
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert main(["validate", str(path)], out=out) == 3
+    assert json.loads(out.getvalue())["error"] == {
+        "type": "ValidationError", "message": message}
 
 
 def test_schema_errors():

@@ -484,57 +484,30 @@ def test_sweep_runs_the_tree_once_per_chamber(evaluations):
 
 
 def test_sweep_evaluates_a_root_on_the_grid(evaluations):
-    # 1/4 is the p1xp1 root: it is evaluated on its own, between the
-    # chambers on either side
+    # 1/4 is the p1xp1 root: the first point where the gate fails, so the
+    # points above it reuse its verdict
     code, report = run(sweep_argv("p1xp1_ta", "p1xp1_clifford",
                                   ["--ring", "Z/2", "--field", "F2"],
                                   "1/20", "9/20", "1/20"))
     assert code == 0
-    assert evaluations == [F(1, 20), F(1, 4), F(3, 10)]
+    assert evaluations == [F(1, 20), F(1, 4)]
     assert report["result"]["points"][4]["reason"].startswith(
         "area gate boundary")
+    assert report["result"]["points"][5]["reason"].startswith("area gate: ")
 
 
-def test_a_chamber_without_an_area_spectrum_is_evaluated_point_by_point(
-        monkeypatch, evaluations):
-    # Step 3's gate inputs made to fail above the root 1/9, with a message
-    # that names a: every point of that chamber is evaluated on its own.
-    # The sweep's own two samples read cli.gate_inputs and still succeed.
-    import floerdisk.criterion as criterion
-    from floerdisk.errors import HypothesisViolated
-    from floerdisk.invariants import least_area
-    original = criterion.gate_inputs
-
-    def failing(left, right, *args):
-        if least_area(left) > F(1, 9):
-            raise HypothesisViolated(f"a = {least_area(left)} is too large")
-        return original(left, right, *args)
-
-    monkeypatch.setattr(criterion, "gate_inputs", failing)
-    argv = sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
-                      "1/60", "19/60", "1/60")
-    points = json.loads(main_text(argv))["result"]["points"]
-    assert evaluations == [F(1, 60)] + [F(k, 60) for k in range(7, 20)]
-    # the per-point sweep's threshold reads the failing inputs: points only
-    assert points == json.loads(oracle_text(argv))["result"]["points"]
-    assert points[-1]["reason"] == \
-        "area spectrum unavailable: a = 19/60 is too large"
-
-
-def test_failed_samples_fall_back_to_every_point(monkeypatch, evaluations):
-    from floerdisk.errors import InsufficientLedger
-
-    def failing(*args):
-        raise InsufficientLedger("no sample")
-
-    argv = sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
-                      "1/60", "1/3", "1/60")
-    expected = json.loads(oracle_text(argv))["result"]
-    monkeypatch.setattr(cli, "gate_inputs", failing)
-    result = json.loads(main_text(argv))["result"]
-    assert evaluations == [F(k, 60) for k in range(1, 21)]
-    assert result["points"] == expected["points"]
-    assert "gate_threshold" not in result
+@pytest.mark.parametrize("name", sorted(A_INTERVALS))
+def test_the_swept_side_never_reads_the_lattice_progression(name):
+    # Inside the interval the swept side has two ledger levels or is
+    # monotone, so next_area never reads the progression, whose
+    # HypothesisViolated names a: no "area spectrum unavailable" reason in
+    # a sweep can depend on a, and one verdict serves each gate outcome.
+    high = A_INTERVALS[name][1]
+    for start, stop, step in grids(name):
+        for a in cli._sweep_grid(start, stop, step):
+            if a < high:
+                side = make(f"{name}:a={a}").side
+                assert len(side.ledger.levels) >= 2 or side.monotone, a
 
 
 def _affine_quantities(entry):
