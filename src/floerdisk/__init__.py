@@ -20,7 +20,7 @@ from .scenario import (AffineSubspace, BUILTIN_NAMES, DiskClass, DiskLedger,
 from .invariants import (AreaSpectrum, StringInvariantClass, area_progression,
                          area_spectrum, boundary_sum, cancellation_threshold,
                          grouped_cancellation, least_area, next_area, oc_low)
-from .criterion import Verdict, area_gate, evaluate_pair
+from .criterion import Verdict, evaluate_pair, gate_reason
 from .potential import (NovikovPolynomial, NovikovTerm, newton_valuations,
                         partial_derivative, potential_from_ledger,
                         residue_critical_points, truncate_to_level,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -98,6 +99,10 @@ def _field(args) -> Ring | None:
     is no ring is a usage error, any other ring BadParams."""
     if args.field is None:
         return None
+    # the coefficient ring and the subspace field are independent
+    # choices; subspace mode therefore wants both spelled out
+    if args.ring is None:
+        raise _UsageError("--field requires an explicit --ring")
     field = Ring.parse(args.field)
     if field.kind != PRIME_FIELD:
         raise BadParams(f"--field {field.name} is not a prime field")
@@ -194,19 +199,17 @@ def _oc_payload(invariant) -> dict:
 
 # --- subcommands --------------------------------------------------------------
 
-def _cmd_validate(args, out):
+def _cmd_validate(args):
     scenario = _resolve_scenario(args.scenario)
     result = {"valid": True,
               "sides": [{"name": s.name,
                          "disks": len(s.ledger.disks),
                          "monotone": s.monotone}
                         for s in scenario.sides]}
-    _emit(_report("validate", scenario, {"scenario": args.scenario}, result),
-          args.format, out)
-    return 0
+    return _report("validate", scenario, {"scenario": args.scenario}, result)
 
 
-def _cmd_invariant(args, out):
+def _cmd_invariant(args):
     field = _field(args)
     scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
                                      _side_overrides(args, field))
@@ -219,9 +222,8 @@ def _cmd_invariant(args, out):
     result = dict(spectrum.as_dict())
     result["oc_low"] = _oc_payload(invariant)
     options = {"ring": ring.name, "subspaces": field is not None}
-    _emit(_report("invariant", scenario, options, result,
-                  warnings=invariant.notes), args.format, out)
-    return 0
+    return _report("invariant", scenario, options, result,
+                   warnings=invariant.notes)
 
 
 def _verdict_result(verdict) -> dict:
@@ -232,7 +234,7 @@ def _verdict_result(verdict) -> dict:
     return result
 
 
-def _cmd_criterion(args, out):
+def _cmd_criterion(args):
     field = _field(args)
     scenario = _apply_side_overrides(_resolve_scenario(args.scenario),
                                      _side_overrides(args, field))
@@ -250,9 +252,8 @@ def _cmd_criterion(args, out):
                "monotone_variant": args.monotone_variant}
     if field is not None:
         options["field"] = args.field
-    _emit(_report("criterion", scenario, options, _verdict_result(verdict),
-                  warnings=verdict.notes), args.format, out)
-    return 0
+    return _report("criterion", scenario, options, _verdict_result(verdict),
+                   warnings=verdict.notes)
 
 
 def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list:
@@ -304,7 +305,7 @@ def _gate_threshold(lines, low: Fraction, high: Fraction):
     return min(roots, default=high)
 
 
-def _cmd_sweep(args, out):
+def _cmd_sweep(args):
     """The decision tree runs once per gate outcome (pass or fail) that the
     grid meets inside the builtin's open interval, and once at the closed top
     end; every other point is answered by lookup, and a reason that is the
@@ -335,6 +336,7 @@ def _cmd_sweep(args, out):
                                              overrides), second)
 
     last = scenario_at(grid[-1])
+    _check_field(last.sides, field)
     ring = ring or last.ring
     use_subspaces = field is not None
     low, high, _ = A_INTERVALS[name]
@@ -356,7 +358,6 @@ def _cmd_sweep(args, out):
             reason = gate_reason(*lines(a)) if gated else verdict.reason
         else:
             scenario = last if a == grid[-1] else scenario_at(a)
-            _check_field(scenario.sides, field)
             verdict = evaluate_pair(scenario, use_subspaces=use_subspaces,
                                     monotone_variant=args.monotone_variant,
                                     ring=ring)
@@ -377,11 +378,10 @@ def _cmd_sweep(args, out):
                "monotone_variant": args.monotone_variant,
                "from": rational_str(start), "to": rational_str(stop),
                "step": rational_str(step)}
-    _emit(_report("sweep", last, options, result), args.format, out)
-    return 0
+    return _report("sweep", last, options, result)
 
 
-def _cmd_potential(args, out):
+def _cmd_potential(args):
     scenario = _resolve_scenario(args.scenario)
     side = scenario.sides[0]
     ring = (Ring.parse(args.residue_ring) if args.residue_ring is not None
@@ -405,11 +405,10 @@ def _cmd_potential(args, out):
         result["residue_ring"] = ring.name
     options = {"bulk": args.bulk, "analyze_units": args.analyze_units,
                "residue_ring": args.residue_ring}
-    _emit(_report("potential", scenario, options, result), args.format, out)
-    return 0
+    return _report("potential", scenario, options, result)
 
 
-def _cmd_probes(args, out):
+def _cmd_probes(args):
     if args.polytope in ("p1xp1", "cp2"):
         poly = builtin_polytope(args.polytope)
     else:
@@ -423,21 +422,18 @@ def _cmd_probes(args, out):
               "bound": args.bound,
               "displaceable_by_probe": bool(hits),
               "displacing_probes": [h.as_dict() for h in hits]}
-    _emit(_report("probes", None, {"point": args.point, "bound": args.bound},
-                  result), args.format, out)
-    return 0
+    return _report("probes", None, {"point": args.point, "bound": args.bound},
+                   result)
 
 
-def _cmd_builtin_list(args, out):
+def _cmd_builtin_list(args):
     entries = []
     for name in BUILTIN_NAMES:
         needs_a = name in A_INTERVALS
         entries.append({"name": name,
                         "parameters": ["a"] if needs_a else [],
                         "example": f"{name}:a=1/10" if needs_a else name})
-    _emit(_report("builtin-list", None, {}, {"builtins": entries}),
-          args.format, out)
-    return 0
+    return _report("builtin-list", None, {}, {"builtins": entries})
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -456,6 +452,9 @@ class _StoreOnce(argparse.Action):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
+        # a token that starts with '-' and a digit is a value, as in
+        # --point -1/4,1/4 or --from -1/4; argparse alone takes -1 and -.5
+        self._negative_number_matcher = re.compile(r"-\.?\d")
         self.register("action", None, _StoreOnce)
         self.register("action", "store", _StoreOnce)
 
@@ -545,8 +544,7 @@ _PARSER = _build_parser()
 
 
 def _write_error(out, kind: str, exc: Exception, code: int) -> int:
-    out.write(json.dumps({"error": {"type": kind, "message": str(exc)}},
-                         indent=2, sort_keys=True) + "\n")
+    _emit({"error": {"type": kind, "message": str(exc)}}, "json", out)
     return code
 
 
@@ -561,11 +559,8 @@ def main(argv=None, out=None) -> int:
             return 0
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        # the coefficient ring and the subspace field are independent
-        # choices; subspace mode therefore wants both spelled out
-        if getattr(args, "field", None) is not None and args.ring is None:
-            raise _UsageError("--field requires an explicit --ring")
-        return args.run(args, out)
+        _emit(args.run(args), args.format, out)
+        return 0
     except (_UsageError, ValueError) as exc:
         return _write_error(out, "usage", exc, USAGE_ERROR)
     except _VALIDATION_FAILURES as exc:

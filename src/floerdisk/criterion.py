@@ -79,11 +79,6 @@ def gate_reason(a, b, big_a, big_b) -> str | None:
     return f"area gate: a+b = {_fmt(total)} >= min(A,B) = {_fmt(min(bounds))}"
 
 
-def area_gate(a, b, big_a, big_b) -> bool:
-    """Strict inequality a + b < min(A, B); None plays the role of infinity."""
-    return gate_reason(a, b, big_a, big_b) is None
-
-
 def gate_inputs(left, right, ring: Ring, use_subspaces: bool = False,
                 monotone_variant: bool = False) -> tuple:
     """(a, b, A, B, threshold) for the step-3 gate a + b < min(A, B).

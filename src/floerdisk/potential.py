@@ -40,18 +40,6 @@ class NovikovTerm:
     def key(self):
         return (self.t_exp, self.z_exp, self.w_exp, self.bulk_exp)
 
-    def __str__(self):
-        pieces = [str(self.coeff)]
-        if self.t_exp:
-            pieces.append(f"t^{rational_str(self.t_exp)}")
-        if self.bulk_exp:
-            pieces.append(f"e^{self.bulk_exp}c")
-        if self.z_exp:
-            pieces.append(f"z^{self.z_exp}")
-        if self.w_exp:
-            pieces.append(f"w^{self.w_exp}")
-        return "*".join(pieces)
-
 
 @dataclass(frozen=True)
 class NovikovPolynomial:
@@ -80,11 +68,6 @@ class NovikovPolynomial:
         return [{"coeff": rational_str(t.coeff), "t": rational_str(t.t_exp),
                  "ec": t.bulk_exp, "z": t.z_exp, "w": t.w_exp}
                 for t in self.terms]
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(str(t) for t in self.terms)
 
 
 # --- building potentials from ledgers -------------------------------------------

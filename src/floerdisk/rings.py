@@ -149,16 +149,9 @@ class RingElement:
         self._check(other)
         return reduce(self.value + other.value, self.ring)
 
-    def __sub__(self, other):
-        self._check(other)
-        return reduce(self.value - other.value, self.ring)
-
     def __mul__(self, other):
         self._check(other)
         return reduce(self.value * other.value, self.ring)
-
-    def __neg__(self):
-        return reduce(-self.value, self.ring)
 
     @property
     def is_zero(self) -> bool:

@@ -356,10 +356,26 @@ def _int(mapping, key, where) -> int:
     return value
 
 
+# What a document may hold.  Exact elimination grows its entries without
+# bound, so these keep the slowest document admitted (dense, at every bound)
+# under a second in validate, invariant and criterion.
+MAX_GENERATORS = 8      # generators per group
+MAX_RELATIONS = 8       # relation rows per group
+MAX_DISKS = 32          # disks per side
+MAX_INT_BITS = 32       # bit length of every integer entry of a list
+
+
+def _at_most(items, limit: int, what: str, where: str):
+    if len(items) > limit:
+        raise ValidationError(
+            f"{where}: {len(items)} {what}; the limit is {limit}")
+    return items
+
+
 def _ints(value, where, depth=1) -> tuple:
     """A JSON list of ints (depth 1), or a list of such rows (depth 2), as
     tuples; a float, bool, string or other entry is a SchemaError at its
-    JSON path."""
+    JSON path, an entry of more than MAX_INT_BITS bits a ValidationError."""
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list, got {value!r}")
     if depth > 1:
@@ -368,12 +384,19 @@ def _ints(value, where, depth=1) -> tuple:
     for i, x in enumerate(value):
         if type(x) is not int:
             raise SchemaError(f"{where}[{i}]: expected an integer, got {x!r}")
+        if x.bit_length() > MAX_INT_BITS:
+            raise ValidationError(
+                f"{where}[{i}]: an integer of {x.bit_length()} bits; the "
+                f"limit is {MAX_INT_BITS} bits")
     return tuple(value)
 
 
 def _group_from_dict(data, where) -> FgAbelianGroup:
-    gens = _need(data, "generators", list, where)
-    relations = _ints(data.get("relations", []), f"{where}.relations", 2)
+    gens = _at_most(_need(data, "generators", list, where), MAX_GENERATORS,
+                    "generators", where)
+    relations = _at_most(
+        _ints(data.get("relations", []), f"{where}.relations", 2),
+        MAX_RELATIONS, "relation rows", where)
     try:
         return FgAbelianGroup(tuple(str(g) for g in gens), relations)
     except (ValueError, DimensionMismatch) as exc:
@@ -403,8 +426,9 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
     else:
         cutoff = rational_from(cutoff_raw, f"{where}.ledger")
     disks = []
-    for di, disk_data in enumerate(_need(ledger_data, "disks", list,
-                                         f"{where}.ledger")):
+    disks_data = _at_most(_need(ledger_data, "disks", list, f"{where}.ledger"),
+                          MAX_DISKS, "disks", f"{where}.ledger")
+    for di, disk_data in enumerate(disks_data):
         dwhere = f"{where}.ledger.disks[{di}]"
         disks.append(DiskClass(
             label=str(_need(disk_data, "label", str, dwhere)),
@@ -473,14 +497,15 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
 
 def decode_json(data):
     """The JSON value in bytes or text; bytes that are not UTF-8, text that
-    is not JSON or nests too deep for the parser are SchemaError."""
+    is not JSON, holds an integer too long for int() or nests too deep for
+    the parser are SchemaError."""
     try:
         if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")
         return json.loads(data)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
 
 

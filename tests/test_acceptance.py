@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from floerdisk.abelian import (freeze, identity, pair, smith_normal_form,
                                solve_linear)
-from floerdisk.criterion import (INCONCLUSIVE, NON_DISPLACEABLE, area_gate,
-                                 evaluate_pair)
+from floerdisk.criterion import (INCONCLUSIVE, NON_DISPLACEABLE,
+                                 evaluate_pair, gate_reason)
 from floerdisk.invariants import (area_progression, boundary_sum,
                                   cancellation_threshold, least_area,
                                   next_area, oc_low)
@@ -117,8 +117,8 @@ def test_criterion_3_bl3():
         assert result.effective_bound == 1 - a
 
         # the gate of the monotone variant is a + 1/2 < 1 - a
-        assert area_gate(a, F(1, 2), result.effective_bound, None)
-        assert not area_gate(F(1, 4), F(1, 2), 1 - F(1, 4), None)
+        assert gate_reason(a, F(1, 2), result.effective_bound, None) is None
+        assert gate_reason(F(1, 4), F(1, 2), 1 - F(1, 4), None) is not None
 
         left = oc_low(side, Z2, subspace=side.subspace)
         right = oc_low(clifford.side, Z2, subspace=clifford.side.subspace)

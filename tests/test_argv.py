@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -115,6 +116,45 @@ def test_empty_or_repeated_values_are_usage_errors(argv):
     out = io.StringIO()
     assert cli.main(argv, out=out) == 2
     assert json.loads(out.getvalue())["error"]["type"] == "usage"
+
+
+SWEEP_BL3 = ["sweep", "--builtin", "bl3_ta", "--vs", "bl3_clifford",
+             "--ring", "Z/2"]
+
+
+@pytest.mark.parametrize("argv, flag, code, kind", [
+    (["probes", "cp2"], ["--point", "-1/4,1/4"], 0, None),
+    (SWEEP_BL3 + ["--to", "1/2", "--step", "1/4"], ["--from", "-1/4"], 3,
+     "BadParams"),
+    (SWEEP_BL3 + ["--from", "1/4", "--step", "1/4"], ["--to", "-1/2"], 3,
+     "BadParams"),
+    (SWEEP_BL3 + ["--from", "1/4", "--to", "1/2"], ["--step", "-1/4"], 3,
+     "BadParams"),
+    (["invariant", "--builtin", "cp2_clifford", "--ring", "Z/2", "--field",
+      "F2"], ["--subspace", "-1,0;0,1"], 4, "CancellationFails")])
+def test_negative_values_read_as_in_the_equals_form(argv, flag, code, kind):
+    """A value that starts with '-' and a digit is the option's value, so
+    '--opt -1/4' prints what '--opt=-1/4' prints."""
+    spaced, joined = io.StringIO(), io.StringIO()
+    assert cli.main(argv + flag, out=spaced) == code
+    assert cli.main(argv + ["=".join(flag)], out=joined) == code
+    assert spaced.getvalue() == joined.getvalue()
+    document = json.loads(spaced.getvalue())
+    assert document.get("error", {}).get("type") == kind
+    if flag[0] == "--from":
+        assert document["error"]["message"] == "a = -1/4 outside (0, 1/2)"
+
+
+def test_argparse_reads_the_negative_number_matcher():
+    """_Parser widens argparse's private _negative_number_matcher; an
+    argparse that stops reading it fails here."""
+    parser = argparse.ArgumentParser()
+    assert hasattr(parser, "_negative_number_matcher")
+    parser.add_argument("--point")
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
+    assert parser.parse_args(["--point", "-1/4,1/4"]).point == "-1/4,1/4"
+    assert cli._PARSER.parse_args(
+        ["probes", "cp2", "--point", "-1/4,1/4"]).point == "-1/4,1/4"
 
 
 def usage_by_construction(argv) -> bool:

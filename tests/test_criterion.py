@@ -1,11 +1,14 @@
+import io
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from floerdisk.cli import main
 from floerdisk.criterion import (INCONCLUSIVE, NON_DISPLACEABLE, TOPOLOGICAL,
-                                 area_gate, evaluate_pair)
+                                 evaluate_pair, gate_reason)
 from floerdisk.errors import TwoSidedRequired
 from floerdisk.rings import Ring
 from floerdisk.scenario import (DiskLedger, Scenario, builtin_scenario,
@@ -36,12 +39,12 @@ def bl3_pair(a=F(1, 5)):
 # --- the gate -----------------------------------------------------------------
 
 def test_area_gate_examples():
-    assert area_gate(F(1, 10), F(1, 3), F(9, 20), None)
+    assert gate_reason(F(1, 10), F(1, 3), F(9, 20), None) is None
     # 1/8 + 1/3 = 11/24 > 7/16
-    assert not area_gate(F(1, 8), F(1, 3), F(7, 16), None)
-    assert area_gate(F(17, 2), F(99), None, None)
+    assert gate_reason(F(1, 8), F(1, 3), F(7, 16), None) is not None
+    assert gate_reason(F(17, 2), F(99), None, None) is None
     # boundary case is strict
-    assert not area_gate(F(1, 9), F(1, 3), F(4, 9), None)
+    assert gate_reason(F(1, 9), F(1, 3), F(4, 9), None) is not None
 
 
 # --- worked pairs ----------------------------------------------------------------
@@ -217,3 +220,29 @@ def test_lower_index_route():
     verdict = evaluate_pair(scenario)
     assert verdict.conclusion == NON_DISPLACEABLE
     assert verdict.theorem == "lower-index"
+
+
+def test_ambiguous_pairing(tmp_path):
+    # H2(X) = Z^2 with generators H, K and form I, both cp2 sides with
+    # j = [[1, 1], [0, 0], [0, 0]]: j(H - K) = 0 while [L] = [K] = 0, so
+    # neither lift is unique, and the gate passes
+    doc = cp2_pair().to_json_dict()
+    doc["H2_X"]["generators"] = ["H", "K"]
+    doc["form"] = [[1, 0], [0, 1]]
+    for side in doc["sides"]:
+        side["j"] = [[1, 1], [0, 0], [0, 0]]
+        side["fundamental_class"] = [0, 0]
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert main(["criterion", "--scenario", str(path), "--ring", "Z/8"],
+                out=out) == 0
+    result = json.loads(out.getvalue())["result"]
+    assert (result["conclusion"], result["reason"]) == (INCONCLUSIVE,
+                                                        "ambiguous pairing")
+    assert result["audit"][-1] == {
+        "check": "area_gate", "value": "pass",
+        "inputs": {"a": "1/10", "b": "1/3", "A": "9/20", "B": "inf"}}
+    assert result["notes"] == [
+        "lift not unique: ker j exceeds the ambiguity subgroup"] * 2
+    assert "pairing" not in result

@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import random
 import re
 import tempfile
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,9 +20,10 @@ from floerdisk.errors import (BadParams, FloerDiskError, SchemaError,
                               UnknownScenario, ValidationError)
 from floerdisk.invariants import oc_low
 from floerdisk.rings import Ring
-from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, Scenario,
-                                builtin_scenario, combine, load_scenario,
-                                sphere_pair)
+from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, MAX_DISKS,
+                                MAX_GENERATORS, MAX_INT_BITS, MAX_RELATIONS,
+                                Scenario, builtin_scenario, combine,
+                                load_scenario, sphere_pair)
 from oracles import oracle_builtin_scenario, oracle_sphere_pair
 
 F = Fraction
@@ -272,6 +275,280 @@ def test_loader_rejects_lattice_params_below_one(k, n):
     doc["sides"][0]["lattice_params"] = {"k": k, "N": n}
     with pytest.raises(ValidationError, match="lattice parameters"):
         load_scenario(json.dumps(doc))
+
+
+def _run(doc, tmp_path, command):
+    """(exit code, document, seconds) of one command on the document."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    start = time.perf_counter()
+    code = main([command, "--scenario", str(path)], out=out)
+    return code, json.loads(out.getvalue()), time.perf_counter() - start
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("cp2_ta", ("sides", 0, "fundamental_class"), [0, 0],
+     "side T_a: fundamental class length"),
+    ("cp2_clifford", ("sides", 0, "b"), DELETE,
+     "side T_Cl: monotone side needs its constant"),
+    ("cp2_clifford", ("sides", 0, "ledger", "disks", 0, "area"), "1/4",
+     "side T_Cl: disk b1 violates area = (b/2) * maslov"),
+    ("cp2_ta", ("sides", 0, "local_system"), {"dbeta": "1"},
+     "side T_a: local system must assign a unit to every H1 generator"),
+    ("cp2_ta", ("sides", 0, "subspace"),
+     {"field": "F2", "base": [0, 0, 0], "span": []},
+     "side T_a: subspace ambient dimension != rank H1"),
+    ("cp2_ta", ("sides", 0, "asserted_invariant"), [0, 0],
+     "side T_a: asserted invariant length"),
+    ("cp2_ta", ("sides", 0, "ledger", "disks", 0, "rel_class"), [1, -2],
+     "side T_a: disk H-2b-a class length"),
+    ("cp2_ta", ("sides", 0, "ledger", "disks", 0, "boundary"), [-2],
+     "side T_a: disk H-2b-a boundary length"),
+    ("cp2_ta", ("sides", 0, "ledger", "disks", 0, "maslov"), 4,
+     "side T_a: disk H-2b-a has Maslov index 4; only index 2 is supported"),
+    ("cp2_ta", ("sides", 0, "lattice_params"), {"k": 0, "N": 2},
+     "side T_a: lattice parameters need k >= 1 and N >= 1"),
+    ("cp2_ta", ("sides", 0, "ledger", "complete_below"), "inf",
+     "side T_a: a non-monotone ledger needs a finite completeness cutoff")])
+def test_side_rejections_exit_3_with_their_message(tmp_path, name, path,
+                                                   value, message):
+    doc = make(name).to_json_dict()
+    if value is DELETE:
+        del doc["sides"][0][path[-1]]
+    else:
+        _set(doc, path, value)
+    code, report, _ = _run(doc, tmp_path, "validate")
+    assert (code, report["error"]) == (3, {"type": "ValidationError",
+                                           "message": message})
+
+
+# --- documents at and past the size limits --------------------------------------
+
+def _times(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _unimodular(n, bits, rng):
+    """A dense unimodular n x n matrix and its inverse, made by random row
+    additions until an entry of either has bits // 2 bits."""
+    p = [[int(i == k) for k in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    while n > 1 and max(abs(x) for m in (p, q) for row in m
+                        for x in row).bit_length() < bits // 2:
+        i, k = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        p[i] = [x + c * y for x, y in zip(p[i], p[k])]
+        for row in q:
+            row[k] -= c * row[i]
+    return p, q
+
+
+def dense_document(generators, relations, disks, bits, seed=0):
+    """A valid two-sided document: H1(L) and H2(X,L) have `generators`
+    generators, H2(X) one fewer, every group has `relations` relation rows,
+    each side `disks` disks, and entries have up to `bits` bits.
+
+    In a plain basis the relations kill the first k generators of each group,
+    j sends x_i to y_i, and bd sends y_i to z_i except for k <= i < n - 1.
+    Dense unimodular changes of basis then fill every matrix.  The disks
+    come in pairs whose boundaries cancel, so oc_low lifts their sum and
+    evaluate_pair runs to its end.
+    """
+    rng = random.Random(seed)
+    while True:   # draw again when an entry has more than `bits` bits
+        doc = _dense_draw(generators, relations, disks, bits, rng)
+        if max(x.bit_length() for x in _entries(doc)) <= bits:
+            return doc
+
+
+def _dense_draw(generators, relations, disks, bits, rng):
+    n, m = generators, generators - 1
+    k = min(relations, m - 1)
+
+    def relation_rows(p):
+        basic = _times(_unimodular(k, bits, rng)[0],
+                       [[row[i] for row in p] for i in range(k)])
+        extra = [[sum(c * x for c, x in zip(cs, column))
+                  for column in zip(*basic)]
+                 for cs in ([rng.randint(-3, 3) for _ in basic]
+                            for _ in range(relations - k))]
+        return basic + extra
+
+    px, px_inv = _unimodular(m, bits, rng)
+    j0 = [[int(i == c) for c in range(m)] for i in range(n)]
+    bd0 = [[int(i == c and not k <= c < m) for c in range(n)]
+           for i in range(n)]
+
+    def side(name):
+        py, py_inv = _unimodular(n, bits, rng)
+        pz, _ = _unimodular(n, bits, rng)
+        bd = _times(_times(pz, bd0), py_inv)
+        ledger = []
+        for d in range(disks):
+            if d % 2 == 0:
+                plain = [rng.randint(-3, 3) for _ in range(n - 1)] + [1]
+            else:   # the pair's boundaries cancel; its sum is j of w
+                w = [rng.randint(-3, 3) for _ in range(m)]
+                plain = [y - x for x, y in zip(plain, w + [0])]
+            rel = list(mat_vec(py, plain))
+            ledger.append({"label": f"d{d}", "rel_class": rel,
+                           "boundary": list(mat_vec(bd, rel)),
+                           "maslov": 2, "area": "1/2", "count": 1})
+        return {"name": name,
+                "H1_L": {"generators": [f"z{i}" for i in range(n)],
+                         "relations": relation_rows(pz)},
+                "H2_XL": {"generators": [f"y{i}" for i in range(n)],
+                          "relations": relation_rows(py)},
+                "j": _times(_times(py, j0), px_inv), "bd": bd,
+                "fundamental_class": [0] * m, "monotone": True, "b": "1/2",
+                "ledger": {"complete_below": "inf", "disks": ledger}}
+
+    top = 1 << (bits - 1)
+    form = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for c in range(i, m):
+            form[i][c] = form[c][i] = rng.randrange(-top, top)
+    return {"ring": "Z/8",
+            "H2_X": {"generators": [f"x{i}" for i in range(m)],
+                     "relations": relation_rows(px)},
+            "form": form, "sides": [side("L"), side("K")]}
+
+
+def _entries(node):
+    if type(node) is int:
+        yield node
+    elif isinstance(node, (list, dict)):
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _entries(child)
+
+
+def _at_bounds(seed=0):
+    return dense_document(MAX_GENERATORS, MAX_RELATIONS, MAX_DISKS,
+                          MAX_INT_BITS, seed)
+
+
+@pytest.mark.parametrize("command", ["validate", "invariant", "criterion"])
+def test_dense_document_at_every_bound_runs_to_the_end(tmp_path, command):
+    """The slowest shape the limits admit: it must load and run, and the
+    limits exist so that this takes well under a second; the looser time
+    bound here only catches a hang."""
+    doc = _at_bounds()
+    assert len(doc["sides"][0]["H1_L"]["generators"]) == MAX_GENERATORS
+    assert len(doc["H2_X"]["relations"]) == MAX_RELATIONS
+    assert len(doc["sides"][0]["ledger"]["disks"]) == MAX_DISKS
+    assert max(x.bit_length() for x in _entries(doc)) == MAX_INT_BITS
+    code, report, seconds = _run(doc, tmp_path, command)
+    assert code == 0, report
+    if command == "criterion":
+        assert report["result"]["conclusion"] == "non_displaceable"
+    assert seconds < 10
+
+
+def _one_generator_too_many():
+    return dense_document(MAX_GENERATORS + 1, MAX_RELATIONS, MAX_DISKS,
+                          MAX_INT_BITS)
+
+
+def _one_relation_too_many():
+    doc = _at_bounds()
+    doc["H2_X"]["relations"].append([0] * (MAX_GENERATORS - 1))
+    return doc
+
+
+def _one_disk_too_many():
+    doc = _at_bounds()
+    disks = doc["sides"][1]["ledger"]["disks"]
+    disks.append(dict(disks[0], label="extra"))
+    return doc
+
+
+def _one_bit_too_many():
+    doc = _at_bounds()
+    doc["form"][1][1] = -1 << MAX_INT_BITS
+    return doc
+
+
+@pytest.mark.parametrize("build, message", [
+    (_one_generator_too_many,
+     f"sides[0].H1_L: {MAX_GENERATORS + 1} generators; the limit is "
+     f"{MAX_GENERATORS}"),
+    (_one_relation_too_many,
+     f"H2_X: {MAX_RELATIONS + 1} relation rows; the limit is "
+     f"{MAX_RELATIONS}"),
+    (_one_disk_too_many,
+     f"sides[1].ledger: {MAX_DISKS + 1} disks; the limit is {MAX_DISKS}"),
+    (_one_bit_too_many,
+     f"form[1][1]: an integer of {MAX_INT_BITS + 1} bits; the limit is "
+     f"{MAX_INT_BITS} bits")])
+def test_one_past_a_bound_is_a_validation_error(tmp_path, build, message):
+    doc = build()
+    for command in ("validate", "invariant", "criterion"):
+        code, report, _ = _run(doc, tmp_path, command)
+        assert (code, report["error"]) == (3, {"type": "ValidationError",
+                                               "message": message})
+
+
+def test_entries_at_the_bit_limit_load():
+    doc = builtin_scenario("cp2_clifford").to_json_dict()
+    for value in ((1 << MAX_INT_BITS) - 1, -(1 << MAX_INT_BITS) + 1):
+        doc["form"] = [[value]]
+        assert load_scenario(json.dumps(doc)).form.matrix == ((value,),)
+    doc["form"] = [[1 << MAX_INT_BITS]]
+    with pytest.raises(ValidationError, match="the limit is"):
+        load_scenario(json.dumps(doc))
+
+
+def test_integer_too_long_for_int_is_a_schema_error(tmp_path):
+    text = builtin_scenario("cp2_clifford").canonical_json().replace(
+        '"form":[[1]]', '"form":[[1' + "0" * 5000 + "]]")
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    out = io.StringIO()
+    assert main(["validate", str(path)], out=out) == 3
+    error = json.loads(out.getvalue())["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith("not valid JSON: ")
+
+
+def test_sixty_generator_document_ends_at_once(tmp_path):
+    """H2(X) = Z, H2(X,L) = Z^61 and H1(L) = Z^60, bd a dense unimodular
+    60 x 60 block with entries of up to 78 bits, one disk per generator of
+    H2(X,L).  Without the size limits, validate on it ran for more than
+    30 s inside smith_normal_form."""
+    rng = random.Random(60)
+
+    def unitriangular(lower):
+        return [[rng.randrange(-1 << 24, 1 << 24) if (i > c if lower
+                 else i < c) else int(i == c) for c in range(60)]
+                for i in range(60)]
+
+    u = _times(_times(unitriangular(True), unitriangular(False)),
+               unitriangular(True))
+    bd = [row + [0] for row in u]
+    disks = [{"label": f"d{i}", "rel_class": [int(i == c) for c in range(61)],
+              "boundary": [row[i] for row in bd], "maslov": 2, "area": "1/2",
+              "count": 1} for i in range(61)]
+    doc = {"ring": "Z/8", "H2_X": {"generators": ["H"], "relations": []},
+           "form": [[1]],
+           "sides": [{"name": "L",
+                      "H1_L": {"generators": [f"z{i}" for i in range(60)]},
+                      "H2_XL": {"generators": [f"y{i}" for i in range(61)]},
+                      "j": [[0]] * 60 + [[1]], "bd": bd,
+                      "fundamental_class": [0], "monotone": True, "b": "1/2",
+                      "ledger": {"complete_below": "inf", "disks": disks}}]}
+    assert 70 < max(x.bit_length() for x in _entries(bd)) <= 78
+    assert len(json.dumps(doc)) > 150_000
+    code, report, seconds = _run(doc, tmp_path, "validate")
+    assert (code, report["error"]) == (3, {
+        "type": "ValidationError",
+        "message": f"sides[0].H1_L: 60 generators; the limit is "
+                   f"{MAX_GENERATORS}"})
+    assert seconds < 1
 
 
 FUZZ_DOCUMENTS = [

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import floerdisk.cli as cli
 import floerdisk.scenario as scenario_module
 from floerdisk.cli import main
-from floerdisk.criterion import area_gate, evaluate_pair, gate_inputs
+from floerdisk.criterion import evaluate_pair, gate_inputs, gate_reason
 from floerdisk.errors import BadParams, FloerDiskError, ValidationError
 from floerdisk.rings import Ring, parse_rational, rational_str
 from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, Scenario,
@@ -82,7 +82,7 @@ def check_gate_outcomes(name, second, flags):
                                  "--monotone-variant" in flags)
         except FloerDiskError:
             continue
-        passes = area_gate(*inputs[:4])
+        passes = gate_reason(*inputs[:4]) is None
         # a point whose verdict reached the gate reports the same outcome
         if point.get("reason", "").startswith("area gate"):
             assert not passes
@@ -494,6 +494,31 @@ def test_sweep_evaluates_a_root_on_the_grid(evaluations):
     assert report["result"]["points"][4]["reason"].startswith(
         "area gate boundary")
     assert report["result"]["points"][5]["reason"].startswith("area gate: ")
+
+
+def test_field_is_checked_once_on_the_last_pair(monkeypatch):
+    # no side's subspace depends on a, so one check covers every point
+    checked = []
+    original = cli._check_field
+
+    def counted(sides, field):
+        checked.append(tuple(side.name for side in sides))
+        return original(sides, field)
+
+    monkeypatch.setattr(cli, "_check_field", counted)
+    for field, code in (("F2", 0), ("F3", 3)):
+        argv = sweep_argv("p1xp1_ta", "p1xp1_clifford",
+                          ["--ring", "Z/2", "--field", field],
+                          "1/20", "9/20", "1/20")
+        expected = oracle_text(argv)
+        del checked[:]
+        assert main_text(argv) == expected
+        assert checked == [("That_a", "That_Cl")]
+        assert run(argv)[0] == code
+    assert json.loads(expected)["error"] == {
+        "type": "BadParams",
+        "message": "side That_a: its subspace lies over F2, not over "
+                   "--field F3"}
 
 
 @pytest.mark.parametrize("name", sorted(A_INTERVALS))
