@@ -11,7 +11,10 @@ error, 4 computation error.
 from __future__ import annotations
 
 import argparse
+import bisect
+import functools
 import json
+import math
 import os
 import re
 import sys
@@ -19,7 +22,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .criterion import (evaluate_pair, gate_inputs, gate_reason,
+from .criterion import (evaluate_pair, gate_inputs, gate_sides, gate_text,
                         side_subspace)
 from .errors import (BadParams, DimensionMismatch, FloerDiskError, SchemaError,
                      UnknownLabel, UnknownScenario, ValidationError)
@@ -29,8 +32,8 @@ from .potential import (potential_from_ledger, residue_critical_points,
 from .probes import builtin_polytope, polytope_from_json, search_probes
 from .rings import PRIME_FIELD, Ring, parse_rational, rational_str
 from .scenario import (A_INTERVALS, AffineSubspace, BUILTIN_NAMES, Scenario,
-                       builtin_scenario, check_a, combine, decode_json,
-                       load_scenario)
+                       builtin_row, builtin_scenario, check_a, combine,
+                       decode_json, load_scenario)
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
@@ -267,41 +270,50 @@ def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list:
     if count > SWEEP_POINT_LIMIT:
         raise BadParams(f"sweep grid has {count} points; the limit is "
                         f"{SWEEP_POINT_LIMIT}")
-    return [start + i * step for i in range(count)]
+    den = math.lcm(start.denominator, step.denominator)
+    first, stride = int(start * den), int(step * den)
+    return [Fraction(first + i * stride, den) for i in range(count)]
 
 
-def _gate_lines(inputs_at, low: Fraction, high: Fraction):
-    """The gate inputs (a, b, A, B) as exact functions of the swept a on the
-    builtin's open interval (low, high); None when a sample fails.
-
-    Every gate input is affine in a there (no two of the builtin's affine
-    quantities cross inside it), so two exact samples at its thirds fix it.
-    """
-    t1, t2 = low + (high - low) / 3, high - (high - low) / 3
+def _gate_rows(name: str, scenario: Scenario, a: Fraction, ring: Ring,
+               use_subspaces: bool, monotone_variant: bool):
+    """The gate's a + b, then its finite bounds among A and B, as rows
+    (c0, c1) worth c0 + c1*t at every t in the swept builtin's open interval;
+    None when the gate inputs are undefined at the interior point a, and so
+    everywhere inside.  Of the gate's two (least area, bound) pairs, the
+    --vs side gives a constant one and the swept side the other, each input
+    the one row of the builtin's table worth it at a."""
+    swept, partner = scenario.sides
     try:
-        s1, s2 = (inputs_at(t)[:4] for t in (t1, t2))
+        least_a, least_b, big_a, big_b, _ = gate_inputs(
+            swept, partner, ring, use_subspaces, monotone_variant)
     except FloerDiskError:
         return None
-    return lambda a: tuple(None if x1 is None
-                           else x1 + (x2 - x1) * (a - t1) / (t2 - t1)
-                           for x1, x2 in zip(s1, s2))
+    pairs = [(least_a, big_a), (least_b, big_b)]
+    if gate_sides(swept, partner, monotone_variant)[0] is not swept:
+        pairs.reverse()
+    (least, bound), (other_least, other_bound) = pairs
+    c0, c1 = builtin_row(name, least, a)
+    rows = [(c0 + other_least, c1)]
+    if bound is not None:
+        rows.append(builtin_row(name, bound, a))
+    if other_bound is not None:
+        rows.append((other_bound, 0))
+    return rows
 
 
-def _gate_threshold(lines, low: Fraction, high: Fraction):
-    """The t such that, on (low, high), the gate passes iff a < t, or None
-    when there is none.  It is the least root of the gate margins
-    X(a) - (a + b), X in {A, B}, when each margin falls as a grows (a + b
-    holds the swept side's least area, a itself, and no bound grows with a).
-    """
-    lo, hi = lines(low), lines(high)
+def _gate_threshold(lines: list, start: Fraction, step: Fraction,
+                    high: Fraction):
+    """The t such that, on the open interval, the gate passes iff a < t, or
+    None when there is none: the least root of the margins X - (a + b), X a
+    finite bound, when each falls as a grows.  lines hold a + b, then the
+    bounds, as (u, v): (u + v*i) / m at grid point i."""
+    (sum_u, sum_v), *bounds = lines
     roots = []
-    for x_lo, x_hi in zip(lo[2:], hi[2:]):
-        if x_lo is None:
-            continue
-        m_lo, m_hi = x_lo - lo[0] - lo[1], x_hi - hi[0] - hi[1]
-        if m_hi >= m_lo:
+    for u, v in bounds:
+        if v >= sum_v:
             return None
-        roots.append(low + m_lo * (high - low) / (m_lo - m_hi))
+        roots.append(start + step * Fraction(u - sum_u, sum_v - v))
     return min(roots, default=high)
 
 
@@ -328,41 +340,62 @@ def _cmd_sweep(args):
     grid = _sweep_grid(start, stop, step)
     overrides = _side_overrides(args, field)
     second = _resolve_scenario(args.vs)
-    for a in grid:
+    low, high, top = A_INTERVALS[name]
+    # the grid ascends and the interval is convex: past a first point inside,
+    # the first point outside is the first one at or past the top end
+    past = (bisect.bisect_right if top else bisect.bisect_left)(grid, high)
+    for a in (grid[0], *grid[past:past + 1]):
         check_a(name, a)
 
+    @functools.cache
     def scenario_at(a: Fraction) -> Scenario:
         return combine(_apply_side_overrides(builtin_scenario(name, {"a": a}),
                                              overrides), second)
 
-    last = scenario_at(grid[-1])
-    _check_field(last.sides, field)
-    ring = ring or last.ring
+    # the gate's rows are read at the first point, which is evaluated
+    # anyway; a grid of only the closed top end reads them at the midpoint
+    read_at = grid[0] if grid[0] != high else (low + high) / 2
+    first = scenario_at(read_at)
+    _check_field(first.sides, field)
+    ring = ring or first.ring
     use_subspaces = field is not None
-    low, high, _ = A_INTERVALS[name]
-    lines = _gate_lines(
-        lambda t: gate_inputs(*scenario_at(t).sides, ring, use_subspaces,
-                              args.monotone_variant), low, high)
-    threshold = _gate_threshold(lines, low, high) if lines else None
+    rows = _gate_rows(name, first, read_at, ring, use_subspaces,
+                      args.monotone_variant)
+    threshold = None
+    if rows is not None:
+        # in integers, row j at grid point i is (u_j + v_j*i) / m
+        on_grid = [(c0 + c1 * start, c1 * step) for c0, c1 in rows]
+        m = math.lcm(*(x.denominator for row in on_grid for x in row))
+        lines = [(int(x * m), int(y * m)) for x, y in on_grid]
+        (sum_u, sum_v), *bound_lines = lines
+        threshold = _gate_threshold(lines, start, step, high)
+
+    def text(total: int, bound: int) -> str:
+        return gate_text(rational_str(Fraction(total, m)),
+                         rational_str(Fraction(bound, m)))
+
     # key -> (its verdict, whether its reason is the gate's at its point);
-    # the key is "top", "samples failed", or whether the gate passes at a
+    # the key is "top", None where the gate inputs are undefined, or
+    # whether the gate passes at a
     verdicts, points = {}, []
-    for a in grid:
-        if a == high or lines is None:
-            key = "top" if a == high else "samples failed"
+    top_index = len(grid) - 1 if grid[-1] == high else None
+    for i, a in enumerate(grid):
+        if i == top_index or rows is None:
+            key = "top" if i == top_index else None
         else:
-            key = (a < threshold if threshold is not None
-                   else gate_reason(*lines(a)) is None)
+            total = sum_u + sum_v * i
+            bound = min([u + v * i for u, v in bound_lines], default=None)
+            key = bound is None or total < bound
         if key in verdicts:
             verdict, gated = verdicts[key]
-            reason = gate_reason(*lines(a)) if gated else verdict.reason
+            reason = text(total, bound) if gated else verdict.reason
         else:
-            scenario = last if a == grid[-1] else scenario_at(a)
-            verdict = evaluate_pair(scenario, use_subspaces=use_subspaces,
+            verdict = evaluate_pair(scenario_at(a),
+                                    use_subspaces=use_subspaces,
                                     monotone_variant=args.monotone_variant,
                                     ring=ring)
             reason = verdict.reason
-            gated = key is False and reason == gate_reason(*lines(a))
+            gated = key is False and reason == text(total, bound)
             verdicts[key] = verdict, gated
         entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
         if verdict.theorem:
@@ -378,7 +411,7 @@ def _cmd_sweep(args):
                "monotone_variant": args.monotone_variant,
                "from": rational_str(start), "to": rational_str(stop),
                "step": rational_str(step)}
-    return _report("sweep", last, options, result)
+    return _report("sweep", scenario_at(grid[-1]), options, result)
 
 
 def _cmd_potential(args):

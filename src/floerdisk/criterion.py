@@ -74,32 +74,46 @@ def gate_reason(a, b, big_a, big_b) -> str | None:
     bounds = [x for x in (big_a, big_b) if x is not None]
     if not bounds or total < min(bounds):
         return None
-    if total == min(bounds):
-        return f"area gate boundary: a+b = {_fmt(total)} equals min(A,B)"
-    return f"area gate: a+b = {_fmt(total)} >= min(A,B) = {_fmt(min(bounds))}"
+    return gate_text(_fmt(total), _fmt(min(bounds)))
+
+
+def gate_text(total: str, bound: str) -> str:
+    """The reason the gate fails, from a+b and min(A,B) <= a+b, each written
+    in lowest terms, so that equal values are equal strings."""
+    if total == bound:
+        return f"area gate boundary: a+b = {total} equals min(A,B)"
+    return f"area gate: a+b = {total} >= min(A,B) = {bound}"
+
+
+def gate_sides(left, right, monotone_variant: bool = False) -> tuple:
+    """The two sides in gate order: the first gives the gate's (a, A), the
+    second its (b, B).  Rules 1.5/1.6 keep the order; rules 2.4/2.5 put the
+    non-monotone side first and need exactly one monotone side."""
+    if not monotone_variant:
+        return left, right
+    if left.monotone == right.monotone:
+        raise ValidationError(
+            "monotone variant needs exactly one monotone side")
+    return (right, left) if left.monotone else (left, right)
 
 
 def gate_inputs(left, right, ring: Ring, use_subspaces: bool = False,
                 monotone_variant: bool = False) -> tuple:
-    """(a, b, A, B, threshold) for the step-3 gate a + b < min(A, B).
+    """(a, b, A, B, threshold) for the step-3 gate a + b < min(A, B), with
+    the sides in gate_sides order: a and b are their least areas.
 
-    Rules 1.5/1.6: least and next areas of each side; threshold None.
-    Rules 2.4/2.5: a and b are the least areas of the non-monotone and the
-    monotone side, A is the first non-cancelling level of the former, B
-    is None (infinity), and threshold is (side name, ThresholdResult).
+    Rules 1.5/1.6: A and B are their next areas; threshold None.
+    Rules 2.4/2.5: A is the first non-cancelling level of the non-monotone
+    side, B is None (infinity), and threshold is (side name,
+    ThresholdResult).
     """
+    first, second = gate_sides(left, right, monotone_variant)
+    a, b = least_area(first), least_area(second)
     if not monotone_variant:
-        return (least_area(left), least_area(right), next_area(left),
-                next_area(right), None)
-    mono = [s for s in (left, right) if s.monotone]
-    if len(mono) != 1:
-        raise ValidationError(
-            "monotone variant needs exactly one monotone side")
-    other = right if mono[0] is left else left
-    a, b = least_area(other), least_area(mono[0])
+        return a, b, next_area(first), next_area(second), None
     threshold = cancellation_threshold(
-        other, ring, subspace=other.subspace if use_subspaces else None)
-    return a, b, threshold.effective_bound, None, (other.name, threshold)
+        first, ring, subspace=first.subspace if use_subspaces else None)
+    return a, b, threshold.effective_bound, None, (first.name, threshold)
 
 
 def side_subspace(side, use_subspaces: bool):

@@ -242,8 +242,17 @@ def oc_low(side: LagrangianSide, ring: Ring,
 
     Raises CancellationFails when the boundary cancellation condition does
     not hold over the ring (coset by coset when a subspace is given), and
-    NoLift when the disk sum has no preimage under j.
+    NoLift when the disk sum has no preimage under j.  A result is kept on
+    the side object, off its fields, per (ring, subspace); replace() drops
+    it, and an error is raised anew at every call.
     """
+    memo = side.__dict__.setdefault("_oc_low", {})
+    if (ring, subspace) not in memo:
+        memo[ring, subspace] = _oc_low(side, ring, subspace)
+    return memo[ring, subspace]
+
+
+def _oc_low(side, ring, subspace) -> StringInvariantClass:
     h2x = side.h2x
     ambiguity = side.fundamental_class
 

@@ -247,12 +247,15 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is rejected on purpose: all inputs must be exact.
     """
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"{text!r} is not an exact rational: give it as "
+                         f"p/q or p, with integers p and q") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def rational_from(value, where) -> Fraction:

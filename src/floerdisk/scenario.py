@@ -741,6 +741,15 @@ def check_a(name: str, a: Fraction) -> None:
         raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
 
 
+def builtin_row(name: str, value: Fraction, a: Fraction) -> tuple:
+    """The row (c0, c1) of the parametric builtin, a disk area, its cutoff
+    or its constant, that is worth value at a inside its open interval; no
+    two rows cross there, so that one row gives the value at every a."""
+    entry = _TABLE[name]
+    rows = [area for *_, area in entry.disks] + [entry.cutoff, entry.constant]
+    return next(r for r in rows if r is not None and r[0] + r[1] * a == value)
+
+
 def builtin_scenario(name: str, params=None) -> Scenario:
     """Construct one of the built-in scenarios by name.
 

@@ -468,8 +468,8 @@ P1XP1_PAIR = ["--builtin", "p1xp1_ta:a=1/5", "--vs", "p1xp1_clifford",
       "--field", "Z/2"], 3, "BadParams"),
     # the builtins' subspaces lie over F2
     (["criterion", *P1XP1_PAIR, "--field", "F3"], 3, "BadParams"),
-    (["sweep", *P1XP1_PAIR, "--field", "F3", "--from", "1/5", "--to",
-      "1/5", "--step", "1/5"], 3, "BadParams"),
+    (["sweep", "--builtin", "p1xp1_ta", *P1XP1_PAIR[2:], "--field", "F3",
+      "--from", "1/5", "--to", "1/5", "--step", "1/5"], 3, "BadParams"),
     # a side with no subspace, as criterion reports it
     (["invariant", "--builtin", "cp2_ta:a=1/10", "--ring", "Z/8",
       "--field", "F2"], 3, "ValidationError")])

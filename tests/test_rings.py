@@ -145,6 +145,15 @@ def test_zero_denominator_is_a_value_error():
         parse_rational("1/0")
 
 
+def test_a_decimal_is_refused_by_name():
+    for text in ("0.1", "1e-1", "3/", "1/2.5"):
+        with pytest.raises(ValueError, match=f"'{text}' is not an exact "
+                                             f"rational: give it as p/q"):
+            parse_rational(text)
+    with pytest.raises(SchemaError, match=r"x: bad rational '0\.1'"):
+        rational_from("0.1", "x")
+
+
 def test_rational_from_documents():
     assert rational_from("3/6", "x") == Fraction(1, 2)
     assert rational_from(-4, "x") == Fraction(-4)

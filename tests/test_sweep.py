@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import floerdisk.cli as cli
+import floerdisk.invariants as invariants_module
 import floerdisk.scenario as scenario_module
 from floerdisk.cli import main
 from floerdisk.criterion import evaluate_pair, gate_inputs, gate_reason
@@ -227,15 +228,15 @@ def test_replaced_side_is_validated_again(validations):
 @pytest.mark.parametrize("n", [1, 6])
 def test_sweep_validates_each_side_once(validations, n):
     # one swept build per chamber of a the grid meets (the root 1/9 splits
-    # 1/20..6/20 into two) and one for the last point, the --vs side once,
-    # and the two builds that fix the gate margins; re-validating every side
-    # at every point made 4n + 12 calls, and one build per point n + 3
+    # 1/20..6/20 into two) and one for the last point, and the --vs side
+    # once: the gate rows come off the first build; re-validating every
+    # side at every point made 4n + 12 calls
     builds = {1: 1, 6: 3}[n]
     code, report = run(sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
                                   "1/20", F(n, 20), "1/20"))
     assert code == 0
     assert len(report["result"]["points"]) == n
-    assert len(validations) == builds + 3
+    assert len(validations) == builds + 1
 
 
 # --- the chamber walk against the per-point sweep -----------------------------
@@ -324,7 +325,7 @@ def oracle_text(argv):
     error document of what it raises."""
     try:
         document = oracle_sweep(cli._PARSER.parse_args(argv))
-    except ValueError as exc:
+    except (cli._UsageError, ValueError) as exc:
         document = {"error": {"type": "usage", "message": str(exc)}}
     except (FloerDiskError, OSError) as exc:
         document = {"error": {"type": type(exc).__name__,
@@ -401,6 +402,96 @@ def test_chamber_walk_on_a_monotone_swept_side(tmp_path):
                                   ("2/5", "2/5", "1/7")):
             argv = sweep_argv("ts2_la", str(path), flags, start, stop, step)
             assert main_text(argv) == oracle_text(argv), argv
+
+
+def partner_file(tmp_path, ref, **changes):
+    """The one-sided document of a builtin ref with its side renamed K and
+    its keys changed: b, monotone and a ledger cutoff, and "area" for every
+    disk (None pops a key), written to a file whose path is returned."""
+    doc = make(ref).to_json_dict()
+    side = doc["sides"][0]
+    side["name"] = "K"
+    area = changes.pop("area", None)
+    for disk in side["ledger"]["disks"] if area else ():
+        disk["area"] = area
+    if "complete_below" in changes:
+        side["ledger"]["complete_below"] = changes.pop("complete_below")
+    for key, value in changes.items():
+        if value is None:
+            side.pop(key)
+        else:
+            side[key] = value
+    path = tmp_path / f"K{len(list(tmp_path.iterdir()))}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+MONOTONE = [flags for flags in FLAG_SETS if "--monotone-variant" in flags]
+
+
+def test_partner_inputs_equal_to_swept_rows_at_the_read_point(tmp_path):
+    # The gate rows are read at the first grid point, here 1/5, where the
+    # --vs side's constant least area (and, for cp2_ta at 1/5, its bound)
+    # equals a moving row of the swept side: each input's side comes from
+    # the gate's side order, not from its value.
+    partners = [partner_file(tmp_path, "cp2_clifford", b="1/5", area="1/5"),
+                "cp2_ta:a=1/5"]
+    for second in partners:
+        for flags in FLAG_SETS:
+            for start, stop, step in (("1/5", "1/3", "1/60"),
+                                      ("1/5", "3/10", "1/20")):
+                argv = sweep_argv("cp2_ta", second, flags, start, stop, step)
+                assert main_text(argv) == oracle_text(argv), argv
+
+
+@pytest.mark.parametrize("name", ["ts2_la", "trp2_la"])
+def test_a_monotone_swept_side_gives_b(tmp_path, name):
+    # Under the monotone variant the non-monotone --vs side K gives the
+    # gate's a (its least area 1/10) and A (a level or its cutoff 1/2), and
+    # the swept side gives b, which moves; grids read the rows where the
+    # swept row meets K's least area, its cutoff, or neither.
+    second = partner_file(tmp_path, f"{name}:a=1/10", monotone=False,
+                          b=None, complete_below="1/2")
+    for flags in MONOTONE:
+        for start, stop, step in (("1/10", "1/2", "1/20"),
+                                  ("1/2", "2", "1/4"), ("1/7", "1", "1/7")):
+            argv = sweep_argv(name, second, flags, start, stop, step)
+            assert main_text(argv) == oracle_text(argv), argv
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "F2"]])
+def test_bl3_threshold_bound_is_read_off_the_table(field):
+    # bl3_ta under the monotone variant: A is the first non-cancelling
+    # level, or the cutoff 1 - a when every level cancels; grids read it
+    # below, at and above the root 1/4, and next to the open top end
+    for start, stop, step in (("1/20", "9/20", "1/20"), ("1/4", "9/20", "1/20"),
+                              ("3/10", "49/100", "1/100"),
+                              ("49/100", "49/100", "1/100")):
+        argv = sweep_argv("bl3_ta", "bl3_clifford",
+                          ["--ring", "Z/2", *field, "--monotone-variant"],
+                          start, stop, step)
+        assert main_text(argv) == oracle_text(argv), argv
+
+
+@pytest.mark.parametrize("name, second", [("cp2_ta", "cp2_clifford"),
+                                          ("p1xp1_ta", "p1xp1_clifford")])
+def test_a_grid_of_only_the_top_end(name, second):
+    # no interior point: the rows are read at one interior build, and the
+    # threshold is still reported
+    top = rational_str(A_INTERVALS[name][1])
+    for flags in FLAG_SETS:
+        argv = sweep_argv(name, second, flags, top, top, "1/7")
+        assert main_text(argv) == oracle_text(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--builtin", "p1xp1_ta", "--vs", "p1xp1_clifford", "--field",
+     "F2", "--from", "1/5", "--to", "1/5", "--step", "1/5"],
+    sweep_argv("cp2_ta", "cp2_clifford", [], "0.1", "1/5", "1/10")])
+def test_usage_errors_are_reported_as_the_per_point_sweep_reports_them(argv):
+    text = main_text(argv)
+    assert text == oracle_text(argv), argv
+    assert json.loads(text)["error"]["type"] == "usage"
 
 
 @pytest.mark.parametrize("sides", [0, 2])
@@ -481,6 +572,34 @@ def test_sweep_runs_the_tree_once_per_chamber(evaluations):
     assert len(json.loads(text)["result"]["points"]) == 20
     assert evaluations == [F(1, 60), F(7, 60), F(1, 3)]
     assert text == oracle_text(argv)
+
+
+def test_long_sweep_builds_and_evaluates_once_per_chamber(monkeypatch,
+                                                         evaluations):
+    # 10,000 points: the tree runs in the two open chambers and at the top
+    # end, the swept side is built only where it runs (the last point is the
+    # top end), and the --vs side's invariant is computed once, then read
+    # off its side object
+    builds, computed = [], []
+    build, compute = cli.builtin_scenario, invariants_module._oc_low
+
+    def counted_build(name, params=None):
+        builds.append(name)
+        return build(name, params)
+
+    def counted_compute(side, ring, subspace):
+        computed.append(side.name)
+        return compute(side, ring, subspace)
+
+    monkeypatch.setattr(cli, "builtin_scenario", counted_build)
+    monkeypatch.setattr(invariants_module, "_oc_low", counted_compute)
+    code, report = run(sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
+                                  "1/30000", "1/3", "1/30000"))
+    assert code == 0
+    assert len(report["result"]["points"]) == 10_000
+    assert evaluations == [F(1, 30000), F(3334, 30000), F(1, 3)]
+    assert builds.count("cp2_ta") <= 3
+    assert computed.count("T_Cl") == 1
 
 
 def test_sweep_evaluates_a_root_on_the_grid(evaluations):
