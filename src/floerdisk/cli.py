@@ -22,7 +22,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .criterion import (evaluate_pair, gate_inputs, gate_sides, gate_text,
+from .criterion import (evaluate_pair, gate_failure, gate_inputs, gate_sides,
                         side_subspace)
 from .errors import (BadParams, DimensionMismatch, FloerDiskError, SchemaError,
                      UnknownLabel, UnknownScenario, ValidationError)
@@ -174,8 +174,6 @@ def _render_text(value, indent: int = 0) -> str:
                 lines.append(_render_text(item, indent + 1))
             else:
                 lines.append(f"{pad}- {item}")
-    else:
-        lines.append(f"{pad}{value}")
     return "\n".join(lines)
 
 
@@ -275,20 +273,22 @@ def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list:
     return [Fraction(first + i * stride, den) for i in range(count)]
 
 
-def _gate_rows(name: str, scenario: Scenario, a: Fraction, ring: Ring,
-               use_subspaces: bool, monotone_variant: bool):
-    """The gate's a + b, then its finite bounds among A and B, as rows
-    (c0, c1) worth c0 + c1*t at every t in the swept builtin's open interval;
-    None when the gate inputs are undefined at the interior point a, and so
-    everywhere inside.  Of the gate's two (least area, bound) pairs, the
-    --vs side gives a constant one and the swept side the other, each input
-    the one row of the builtin's table worth it at a."""
+def _gate_lines(name: str, scenario: Scenario, a: Fraction, start: Fraction,
+                step: Fraction, ring: Ring, use_subspaces: bool,
+                monotone_variant: bool):
+    """(lines, m): the gate's a + b, then its finite bounds among A and B, as
+    lines (u, v) worth (u + v*i) / m at every grid point i inside the swept
+    builtin's open interval; one line with no bound when the gate inputs are
+    undefined at the interior point a, and so everywhere inside.  Of the
+    gate's two (least area, bound) pairs, the --vs side gives a constant one
+    and the swept side the other, each input the one row of the builtin's
+    table worth it at a."""
     swept, partner = scenario.sides
     try:
         least_a, least_b, big_a, big_b, _ = gate_inputs(
             swept, partner, ring, use_subspaces, monotone_variant)
     except FloerDiskError:
-        return None
+        return [(0, 0)], 1
     pairs = [(least_a, big_a), (least_b, big_b)]
     if gate_sides(swept, partner, monotone_variant)[0] is not swept:
         pairs.reverse()
@@ -299,7 +299,9 @@ def _gate_rows(name: str, scenario: Scenario, a: Fraction, ring: Ring,
         rows.append(builtin_row(name, bound, a))
     if other_bound is not None:
         rows.append((other_bound, 0))
-    return rows
+    on_grid = [(c0 + c1 * start, c1 * step) for c0, c1 in rows]
+    m = math.lcm(*(x.denominator for row in on_grid for x in row))
+    return [(int(x * m), int(y * m)) for x, y in on_grid], m
 
 
 def _gate_threshold(lines: list, start: Fraction, step: Fraction,
@@ -352,50 +354,36 @@ def _cmd_sweep(args):
         return combine(_apply_side_overrides(builtin_scenario(name, {"a": a}),
                                              overrides), second)
 
-    # the gate's rows are read at the first point, which is evaluated
+    # the gate's lines are read at the first point, which is evaluated
     # anyway; a grid of only the closed top end reads them at the midpoint
     read_at = grid[0] if grid[0] != high else (low + high) / 2
     first = scenario_at(read_at)
     _check_field(first.sides, field)
     ring = ring or first.ring
     use_subspaces = field is not None
-    rows = _gate_rows(name, first, read_at, ring, use_subspaces,
-                      args.monotone_variant)
-    threshold = None
-    if rows is not None:
-        # in integers, row j at grid point i is (u_j + v_j*i) / m
-        on_grid = [(c0 + c1 * start, c1 * step) for c0, c1 in rows]
-        m = math.lcm(*(x.denominator for row in on_grid for x in row))
-        lines = [(int(x * m), int(y * m)) for x, y in on_grid]
-        (sum_u, sum_v), *bound_lines = lines
-        threshold = _gate_threshold(lines, start, step, high)
-
-    def text(total: int, bound: int) -> str:
-        return gate_text(rational_str(Fraction(total, m)),
-                         rational_str(Fraction(bound, m)))
+    lines, m = _gate_lines(name, first, read_at, start, step, ring,
+                           use_subspaces, args.monotone_variant)
+    (sum_u, sum_v), *bound_lines = lines
+    threshold = _gate_threshold(lines, start, step, high)
 
     # key -> (its verdict, whether its reason is the gate's at its point);
-    # the key is "top", None where the gate inputs are undefined, or
-    # whether the gate passes at a
+    # the key is "top", or whether the gate passes at a
     verdicts, points = {}, []
     top_index = len(grid) - 1 if grid[-1] == high else None
     for i, a in enumerate(grid):
-        if i == top_index or rows is None:
-            key = "top" if i == top_index else None
-        else:
-            total = sum_u + sum_v * i
-            bound = min([u + v * i for u, v in bound_lines], default=None)
-            key = bound is None or total < bound
+        bound = min([u + v * i for u, v in bound_lines], default=None)
+        failure = gate_failure(sum_u + sum_v * i, bound, m)
+        key = "top" if i == top_index else failure is None
         if key in verdicts:
             verdict, gated = verdicts[key]
-            reason = text(total, bound) if gated else verdict.reason
+            reason = failure if gated else verdict.reason
         else:
             verdict = evaluate_pair(scenario_at(a),
                                     use_subspaces=use_subspaces,
                                     monotone_variant=args.monotone_variant,
                                     ring=ring)
             reason = verdict.reason
-            gated = key is False and reason == text(total, bound)
+            gated = reason == failure
             verdicts[key] = verdict, gated
         entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
         if verdict.theorem:

@@ -44,9 +44,7 @@ RULE_LOWER_INDEX = "lower-index"
 def _fmt(x) -> str:
     if x is None:
         return "inf"
-    if isinstance(x, Fraction):
-        return rational_str(x)
-    return str(x)
+    return rational_str(x)
 
 
 @dataclass
@@ -70,19 +68,20 @@ class Verdict:
 def gate_reason(a, b, big_a, big_b) -> str | None:
     """Why the strict gate a + b < min(A, B) fails, or None when it passes;
     None plays the role of infinity."""
-    total = Fraction(a) + Fraction(b)
     bounds = [x for x in (big_a, big_b) if x is not None]
-    if not bounds or total < min(bounds):
+    return gate_failure(Fraction(a) + Fraction(b), min(bounds, default=None))
+
+
+def gate_failure(total, bound, den=1) -> str | None:
+    """Why the strict gate total < bound fails, both read over den, or None
+    when it passes; a bound of None is infinity."""
+    if bound is None or total < bound:
         return None
-    return gate_text(_fmt(total), _fmt(min(bounds)))
-
-
-def gate_text(total: str, bound: str) -> str:
-    """The reason the gate fails, from a+b and min(A,B) <= a+b, each written
-    in lowest terms, so that equal values are equal strings."""
+    total_text = _fmt(Fraction(total, den))
     if total == bound:
-        return f"area gate boundary: a+b = {total} equals min(A,B)"
-    return f"area gate: a+b = {total} >= min(A,B) = {bound}"
+        return f"area gate boundary: a+b = {total_text} equals min(A,B)"
+    return (f"area gate: a+b = {total_text} >= min(A,B) = "
+            f"{_fmt(Fraction(bound, den))}")
 
 
 def gate_sides(left, right, monotone_variant: bool = False) -> tuple:
@@ -225,6 +224,4 @@ def evaluate_pair(scenario: Scenario, use_subspaces: bool = False,
 def _describe_threshold(result: ThresholdResult) -> str:
     if result.threshold is not None:
         return f"first non-cancelling level {_fmt(result.threshold)}"
-    if result.cutoff is not None:
-        return f">= cutoff {_fmt(result.cutoff)} (all listed levels cancel)"
-    return "no non-cancelling level; ledger complete at every area"
+    return f">= cutoff {_fmt(result.cutoff)} (all listed levels cancel)"

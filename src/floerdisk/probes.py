@@ -30,6 +30,11 @@ Point = tuple
 # the largest accepted search takes about half a second.
 PROBE_WORK_BUDGET = 1_000_000
 
+# Most vertices a polygon document may hold, counted before any is read;
+# building the slowest polygon admitted and searching it at bound 1 takes
+# under a second.
+MAX_VERTICES = 8_000
+
 
 def _frac_point(p) -> Point:
     return (Fraction(p[0]), Fraction(p[1]))
@@ -137,6 +142,9 @@ def polytope_from_json(doc) -> Polytope2:
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
         raise SchemaError("a polytope is an object with a 'vertices' list")
+    if len(doc["vertices"]) > MAX_VERTICES:
+        raise ValidationError(f"vertices: {len(doc['vertices'])} vertices; "
+                              f"the limit is {MAX_VERTICES}")
     verts = []
     for i, vertex in enumerate(doc["vertices"]):
         if not isinstance(vertex, list) or len(vertex) != 2:

@@ -528,6 +528,8 @@ def load_scenario(document) -> Scenario:
         raise ValidationError(f"form: {exc}") from exc
 
     sides_data = _need(document, "sides", list, "document")
+    if not 1 <= len(sides_data) <= 2:
+        raise ValidationError("a scenario has one or two sides")
     sides = tuple(_side_from_dict(h2x, side, i)
                   for i, side in enumerate(sides_data))
     return Scenario(h2x, form, sides, ring)

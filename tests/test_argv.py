@@ -118,6 +118,25 @@ def test_empty_or_repeated_values_are_usage_errors(argv):
     assert json.loads(out.getvalue())["error"]["type"] == "usage"
 
 
+SWEEP_CP2 = ["sweep", "--vs", "cp2_clifford", "--from", "1/10", "--to", "1/5",
+             "--step", "1/10"]
+
+
+@pytest.mark.parametrize("argv, code, kind, message", [
+    (["criterion", "--builtin", "cp2_ta:a=1/10", "--vs", "cp2_clifford",
+      "--ring", "Q8"], 2, "usage", "cannot parse ring name 'Q8'"),
+    (SWEEP_CP2 + ["--builtin", "cp2_ta", "--param", "b"], 3, "BadParams",
+     "only the parameter 'a' can be swept"),
+    (SWEEP_CP2 + ["--builtin", "cp2_clifford"], 3, "BadParams",
+     "sweeps need a parametric builtin for the swept side"),
+    ([], 2, "usage", "a subcommand is required")])
+def test_rejected_argvs_name_their_fault(argv, code, kind, message):
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == code
+    assert json.loads(out.getvalue())["error"] == {"type": kind,
+                                                   "message": message}
+
+
 SWEEP_BL3 = ["sweep", "--builtin", "bl3_ta", "--vs", "bl3_clifford",
              "--ring", "Z/2"]
 

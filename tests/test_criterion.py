@@ -8,7 +8,7 @@ import pytest
 
 from floerdisk.cli import main
 from floerdisk.criterion import (INCONCLUSIVE, NON_DISPLACEABLE, TOPOLOGICAL,
-                                 evaluate_pair, gate_reason)
+                                 evaluate_pair, gate_failure, gate_reason)
 from floerdisk.errors import TwoSidedRequired
 from floerdisk.rings import Ring
 from floerdisk.scenario import (DiskLedger, Scenario, builtin_scenario,
@@ -45,6 +45,49 @@ def test_area_gate_examples():
     assert gate_reason(F(17, 2), F(99), None, None) is None
     # boundary case is strict
     assert gate_reason(F(1, 9), F(1, 3), F(4, 9), None) is not None
+
+
+def test_gate_failure_reads_both_values_over_den():
+    assert gate_failure(5, 5, 10) == (
+        "area gate boundary: a+b = 1/2 equals min(A,B)")
+    assert gate_failure(3, 2, 4) == "area gate: a+b = 3/4 >= min(A,B) = 1/2"
+    assert gate_failure(1, 2, 4) is None
+    # no finite bound: the gate passes
+    assert gate_failure(1, None, 7) is None
+
+
+def test_gate_reason_words_the_failures():
+    assert gate_reason(F(1, 8), F(1, 3), F(7, 16), None) == (
+        "area gate: a+b = 11/24 >= min(A,B) = 7/16")
+    assert gate_reason(F(1, 9), F(1, 3), F(4, 9), None) == (
+        "area gate boundary: a+b = 4/9 equals min(A,B)")
+    assert gate_reason(F(1, 9), F(1, 3), None, F(1, 3)) == (
+        "area gate: a+b = 4/9 >= min(A,B) = 1/3")
+
+
+@pytest.mark.parametrize("asserted, argv, code, expected", [
+    (None, ["criterion", "--vs", "cp2_clifford", "--ring", "Z/8"], 0,
+     {"conclusion": INCONCLUSIVE,
+      "reason": "invariant undefined: side T_a: empty ledger"}),
+    ([4], ["criterion", "--vs", "cp2_clifford", "--ring", "Z/8"], 0,
+     {"conclusion": INCONCLUSIVE,
+      "reason": "area spectrum unavailable: side T_a: empty ledger and no "
+                "monotonicity constant"}),
+    (None, ["invariant", "--ring", "Z/8"], 4,
+     {"type": "InsufficientLedger",
+      "message": "side T_a: empty ledger and no monotonicity constant"})])
+def test_a_side_with_no_disks(tmp_path, asserted, argv, code, expected):
+    doc = builtin_scenario("cp2_ta", {"a": F(1, 10)}).to_json_dict()
+    doc["sides"][0]["ledger"]["disks"] = []
+    if asserted is not None:
+        doc["sides"][0]["asserted_invariant"] = asserted
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert main([argv[0], "--scenario", str(path), *argv[1:]], out=out) == code
+    document = json.loads(out.getvalue())
+    found = document["error"] if code else document["result"]
+    assert {key: found[key] for key in expected} == expected
 
 
 # --- worked pairs ----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floerdisk import probes
+from floerdisk.cli import main
 from floerdisk.errors import (BadParams, InvalidProbe, ProbeSearchTooLarge,
                               SchemaError, ValidationError)
 from floerdisk.probes import (Polytope2, Probe, builtin_polytope, make_probe,
@@ -378,6 +381,26 @@ def test_search_work_budget(monkeypatch):
 def test_polytope_json_schema_errors(doc):
     with pytest.raises(SchemaError):
         polytope_from_json(doc)
+
+
+def test_polygon_past_the_vertex_limit_ends_at_once(tmp_path):
+    # vertices on the parabola y = x^2 make a strictly convex polygon
+    def parabola(n):
+        return {"vertices": [[i, i * i] for i in range(n)]}
+
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps(parabola(probes.MAX_VERTICES + 1)))
+    out = io.StringIO()
+    start = time.perf_counter()
+    code = main(["probes", str(path), "--point", "1,2", "--bound", "1"],
+                out=out)
+    assert time.perf_counter() - start < 1
+    assert (code, json.loads(out.getvalue())["error"]) == (3, {
+        "type": "ValidationError",
+        "message": f"vertices: {probes.MAX_VERTICES + 1} vertices; the "
+                   f"limit is {probes.MAX_VERTICES}"})
+    poly = polytope_from_json(parabola(probes.MAX_VERTICES))
+    assert len(poly.facets) == probes.MAX_VERTICES
 
 
 def test_polytope_json_accepts_ints_and_rationals():

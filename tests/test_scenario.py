@@ -326,6 +326,31 @@ def test_side_rejections_exit_3_with_their_message(tmp_path, name, path,
                                            "message": message})
 
 
+@pytest.mark.parametrize("path, value, kind, message", [
+    ((), [], "SchemaError", "top level must be a JSON object"),
+    (("ring",), "W", "ValidationError", "cannot parse ring name 'W'"),
+    (("H2_X", "generators"), ["H", "H"], "ValidationError",
+     "H2_X: generator labels must be unique"),
+    (("sides", 0, "ledger", "disks", 0, "area"), "0", "ValidationError",
+     "disk H-2b-a: area must be positive"),
+    (("sides", 0, "ledger", "disks", 1, "label"), "H-2b-a", "ValidationError",
+     "duplicate disk labels in ledger"),
+    (("sides", 0, "subspace"), {"field": "Z/4", "base": [0, 0], "span": []},
+     "ValidationError", "subspace field must be a prime field"),
+    (("sides", 0, "subspace"), {"field": "F4", "base": [0, 0], "span": []},
+     "ValidationError",
+     "sides[0].subspace: prime field requires a prime modulus")])
+def test_document_rejections_exit_3_with_their_message(tmp_path, path, value,
+                                                       kind, message):
+    doc = make("cp2_ta").to_json_dict()
+    if path:
+        _set(doc, path, value)
+    else:
+        doc = value
+    code, report, _ = _run(doc, tmp_path, "validate")
+    assert (code, report["error"]) == (3, {"type": kind, "message": message})
+
+
 # --- documents at and past the size limits --------------------------------------
 
 def _times(a, b):
@@ -548,6 +573,19 @@ def test_sixty_generator_document_ends_at_once(tmp_path):
         "type": "ValidationError",
         "message": f"sides[0].H1_L: 60 generators; the limit is "
                    f"{MAX_GENERATORS}"})
+    assert seconds < 1
+
+
+def test_ten_thousand_side_document_ends_at_once(tmp_path):
+    """The side count is read before any side is parsed, so it is reported
+    before a fault inside a side.  Parsing 10,000 sides first took more than
+    a second."""
+    doc = make("cp2_ta").to_json_dict()
+    doc["sides"] = doc["sides"] * 9_999 + ["not a side"]
+    code, report, seconds = _run(doc, tmp_path, "validate")
+    assert (code, report["error"]) == (3, {
+        "type": "ValidationError",
+        "message": "a scenario has one or two sides"})
     assert seconds < 1
 
 
