@@ -3,14 +3,15 @@
 Matrices are tuples of tuples of Python ints (arbitrary precision); all
 dimensions in this artifact are tiny, so no sparse or numpy machinery is
 needed.  Group elements are plain coordinate tuples in the group's basis.
-The one nontrivial kernel is the Smith normal form, which powers the zero
-test, structure computation, and solve_linear / kernel_basis:
-these two solve and take kernels modulo a group's relations over every
-ring, and are the only code that builds the quotient matrix.
+The one nontrivial kernel is the Smith normal form, and it has one caller:
+the memoised _factor, which builds and factors the quotient matrix
+[M | R^T | nI] once per distinct presentation.  solve_linear, kernel_basis,
+the zero test and structure() all read their factorisation from it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,19 +146,24 @@ def diagonal(d: Matrix) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def _quotient_matrix(m: Matrix, relations, ring: Ring) -> Matrix:
-    """[M | R^T | nI]: x solves M x = b in the target modulo its relation
-    rows R, and modulo n over Z/n and F_p, iff some (x, y, z) solves this
-    integer system, so one exact Smith normal form serves every ring."""
+@functools.lru_cache(maxsize=256)
+def _factor(m: Matrix, relations: Matrix, modulus) -> tuple:
+    """(U, diagonal of D, V) of the Smith normal form D = U A V of
+    A = [M | R^T | nI].  x solves M x = b in the target modulo its relation
+    rows R, and modulo n over Z/n and F_p (modulus n; None over Z and Q),
+    iff some (x, y, z) solves A (x, y, z) = b over Z, so one exact
+    factorisation serves every ring.  Memoised by value: each presentation
+    is factored once, however many solves, kernels and zero tests read it."""
     rows = len(m)
-    relations = freeze(relations)
     if any(len(r) != rows for r in relations):
         raise DimensionMismatch("relation width != matrix rows")
     rel_cols = transpose(relations) or ((),) * rows
-    mod_cols = (tuple(tuple(ring.modulus * x for x in row)
+    mod_cols = (tuple(tuple(modulus * x for x in row)
                       for row in identity(rows))
-                if ring.is_finite else ((),) * rows)
-    return tuple(a + r + n for a, r, n in zip(m, rel_cols, mod_cols))
+                if modulus else ((),) * rows)
+    u, d, v = smith_normal_form(
+        tuple(a + r + n for a, r, n in zip(m, rel_cols, mod_cols)))
+    return u, tuple(diagonal(d)), v
 
 
 def kernel_basis(m, relations=(), ring: Ring = Z) -> list[Vector]:
@@ -171,24 +177,18 @@ def kernel_basis(m, relations=(), ring: Ring = Z) -> list[Vector]:
         return []
     if rows == 0:
         return list(identity(cols))
-    a = _quotient_matrix(m, relations, ring)
-    _, d, v = smith_normal_form(a)
-    diag = diagonal(d)
-    basis = []
-    for j in range(len(a[0])):
-        if j >= len(diag) or diag[j] == 0:
-            x = tuple(v[i][j] for i in range(cols))
-            if any(x):
-                basis.append(x)
-    return basis
+    _, diag, v = _factor(m, freeze(relations), ring.modulus)
+    kernel = (tuple(row[j] for row in v[:cols]) for j in range(len(v))
+              if j >= len(diag) or diag[j] == 0)
+    return [x for x in kernel if any(x)]
 
 
 def solve_linear(m, b, ring: Ring, relations=()):
     """Solve M x = b over the ring, in the target modulo its relation rows;
     returns x as a tuple, or None exactly when no solution exists.
 
-    The system of _quotient_matrix is solved over Z on plain ints (over Q
-    for Q) and the x block is kept, reduced mod n over Z/n and F_p.
+    The system of _factor is solved over Z on plain ints (over Q for Q)
+    and the x block is kept, reduced mod n over Z/n and F_p.
     """
     m = freeze(m)
     rows = len(m)
@@ -207,10 +207,8 @@ def solve_linear(m, b, ring: Ring, relations=()):
             b = tuple(x.numerator for x in b)
     if rows == 0:
         return (0,) * cols
-    a = _quotient_matrix(m, relations, ring)
-    u, d, v = smith_normal_form(a)
-    diag = diagonal(d)
-    y = [0] * len(a[0])
+    u, diag, v = _factor(m, freeze(relations), ring.modulus)
+    y = [0] * len(v)
     for i, ci in enumerate(mat_vec(u, b)):
         di = diag[i] if i < len(diag) else 0
         if di == 0:
@@ -260,8 +258,9 @@ class FgAbelianGroup:
         """(free rank, invariant factors d1 | d2 | ...) via Smith normal form."""
         if not self.relations:
             return self.ngens, []
-        _, d, _ = smith_normal_form(self.relations)
-        diag = diagonal(d)
+        # R^T has the invariant factors of R: the presentation is_zero
+        # factors over Z
+        _, diag, _ = _factor(((),) * self.ngens, self.relations, None)
         torsion = [x for x in diag if x not in (0, 1)]
         rank = self.ngens - sum(1 for x in diag if x != 0)
         return rank, torsion

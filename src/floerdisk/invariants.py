@@ -9,7 +9,6 @@ tested over Z, regardless of the ring the sums live in.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -311,18 +310,14 @@ def _kernel_inside_ambiguity(side, ring: Ring) -> bool:
     """Does every ring solution of j(v) = 0 lie in <[L]>?
 
     When true, the lift coset is unique and the invariant is well defined up
-    to its declared ambiguity.  The answer depends on the topology alone and
-    is computed once per topology and ring.
+    to its declared ambiguity.  The answer depends on the topology alone;
+    the factorisations it reads are memoised in the abelian layer.
     """
-    return _kernel_inside(side.h2x, side.j.matrix, side.h2_rel.relations,
-                          side.fundamental_class, ring)
-
-
-@functools.lru_cache(maxsize=1024)
-def _kernel_inside(h2x, j, relations, fundamental, ring: Ring) -> bool:
-    zero = (0,) * h2x.ngens
-    return all(_in_ambiguity_coset(h2x, v, zero, fundamental, ring)
-               for v in kernel_basis(j, relations, ring))
+    zero = (0,) * side.h2x.ngens
+    return all(_in_ambiguity_coset(side.h2x, v, zero, side.fundamental_class,
+                                   ring)
+               for v in kernel_basis(side.j.matrix, side.h2_rel.relations,
+                                     ring))
 
 
 # --- the threshold of the monotone-partner criterion ----------------------------

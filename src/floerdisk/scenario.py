@@ -348,21 +348,14 @@ def _need(mapping, key, kind, where):
     return value
 
 
-def _int(mapping, key, where) -> int:
-    """The JSON integer under the key, else a SchemaError at its path."""
-    value = _need(mapping, key, None, where)
-    if type(value) is not int:
-        raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
-
-
 # What a document may hold.  Exact elimination grows its entries without
 # bound, so these keep the slowest document admitted (dense, at every bound)
 # under a second in validate, invariant and criterion.
 MAX_GENERATORS = 8      # generators per group
 MAX_RELATIONS = 8       # relation rows per group
 MAX_DISKS = 32          # disks per side
-MAX_INT_BITS = 32       # bit length of every integer entry of a list
+MAX_INT_BITS = 32       # bit length of every integer, numerator, denominator
+MAX_DOCUMENT_BYTES = 8 << 20   # length of a file read, before it is parsed
 
 
 def _at_most(items, limit: int, what: str, where: str):
@@ -370,6 +363,32 @@ def _at_most(items, limit: int, what: str, where: str):
         raise ValidationError(
             f"{where}: {len(items)} {what}; the limit is {limit}")
     return items
+
+
+def _bounded(x: int, where: str, what: str = "an integer") -> int:
+    """x, else a ValidationError at its JSON path when it has more than
+    MAX_INT_BITS bits."""
+    if x.bit_length() > MAX_INT_BITS:
+        raise ValidationError(f"{where}: {what} of {x.bit_length()} bits; "
+                              f"the limit is {MAX_INT_BITS} bits")
+    return x
+
+
+def _int(mapping, key, where) -> int:
+    """The JSON integer under the key, else a SchemaError at its path."""
+    value = _need(mapping, key, None, where)
+    if type(value) is not int:
+        raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
+    return _bounded(value, f"{where}.{key}")
+
+
+def _rational(value, where) -> Fraction:
+    """The document rational at the JSON path, numerator and denominator
+    bounded like an integer."""
+    x = rational_from(value, where)
+    _bounded(x.numerator, where, "a numerator")
+    _bounded(x.denominator, where, "a denominator")
+    return x
 
 
 def _ints(value, where, depth=1) -> tuple:
@@ -384,10 +403,7 @@ def _ints(value, where, depth=1) -> tuple:
     for i, x in enumerate(value):
         if type(x) is not int:
             raise SchemaError(f"{where}[{i}]: expected an integer, got {x!r}")
-        if x.bit_length() > MAX_INT_BITS:
-            raise ValidationError(
-                f"{where}[{i}]: an integer of {x.bit_length()} bits; the "
-                f"limit is {MAX_INT_BITS} bits")
+        _bounded(x, f"{where}[{i}]")
     return tuple(value)
 
 
@@ -424,7 +440,7 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
     if cutoff_raw in (None, "inf"):
         cutoff = None
     else:
-        cutoff = rational_from(cutoff_raw, f"{where}.ledger")
+        cutoff = _rational(cutoff_raw, f"{where}.ledger.complete_below")
     disks = []
     disks_data = _at_most(_need(ledger_data, "disks", list, f"{where}.ledger"),
                           MAX_DISKS, "disks", f"{where}.ledger")
@@ -437,7 +453,8 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
             boundary=_ints(_need(disk_data, "boundary", list, dwhere),
                            f"{dwhere}.boundary"),
             maslov=_int(disk_data, "maslov", dwhere),
-            area=rational_from(_need(disk_data, "area", None, dwhere), dwhere),
+            area=_rational(_need(disk_data, "area", None, dwhere),
+                           f"{dwhere}.area"),
             count=_int(disk_data, "count", dwhere),
         ))
     ledger = DiskLedger(tuple(disks), cutoff)
@@ -458,7 +475,7 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
     local_system = None
     if data.get("local_system") is not None:
         local_system = tuple(
-            (str(k), rational_from(v, f"{where}.local_system"))
+            (str(k), _rational(v, f"{where}.local_system.{k}"))
             for k, v in _need(data, "local_system", dict, where).items())
 
     lattice = None
@@ -469,7 +486,7 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
 
     constant = None
     if data.get("b") is not None:
-        constant = rational_from(data["b"], where)
+        constant = _rational(data["b"], f"{where}.b")
 
     monotone = data.get("monotone", False)
     if type(monotone) is not bool:
@@ -498,7 +515,12 @@ def _side_from_dict(h2x, data, index) -> LagrangianSide:
 def decode_json(data):
     """The JSON value in bytes or text; bytes that are not UTF-8, text that
     is not JSON, holds an integer too long for int() or nests too deep for
-    the parser are SchemaError."""
+    the parser are SchemaError.  Input longer than MAX_DOCUMENT_BYTES bytes
+    (characters, for text) is a ValidationError, raised before parsing."""
+    if len(data) > MAX_DOCUMENT_BYTES:
+        unit = "characters" if isinstance(data, str) else "bytes"
+        raise ValidationError(f"document: {len(data)} {unit}; the limit is "
+                              f"{MAX_DOCUMENT_BYTES} {unit}")
     try:
         if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")

@@ -21,7 +21,8 @@ from floerdisk.errors import (BadParams, FloerDiskError, SchemaError,
 from floerdisk.invariants import oc_low
 from floerdisk.rings import Ring
 from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, MAX_DISKS,
-                                MAX_GENERATORS, MAX_INT_BITS, MAX_RELATIONS,
+                                MAX_DOCUMENT_BYTES, MAX_GENERATORS,
+                                MAX_INT_BITS, MAX_RELATIONS,
                                 Scenario, builtin_scenario, combine,
                                 load_scenario, sphere_pair)
 from oracles import oracle_builtin_scenario, oracle_sphere_pair
@@ -518,6 +519,46 @@ def test_one_past_a_bound_is_a_validation_error(tmp_path, build, message):
                                                "message": message})
 
 
+BOUNDS = {"generators": MAX_GENERATORS, "relations": MAX_RELATIONS,
+          "disks": MAX_DISKS, "bits": MAX_INT_BITS}
+
+
+@st.composite
+def dense_shapes(draw):
+    """A dense_document shape inside the loader bounds, or one past one of
+    them, each size drawn uniformly.  dense_document draws no document of
+    fewer than 3 bits or 2 generators."""
+    shape = {key: draw(st.sampled_from(range(low, BOUNDS[key] + 1)))
+             for key, low in (("generators", 2), ("relations", 0),
+                              ("disks", 0), ("bits", 3))}
+    past = draw(st.sampled_from([None, *BOUNDS]))
+    if past is not None:
+        shape[past] = BOUNDS[past] + 1
+    return shape, past, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60)
+@given(dense_shapes())
+def test_dense_shapes_end_in_time(shape_past_seed):
+    """Every shape ends in exit 0, 3 or 4, each command within a time bound
+    far above what the bounds are set for; validate accepts exactly the
+    shapes inside the bounds (one more bit may still draw entries that fit)."""
+    shape, past, seed = shape_past_seed
+    doc = dense_document(**shape, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        for command in ("validate", "invariant", "criterion"):
+            start = time.perf_counter()
+            code = main([command, "--scenario", path], out=io.StringIO())
+            assert time.perf_counter() - start < 2, (command, shape)
+            assert code in (0, 3, 4), (command, shape)
+            if command == "validate":
+                assert code == (0 if past is None else 3) \
+                    or past == "bits", shape
+
+
 def test_entries_at_the_bit_limit_load():
     doc = builtin_scenario("cp2_clifford").to_json_dict()
     for value in ((1 << MAX_INT_BITS) - 1, -(1 << MAX_INT_BITS) + 1):
@@ -587,6 +628,103 @@ def test_ten_thousand_side_document_ends_at_once(tmp_path):
         "type": "ValidationError",
         "message": "a scenario has one or two sides"})
     assert seconds < 1
+
+
+def test_thirty_thousand_side_document_is_refused_before_parsing(tmp_path):
+    """22 MB of JSON: parsing it alone took 1.4 s, so its length is checked
+    before json.loads; the polytope path reads files the same way."""
+    side = json.dumps(make("cp2_ta").to_json_dict()["sides"][0])
+    text = ('{"ring": "Z/8", "sides": [' + ", ".join([side] * 29_999)
+            + ', "not a side"]}')
+    assert len(text) > 20_000_000
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    message = (f"document: {len(text)} bytes; the limit is "
+               f"{MAX_DOCUMENT_BYTES} bytes")
+    for argv in (["validate", str(path)],
+                 ["probes", str(path), "--point", "1/4,1/4"]):
+        out = io.StringIO()
+        start = time.perf_counter()
+        assert main(argv, out=out) == 3
+        assert time.perf_counter() - start < 1
+        assert json.loads(out.getvalue())["error"] == {
+            "type": "ValidationError", "message": message}
+
+
+def _counts_of(value):
+    doc = make("cp2_ta").to_json_dict()
+    for disk in doc["sides"][0]["ledger"]["disks"]:
+        disk["count"] = value
+    return doc
+
+
+def _lattice_without_b(value):
+    doc = make("cp2_ta").to_json_dict()
+    side = doc["sides"][0]
+    side["ledger"]["disks"] = [d for d in side["ledger"]["disks"]
+                               if d["label"] != "b"]
+    side["lattice_params"] = {"k": value, "N": value}
+    return doc
+
+
+def _near_monotone(q):
+    return make("cp2_ta", {"a": F(1, 3) - F(1, q)}).to_json_dict()
+
+
+HUGE = 9 * 10 ** 4299   # under int()'s 4300 digits, far over MAX_INT_BITS
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_counts_of(HUGE), "sides[0].ledger.disks[0].count: an integer of "
+                       f"{HUGE.bit_length()} bits"),
+    (_lattice_without_b(HUGE), "sides[0].lattice_params.k: an integer of "
+                               f"{HUGE.bit_length()} bits"),
+    (_near_monotone(10 ** 4000 + 1),
+     "sides[0].ledger.complete_below: a numerator of 13288 bits"),
+    (_near_monotone(10 ** 4000 + 3),
+     "sides[0].ledger.complete_below: a numerator of 13288 bits")],
+    ids=["count", "lattice_params", "area_1", "area_3"])
+def test_scalars_and_rationals_past_the_bit_bound_fail_validate(
+        tmp_path, doc, message):
+    """Each of these once passed validate, and then invariant or criterion
+    ended in a usage error when it printed a sum of more than 4300 digits."""
+    code, report, _ = _run(doc, tmp_path, "validate")
+    assert (code, report["error"]) == (3, {
+        "type": "ValidationError",
+        "message": f"{message}; the limit is {MAX_INT_BITS} bits"})
+
+
+def _disk(doc):
+    return doc["sides"][0]["ledger"]["disks"][1]
+
+
+@pytest.mark.parametrize("where, what, put", [
+    ("sides[0].ledger.disks[1].maslov", "an integer",
+     lambda doc, n: _disk(doc).update(maslov=n)),
+    ("sides[0].ledger.disks[1].area", "a denominator",
+     lambda doc, n: _disk(doc).update(area=f"1/{n}")),
+    ("sides[0].b", "a numerator",
+     lambda doc, n: doc["sides"][0].update(b=f"-{n}/2")),
+    ("sides[0].local_system.db2", "a numerator",
+     lambda doc, n: doc["sides"][0].update(
+         local_system={"db1": 1, "db2": f"{n}/2"}))],
+    ids=["maslov", "area", "b", "local_system"])
+def test_every_document_scalar_is_bounded(where, what, put):
+    """A value of MAX_INT_BITS bits passes the bound (later checks may still
+    refuse it); one more bit is a ValidationError at its JSON path."""
+    for bits in (MAX_INT_BITS, MAX_INT_BITS + 1):
+        doc = make("cp2_clifford").to_json_dict()
+        put(doc, (1 << bits) - 1)
+        try:
+            load_scenario(json.dumps(doc))
+            message = None
+        except ValidationError as exc:
+            message = str(exc)
+        if bits == MAX_INT_BITS:
+            assert message is None or "the limit is" not in message
+        else:
+            assert message == (f"{where}: {what} of {bits} bits; the limit "
+                               f"is {MAX_INT_BITS} bits")
 
 
 FUZZ_DOCUMENTS = [
@@ -731,6 +869,18 @@ def test_rebuilt_builtin_makes_no_snf_calls(snf_calls, name, first, again):
     del snf_calls[:]
     builtin_scenario(name, again)
     assert snf_calls == []
+
+
+@pytest.mark.parametrize("command, distinct", [
+    ("validate", 9), ("invariant", 12), ("criterion", 14)])
+def test_at_bounds_document_factors_each_matrix_once(snf_calls, tmp_path,
+                                                     command, distinct):
+    # every solve, kernel, zero test and structure() reads one memoised
+    # factorisation per distinct quotient matrix (131 / 181 / 215 SNF
+    # calls when each re-factored its own)
+    code, _, _ = _run(_at_bounds(), tmp_path, command)
+    assert code == 0
+    assert len(snf_calls) == len(set(snf_calls)) == distinct
 
 
 def test_every_load_checks_exactness(snf_calls, monkeypatch):
