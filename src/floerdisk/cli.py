@@ -33,7 +33,7 @@ from .probes import builtin_polytope, polytope_from_json, search_probes
 from .rings import PRIME_FIELD, Ring, parse_rational, rational_str
 from .scenario import (A_INTERVALS, AffineSubspace, BUILTIN_NAMES, Scenario,
                        builtin_row, builtin_scenario, check_a, combine,
-                       decode_json, load_scenario)
+                       load_scenario, read_document)
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
@@ -71,8 +71,7 @@ def _load_scenario_file(path: str) -> Scenario:
         candidates += [os.path.join(d, path) for d in search if d]
     for candidate in candidates:
         if os.path.exists(candidate):
-            with open(candidate, "rb") as handle:
-                return load_scenario(handle.read())
+            return load_scenario(read_document(candidate))
     raise FileNotFoundError(f"scenario file not found: {path}")
 
 
@@ -430,11 +429,8 @@ def _cmd_potential(args):
 
 
 def _cmd_probes(args):
-    if args.polytope in ("p1xp1", "cp2"):
-        poly = builtin_polytope(args.polytope)
-    else:
-        with open(args.polytope, "rb") as handle:
-            poly = polytope_from_json(decode_json(handle.read()))
+    poly = (builtin_polytope(args.polytope) if args.polytope in ("p1xp1", "cp2")
+            else polytope_from_json(read_document(args.polytope)))
     x_text, _, y_text = args.point.partition(",")
     point = (parse_rational(x_text), parse_rational(y_text))
     hits = search_probes(poly, point, args.bound)

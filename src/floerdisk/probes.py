@@ -21,13 +21,14 @@ from math import gcd, lcm
 
 from .errors import (BadParams, InvalidProbe, ProbeSearchTooLarge, SchemaError,
                      ValidationError)
-from .rings import rational_from, rational_str
+from .rings import rational_str
+from .scenario import _at_most, _ints, _need, _rational
 
 Point = tuple
 
 # Most work one probe search may plan, in (nonzero direction in the bound's
-# box) x (facet) pairs.  Bound 30 fits on polygons of up to 268 facets, and
-# the largest accepted search takes about half a second.
+# box) x (facet) pairs.  Bound 30 fits on polygons of up to 268 facets; with
+# 32-bit coordinates the largest accepted search takes about 0.35 s.
 PROBE_WORK_BUDGET = 1_000_000
 
 # Most vertices a polygon document may hold, counted before any is read;
@@ -38,6 +39,10 @@ MAX_VERTICES = 8_000
 
 def _frac_point(p) -> Point:
     return (Fraction(p[0]), Fraction(p[1]))
+
+
+def _point_str(p) -> str:
+    return f"({rational_str(p[0])}, {rational_str(p[1])})"
 
 
 def _cross(u, v):
@@ -137,27 +142,21 @@ class Polytope2:
 def polytope_from_json(doc) -> Polytope2:
     """Read ``{"vertices": [[x, y], ...], "excluded_vertices": [i, ...]}``.
 
-    Coordinates are ints or rational strings; any other shape is a
-    SchemaError.  Geometry (convexity, index range) is Polytope2's to check.
+    Coordinates are ints or rational strings and indices are ints, bounded
+    as in a scenario document; any other shape is a SchemaError.  Geometry
+    (convexity, index range) is Polytope2's to check.
     """
-    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
-        raise SchemaError("a polytope is an object with a 'vertices' list")
-    if len(doc["vertices"]) > MAX_VERTICES:
-        raise ValidationError(f"vertices: {len(doc['vertices'])} vertices; "
-                              f"the limit is {MAX_VERTICES}")
+    vertices = _at_most(_need(doc, "vertices", list, "document"),
+                        MAX_VERTICES, "vertices", "vertices")
     verts = []
-    for i, vertex in enumerate(doc["vertices"]):
+    for i, vertex in enumerate(vertices):
         if not isinstance(vertex, list) or len(vertex) != 2:
             raise SchemaError(f"vertices[{i}]: expected a pair [x, y], "
                               f"got {vertex!r}")
-        verts.append((rational_from(vertex[0], f"vertices[{i}][0]"),
-                      rational_from(vertex[1], f"vertices[{i}][1]")))
-    excluded = doc.get("excluded_vertices", [])
-    if not isinstance(excluded, list) or any(
-            isinstance(i, bool) or not isinstance(i, int) for i in excluded):
-        raise SchemaError("excluded_vertices: expected a list of vertex "
-                          f"indices, got {excluded!r}")
-    return Polytope2(tuple(verts), tuple(excluded))
+        verts.append((_rational(vertex[0], f"vertices[{i}][0]"),
+                      _rational(vertex[1], f"vertices[{i}][1]")))
+    return Polytope2(tuple(verts), _ints(doc.get("excluded_vertices", []),
+                                         "excluded_vertices"))
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,8 @@ def validate_probe(poly: Polytope2, probe: Probe):
         raise InvalidProbe(f"direction {probe.direction} points outward")
     if not facet.contains_in_relative_interior(probe.base):
         raise InvalidProbe(
-            f"base {probe.base} is not in the relative interior of facet "
-            f"{probe.facet}")
+            f"base {_point_str(probe.base)} is not in the relative interior "
+            f"of facet {probe.facet}")
 
 
 def make_probe(poly: Polytope2, base, direction) -> Probe:
@@ -201,7 +200,8 @@ def make_probe(poly: Polytope2, base, direction) -> Probe:
             probe = Probe(facet.index, base, tuple(direction))
             validate_probe(poly, probe)
             return probe
-    raise InvalidProbe(f"base {base} is not in any facet's relative interior")
+    raise InvalidProbe(f"base {_point_str(base)} is not in any facet's "
+                       "relative interior")
 
 
 @dataclass(frozen=True)
@@ -262,36 +262,19 @@ def probe_segment(poly: Polytope2, probe: Probe) -> ProbeSegment:
     _, h, k, _ = forward
     length = Fraction(h, den * k)
     exit_point = (bx + length * dx, by + length * dy)
-    at_vertex = exit_point in poly.vertices
-    at_excluded = exit_point in poly.excluded_points()
-    return ProbeSegment(exit_point, length, at_vertex, at_excluded)
-
-
-def probe_parameter(probe: Probe, point) -> Fraction | None:
-    """The s with point = base + s * direction, or None when off the line."""
-    px, py = _frac_point(point)
-    bx, by = probe.base
-    dx, dy = probe.direction
-    if dx == 0:
-        if px != bx:
-            return None
-        return Fraction(py - by, dy)
-    s = Fraction(px - bx, dx)
-    if by + s * dy != py:
-        return None
-    return s
+    return ProbeSegment(exit_point, length, exit_point in poly.vertices,
+                        exit_point in poly.excluded_points())
 
 
 def probe_displaces(poly: Polytope2, probe: Probe, point) -> bool:
-    """True iff the point sits on the probe strictly inside its first half."""
+    """True iff the point sits on the probe strictly inside its first half:
+    the search's ray test along the probe's direction finds this probe."""
     try:
-        segment = probe_segment(poly, probe)
-    except InvalidProbe:
+        validate_probe(poly, probe)
+        return any(hit.probe == probe
+                   for hit in _hits(poly, point, [probe.direction]))
+    except (InvalidProbe, ValidationError):
         return False
-    s = probe_parameter(probe, point)
-    if s is None:
-        return False
-    return 0 < s and 2 * s < segment.length
 
 
 def _primitive_directions(bound: int):
@@ -323,14 +306,7 @@ class ProbeHit:
 
 
 def search_probes(poly: Polytope2, point, direction_bound: int) -> list[ProbeHit]:
-    """All probes within the direction bound that displace the given point.
-
-    For each primitive direction, the candidate base is the unique boundary
-    point hit by walking backwards from the point; directions whose backward
-    ray lands on a vertex or on a non-transverse facet yield no probe.  The
-    point's facet heights are scaled to ints once, each direction is one
-    integer clipping pass, and Fractions are only built for hits.
-    """
+    """All probes within the direction bound that displace the given point."""
     if direction_bound < 1:
         raise BadParams(
             f"probe bound must be at least 1, got {direction_bound}")
@@ -340,12 +316,26 @@ def search_probes(poly: Polytope2, point, direction_bound: int) -> list[ProbeHit
         raise ProbeSearchTooLarge(
             f"probe search with bound {direction_bound} over {len(facets)} "
             f"facets exceeds the work budget of {PROBE_WORK_BUDGET}")
+    return _hits(poly, point, _primitive_directions(direction_bound))
+
+
+def _hits(poly: Polytope2, point, directions) -> list[ProbeHit]:
+    """The probes along the given primitive directions that displace the
+    interior point; a point that is not interior is a ValidationError.
+
+    For each direction, the candidate base is the unique boundary point hit
+    by walking backwards from the point; directions whose backward ray lands
+    on a vertex or on a non-transverse facet yield no probe.  The point's
+    facet heights are scaled to ints once, each direction is one integer
+    clipping pass, and Fractions are only built for hits.
+    """
+    facets = poly.facets
     point = _frac_point(point)
     heights, den = _heights(facets, point)
     if min(heights) <= 0:
-        raise ValidationError(f"query point {point} is not interior")
+        raise ValidationError(f"query point {_point_str(point)} is not interior")
     hits = []
-    for direction in _primitive_directions(direction_bound):
+    for direction in directions:
         back, forward = _clip(facets, heights, direction)
         if back is None or forward is None:
             continue
@@ -358,19 +348,14 @@ def search_probes(poly: Polytope2, point, direction_bound: int) -> list[ProbeHit
         # displaced iff 2 * back < length = back + forward
         if back_h * forward_k >= forward_h:
             continue
-        hits.append(_hit(poly, point, direction, entry, Fraction(back_h, den),
-                         Fraction(forward_h, den * forward_k)))
+        s, rest = Fraction(back_h, den), Fraction(forward_h, den * forward_k)
+        dx, dy = direction
+        base = (point[0] - s * dx, point[1] - s * dy)
+        exit_point = (point[0] + rest * dx, point[1] + rest * dy)
+        hits.append(ProbeHit(Probe(entry, base, direction), s, s + rest,
+                             exit_point in poly.vertices,
+                             exit_point in poly.excluded_points()))
     return hits
-
-
-def _hit(poly: Polytope2, point: Point, direction: tuple, entry: int,
-         back: Fraction, forward: Fraction) -> ProbeHit:
-    dx, dy = direction
-    base = (point[0] - back * dx, point[1] - back * dy)
-    exit_point = (point[0] + forward * dx, point[1] + forward * dy)
-    return ProbeHit(Probe(entry, base, direction), back, back + forward,
-                    exit_point in poly.vertices,
-                    exit_point in poly.excluded_points())
 
 
 # --- default semitoric pictures -------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
+import stat
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -529,6 +531,21 @@ def decode_json(data):
         raise SchemaError(f"not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
+def read_document(path):
+    """The JSON value in the regular file at path, by decode_json.  A FIFO,
+    socket or device is a ValidationError before it is opened, a file over
+    MAX_DOCUMENT_BYTES bytes one before it is read; a missing path or a
+    directory raises the OSError that stat or open gives it."""
+    info = os.stat(path)
+    if not (stat.S_ISREG(info.st_mode) or stat.S_ISDIR(info.st_mode)):
+        raise ValidationError(f"{path}: not a regular file")
+    if info.st_size > MAX_DOCUMENT_BYTES:
+        raise ValidationError(f"document: {info.st_size} bytes; the limit is "
+                              f"{MAX_DOCUMENT_BYTES} bytes")
+    with open(path, "rb") as handle:
+        return decode_json(handle.read())
 
 
 def load_scenario(document) -> Scenario:

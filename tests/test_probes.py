@@ -1,8 +1,13 @@
 import io
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,13 +19,13 @@ from floerdisk.errors import (BadParams, InvalidProbe, ProbeSearchTooLarge,
                               SchemaError, ValidationError)
 from floerdisk.probes import (Polytope2, Probe, builtin_polytope, make_probe,
                               polytope_from_json, probe_displaces,
-                              probe_parameter, probe_segment, search_probes,
-                              validate_probe)
+                              probe_segment, search_probes, validate_probe)
 
 from oracles import (oracle_probe_displaces, oracle_search_probes,
                      segment_ray_exit)
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SQUARE = Polytope2(((0, 0), (1, 0), (1, 1), (0, 1)))
 STD_TRIANGLE = Polytope2(((0, 0), (1, 0), (0, 1)))
@@ -250,12 +255,6 @@ def test_probe_displaces_against_oracle():
         checked += 1
 
 
-def test_probe_parameter():
-    probe = make_probe(SQUARE, (F(1, 2), 0), (0, 1))
-    assert probe_parameter(probe, (F(1, 2), F(1, 4))) == F(1, 4)
-    assert probe_parameter(probe, (F(1, 3), F(1, 4))) is None
-
-
 def test_facets_built_once_behind_a_plain_property():
     # the benchmark tracer rewraps this attribute as a property
     assert isinstance(Polytope2.__dict__["facets"], property)
@@ -407,3 +406,135 @@ def test_polytope_json_accepts_ints_and_rationals():
     poly = polytope_from_json({"vertices": [[0, 0], ["1/2", 0], [0, "1/3"]],
                                "excluded_vertices": [2]})
     assert poly == Polytope2(((0, 0), (F(1, 2), 0), (0, F(1, 3))), (2,))
+
+
+def _probes_error(tmp_path, doc, point, bound):
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    start = time.perf_counter()
+    code = main(["probes", str(path), "--point", point, "--bound", str(bound)],
+                out=out)
+    return code, json.loads(out.getvalue()).get("error"), \
+        time.perf_counter() - start
+
+
+@pytest.mark.parametrize("field, value, where, what", [
+    ("x", 1 << 32, "vertices[1][0]", "a numerator"),
+    ("x", f"1/{1 << 32}", "vertices[1][0]", "a denominator"),
+    ("excluded", 1 << 32, "excluded_vertices[0]", "an integer"),
+])
+def test_polygon_numbers_are_bounded_like_scenario_numbers(
+        tmp_path, field, value, where, what):
+    def triangle(v):
+        doc = {"vertices": [[0, 0], [v if field == "x" else 1, 0], [0, 1]]}
+        if field == "excluded":
+            doc["excluded_vertices"] = [v]
+        return doc
+
+    assert _probes_error(tmp_path, triangle(value), "1/8,1/8", 1)[:2] == (3, {
+        "type": "ValidationError",
+        "message": f"{where}: {what} of 33 bits; the limit is 32 bits"})
+    # one bit less passes the bound; a 32-bit index is then out of range
+    smaller = (1 << 32) - 1 if isinstance(value, int) else f"1/{(1 << 32) - 1}"
+    if field == "excluded":
+        with pytest.raises(ValidationError, match="out of range"):
+            polytope_from_json(triangle(smaller))
+    else:
+        assert polytope_from_json(triangle(smaller)).vertices[1][0] == \
+            F(smaller)
+
+
+def test_wide_denominator_polygon_ends_at_once(tmp_path):
+    # 150 vertices near the parabola y = x^2, each with its own 2,001-bit
+    # denominator; the search at bound 30 on it ran for tens of seconds
+    wide = [F(1, (1 << 2000) + i) for i in range(150)]
+    doc = {"vertices": [[str(i + w), str(i * i + w)]
+                        for i, w in enumerate(wide)]}
+    code, error, seconds = _probes_error(tmp_path, doc, "1,2", 30)
+    assert (code, error) == (3, {
+        "type": "ValidationError",
+        "message": "vertices[0][0]: a denominator of 2001 bits; the limit is "
+                   "32 bits"})
+    assert seconds < 1
+
+
+def _circle(n, limit=46340):
+    """n points of the unit circle in counterclockwise order, at
+    ((q^2 - p^2) / (p^2 + q^2), 2pq / (p^2 + q^2)) with |p|, |q| <= limit,
+    so every numerator and denominator fits in 32 bits."""
+    vertices = []
+    for k in range(n):
+        t = math.tan(math.pi * ((k + F(1, 2)) / n - F(1, 2)))
+        if abs(t) <= 1:
+            r = F(t).limit_denominator(limit)
+            p, q = r.numerator, r.denominator
+        else:
+            r = F(1 / t).limit_denominator(limit)
+            p, q = r.denominator * (1 if r > 0 else -1), abs(r.numerator)
+        d = p * p + q * q
+        vertices.append([str(F(q * q - p * p, d)), str(F(2 * p * q, d))])
+    return {"vertices": vertices}
+
+
+def test_largest_circle_at_bound_30_stays_fast(tmp_path):
+    doc = _circle(268)
+    numbers = [F(x) for vertex in doc["vertices"] for x in vertex]
+    assert len(set(map(tuple, doc["vertices"]))) == 268
+    assert max(max(x.numerator.bit_length(), x.denominator.bit_length())
+               for x in numbers) == 32
+    for point in ("0,0", "1/3,-1/5"):
+        code, error, seconds = _probes_error(tmp_path, doc, point, 30)
+        assert (code, error) == (0, None)
+        assert seconds < 1
+
+
+def test_probe_messages_print_rationals():
+    tri = builtin_polytope("p1xp1")
+    out = io.StringIO()
+    assert main(["probes", "p1xp1", "--point", "5/2,5"], out=out) == 3
+    assert json.loads(out.getvalue())["error"]["message"] == \
+        "query point (5/2, 5) is not interior"
+    with pytest.raises(InvalidProbe) as info:
+        make_probe(tri, (F(1, 3), F(1, 2)), (0, 1))
+    assert str(info.value) == \
+        "base (1/3, 1/2) is not in any facet's relative interior"
+    with pytest.raises(InvalidProbe) as info:
+        validate_probe(tri, Probe(0, (F(1, 3), F(1, 2)), (0, 1)))
+    assert str(info.value) == \
+        "base (1/3, 1/2) is not in the relative interior of facet 0"
+
+
+# Each run is a child process under a time limit and a 1 GB address space,
+# so a reader that blocks or reads without end fails the test rather than
+# hanging the suite or using up the host's memory.
+_TIMED_MAIN = """
+import io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from floerdisk.cli import main
+out = io.StringIO()
+start = time.perf_counter()
+code = main(sys.argv[1:], out=out)
+print(json.dumps([code, time.perf_counter() - start,
+                  json.loads(out.getvalue())["error"]]))
+"""
+
+
+@pytest.mark.parametrize("command", [["validate"],
+                                     ["probes", "--point", "0,1"]])
+@pytest.mark.parametrize("source", ["fifo", "/dev/zero"])
+def test_special_files_are_refused_before_reading(tmp_path, command, source):
+    path = source
+    if source == "fifo":
+        path = str(tmp_path / "document.json")
+        os.mkfifo(path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, command[0], path, *command[1:]],
+        env=env, capture_output=True, text=True, timeout=10)
+    code, seconds, error = json.loads(done.stdout)
+    assert (code, error) == (3, {"type": "ValidationError",
+                                 "message": f"{path}: not a regular file"})
+    assert seconds < 1
