@@ -310,11 +310,11 @@ def search_probes(poly: Polytope2, point, direction_bound: int) -> list[ProbeHit
     if direction_bound < 1:
         raise BadParams(
             f"probe bound must be at least 1, got {direction_bound}")
-    facets = poly.facets
-    work = ((2 * direction_bound + 1) ** 2 - 1) * len(facets)
+    n = len(poly.vertices)      # as many facets as vertices
+    work = ((2 * direction_bound + 1) ** 2 - 1) * n
     if work > PROBE_WORK_BUDGET:
         raise ProbeSearchTooLarge(
-            f"probe search with bound {direction_bound} over {len(facets)} "
+            f"probe search with bound {direction_bound} over {n} "
             f"facets exceeds the work budget of {PROBE_WORK_BUDGET}")
     return _hits(poly, point, _primitive_directions(direction_bound))
 
