@@ -4,8 +4,8 @@ Subcommands: validate, invariant, criterion, sweep, potential, probes,
 builtin-list.  Reports are deterministic JSON (sorted keys) by default, or
 plain text rendered from the same payload with --format text.
 
-Exit codes: 0 success (whatever the verdict), 2 usage error, 3 validation
-error, 4 computation error.
+Exit codes: 0 success (whatever the verdict), 2 usage error, 3 unreadable
+file, else the exit_code of the error type (3 input fault, 4 computation).
 """
 
 from __future__ import annotations
@@ -24,34 +24,32 @@ from fractions import Fraction
 from . import __version__
 from .criterion import (evaluate_pair, gate_failure, gate_inputs, gate_sides,
                         side_subspace)
-from .errors import (BadParams, DimensionMismatch, FloerDiskError, SchemaError,
-                     UnknownLabel, UnknownScenario, ValidationError)
+from .errors import BadParams, DimensionMismatch, FloerDiskError
 from .invariants import area_spectrum, oc_low
 from .potential import (potential_from_ledger, residue_critical_points,
                         truncate_to_level, unit_critical_analysis)
 from .probes import builtin_polytope, polytope_from_json, search_probes
 from .rings import PRIME_FIELD, Ring, parse_rational, rational_str
 from .scenario import (A_INTERVALS, AffineSubspace, BUILTIN_NAMES, Scenario,
-                       builtin_row, builtin_scenario, check_a, combine,
-                       load_scenario, read_document)
+                       _bounded_rational, builtin_row, builtin_scenario,
+                       check_a, combine, load_scenario, read_document)
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
-COMPUTATION_ERROR = 4
-
-# OSError covers scenario and polytope files that are missing, are
-# directories or cannot be read; UnknownLabel is a --bulk label that names
-# no disk.
-_VALIDATION_FAILURES = (SchemaError, ValidationError, UnknownScenario,
-                        BadParams, UnknownLabel, OSError)
 
 # Most points a sweep may have; the grid is counted before any is evaluated.
 SWEEP_POINT_LIMIT = 10_000
 
 
-def _parse_assignments(text: str, what: str, parse) -> dict:
-    """'key=value,...' as a dict of parsed values; a chunk without '=value'
-    or a key given twice is BadParams."""
+def _rational_arg(text: str, where: str) -> Fraction:
+    """An argv rational: malformed text is a usage error, and a numerator or
+    denominator past MAX_INT_BITS a ValidationError at where."""
+    return _bounded_rational(parse_rational(text), where)
+
+
+def _parse_assignments(text: str, what: str, parse=_rational_arg) -> dict:
+    """'key=value,...' as a dict of the values parse(value, where) reads; a
+    chunk without '=value' or a key given twice is BadParams."""
     out = {}
     for chunk in text.split(","):
         key, _, value = chunk.partition("=")
@@ -60,7 +58,7 @@ def _parse_assignments(text: str, what: str, parse) -> dict:
             raise BadParams(f"bad {what} assignment {chunk!r}")
         if key in out:
             raise BadParams(f"{what} {key!r} given twice")
-        out[key] = parse(value)
+        out[key] = parse(value, f"{what} {key}")
     return out
 
 
@@ -80,8 +78,7 @@ def _resolve_scenario(ref: str) -> Scenario:
     name, _, param_text = ref.partition(":")
     if name not in BUILTIN_NAMES:
         return _load_scenario_file(ref)
-    params = (_parse_assignments(param_text, "parameter", parse_rational)
-              if param_text else {})
+    params = _parse_assignments(param_text, "parameter") if param_text else {}
     return builtin_scenario(name, params)
 
 
@@ -130,8 +127,8 @@ def _side_overrides(args, field: Ring | None) -> dict:
             raise BadParams("--subspace requires --field")
         overrides["subspace"] = _parse_subspace(args.subspace, field)
     if args.local_system is not None:
-        overrides["local_system"] = _parse_assignments(
-            args.local_system, "local-system", parse_rational)
+        overrides["local_system"] = _parse_assignments(args.local_system,
+                                                       "local-system")
     return overrides
 
 
@@ -328,9 +325,9 @@ def _cmd_sweep(args):
         raise BadParams("only the parameter 'a' can be swept")
     if args.vs is None:
         raise BadParams("sweep needs the second side: give --vs")
-    start = parse_rational(args.start)
-    stop = parse_rational(args.stop)
-    step = parse_rational(args.step)
+    start = _rational_arg(args.start, "--from")
+    stop = _rational_arg(args.stop, "--to")
+    step = _rational_arg(args.step, "--step")
     name, _, param_text = args.scenario.partition(":")
     if name not in A_INTERVALS:
         raise BadParams("sweeps need a parametric builtin for the swept side")
@@ -409,7 +406,7 @@ def _cmd_potential(args):
     if ring is not None and not ring.is_finite:
         raise BadParams(f"--residue-ring {ring.name}: the residue search "
                         f"needs a finite ring")
-    hits = (_parse_assignments(args.bulk, "bulk", int)
+    hits = (_parse_assignments(args.bulk, "bulk", lambda value, _: int(value))
             if args.bulk is not None else None)
     poly = potential_from_ledger(side, divisor_hits=hits)
     result = {"terms": poly.to_dicts()}
@@ -432,7 +429,7 @@ def _cmd_probes(args):
     poly = (builtin_polytope(args.polytope) if args.polytope in ("p1xp1", "cp2")
             else polytope_from_json(read_document(args.polytope)))
     x_text, _, y_text = args.point.partition(",")
-    point = (parse_rational(x_text), parse_rational(y_text))
+    point = (_rational_arg(x_text, "--point"), _rational_arg(y_text, "--point"))
     hits = search_probes(poly, point, args.bound)
     result = {"polytope": poly.to_json_dict(),
               "point": [rational_str(point[0]), rational_str(point[1])],
@@ -580,10 +577,10 @@ def main(argv=None, out=None) -> int:
         return 0
     except (_UsageError, ValueError) as exc:
         return _write_error(out, "usage", exc, USAGE_ERROR)
-    except _VALIDATION_FAILURES as exc:
+    except OSError as exc:
         return _write_error(out, type(exc).__name__, exc, VALIDATION_ERROR)
     except FloerDiskError as exc:
-        return _write_error(out, type(exc).__name__, exc, COMPUTATION_ERROR)
+        return _write_error(out, type(exc).__name__, exc, exc.exit_code)
 
 
 if __name__ == "__main__":

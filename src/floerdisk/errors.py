@@ -1,12 +1,12 @@
 """Exception hierarchy shared across the package.
 
-Every named failure mode raised by the library derives from FloerDiskError,
-so callers (notably the CLI) can map them onto exit codes in one place.
+Every named failure mode derives from FloerDiskError and declares, as
+``exit_code``, the exit status the CLI returns: 3 for an input fault, else 4.
 """
 
 
 class FloerDiskError(Exception):
-    pass
+    exit_code = 4
 
 
 # --- rings ---------------------------------------------------------------
@@ -33,18 +33,20 @@ class TorsionGroup(FloerDiskError):
 
 class SchemaError(FloerDiskError):
     """The document's structure does not match the scenario schema."""
+    exit_code = 3
 
 
 class ValidationError(FloerDiskError):
     """A structurally valid document breaks a scenario invariant."""
+    exit_code = 3
 
 
 class UnknownScenario(FloerDiskError):
-    pass
+    exit_code = 3
 
 
 class BadParams(FloerDiskError):
-    pass
+    exit_code = 3
 
 
 # --- invariants ------------------------------------------------------------
@@ -89,7 +91,7 @@ class TwoSidedRequired(FloerDiskError):
 # --- potential ---------------------------------------------------------------
 
 class UnknownLabel(FloerDiskError):
-    pass
+    exit_code = 3
 
 
 class BasisMismatch(FloerDiskError):

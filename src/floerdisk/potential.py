@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from .errors import (BasisMismatch, Degenerate, InfiniteRing, NotSingleLevel,
                      ResidueSearchTooLarge, UnknownLabel, UnsupportedShape)
@@ -109,18 +109,11 @@ def partial_derivative(p: NovikovPolynomial, var: str) -> NovikovPolynomial:
     """Formal Laurent derivative in z or w; t and e^c are inert."""
     if var not in ("z", "w"):
         raise ValueError("var must be 'z' or 'w'")
-    terms = []
-    for t in p.terms:
-        exp = t.z_exp if var == "z" else t.w_exp
-        if exp == 0:
-            continue
-        if var == "z":
-            terms.append(NovikovTerm(t.coeff * exp, t.t_exp, t.bulk_exp,
-                                     t.z_exp - 1, t.w_exp))
-        else:
-            terms.append(NovikovTerm(t.coeff * exp, t.t_exp, t.bulk_exp,
-                                     t.z_exp, t.w_exp - 1))
-    return NovikovPolynomial.from_terms(terms)
+    dz, dw = (1, 0) if var == "z" else (0, 1)
+    return NovikovPolynomial.from_terms(
+        NovikovTerm(t.coeff * n, t.t_exp, t.bulk_exp, t.z_exp - dz,
+                    t.w_exp - dw)
+        for t in p.terms if (n := t.z_exp * dz + t.w_exp * dw))
 
 
 # --- Newton-polygon valuations ---------------------------------------------------
@@ -174,10 +167,8 @@ def _rational_roots(coeffs: dict) -> list[Fraction]:
     if len(coeffs) <= 1:
         return []
     low, degree = min(coeffs), max(coeffs) - min(coeffs)
-    lcm = 1
-    for c in coeffs.values():
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = {e - low: int(c * lcm) for e, c in coeffs.items()}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    ints = {e - low: int(c * den) for e, c in coeffs.items()}
     a0, an = abs(ints[0]), abs(ints[degree])
     _charge_units(isqrt(a0) + isqrt(an),
                   "trial division in the rational root test")

@@ -385,9 +385,13 @@ def _int(mapping, key, where) -> int:
 
 
 def _rational(value, where) -> Fraction:
-    """The document rational at the JSON path, numerator and denominator
-    bounded like an integer."""
-    x = rational_from(value, where)
+    """The document rational at the JSON path, bounded."""
+    return _bounded_rational(rational_from(value, where), where)
+
+
+def _bounded_rational(x: Fraction, where: str) -> Fraction:
+    """x, else a ValidationError at where when its numerator or denominator
+    has more than MAX_INT_BITS bits."""
     _bounded(x.numerator, where, "a numerator")
     _bounded(x.denominator, where, "a denominator")
     return x

@@ -10,11 +10,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import floerdisk.cli as cli
+import floerdisk.errors as errors
 import floerdisk.scenario as scen
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -174,6 +176,91 @@ def test_argparse_reads_the_negative_number_matcher():
     assert parser.parse_args(["--point", "-1/4,1/4"]).point == "-1/4,1/4"
     assert cli._PARSER.parse_args(
         ["probes", "cp2", "--point", "-1/4,1/4"]).point == "-1/4,1/4"
+
+
+# The error types that are faults in the input; every other one is a
+# computation error.
+INPUT_FAULTS = {"SchemaError", "ValidationError", "UnknownScenario",
+                "BadParams", "UnknownLabel"}
+ERROR_TYPES = sorted((value for value in vars(errors).values()
+                      if isinstance(value, type)
+                      and issubclass(value, errors.FloerDiskError)
+                      and value is not errors.FloerDiskError),
+                     key=lambda cls: cls.__name__)
+
+
+def test_the_input_faults_are_error_types():
+    assert INPUT_FAULTS <= {cls.__name__ for cls in ERROR_TYPES}
+
+
+# (raised, exit status, reported type)
+STATUSES = [*((cls, 3 if cls.__name__ in INPUT_FAULTS else 4, cls.__name__)
+              for cls in ERROR_TYPES),
+            (OSError, 3, "OSError"), (FileNotFoundError, 3, "FileNotFoundError"),
+            (ValueError, 2, "usage")]
+
+
+@pytest.mark.parametrize("exc, code, kind", STATUSES,
+                         ids=[exc.__name__ for exc, _, _ in STATUSES])
+def test_each_error_type_ends_in_its_declared_status(monkeypatch, exc, code,
+                                                      kind):
+    """An error ends in 3 when it is a fault in the input, an unreadable
+    file included, in 4 when it is a computation error, and in 2 when it is
+    a usage error; the report names its type."""
+    def fail(ref):
+        raise exc("raised in the scenario lookup")
+
+    monkeypatch.setattr(cli, "_resolve_scenario", fail)
+    out = io.StringIO()
+    assert cli.main(["validate", "--builtin", "cp2_clifford"], out=out) == code
+    assert json.loads(out.getvalue())["error"] == {
+        "type": kind, "message": "raised in the scenario lookup"}
+
+
+# Each rational option, as an argv that runs when n has 32 bits and the
+# name its message starts with when n has 33.
+SWEEP_CP2_TA = ["sweep", "--builtin", "cp2_ta", "--vs", "cp2_clifford",
+                "--ring", "Z/8"]
+RATIONAL_OPTIONS = [
+    (lambda n: ["probes", "p1xp1", "--point", f"0,{(n + 1) // 2}/{n}"],
+     "--point"),
+    (lambda n: ["invariant", "--builtin", f"cp2_ta:a=1/{n}", "--ring", "Z/8"],
+     "parameter a"),
+    (lambda n: ["criterion", "--builtin", "cp2_ta:a=1/10", "--ring", "Z/8",
+                "--vs", "cp2_clifford", "--local-system",
+                f"dbeta={n},dalpha=1"], "local-system dbeta"),
+    (lambda n: SWEEP_CP2_TA + ["--from", f"1/{n}", "--to", "1/3", "--step",
+                               "1/3"], "--from"),
+    (lambda n: SWEEP_CP2_TA + ["--from", f"1/{2 ** 32 - 1}", "--to", f"1/{n}",
+                               "--step", "1"], "--to"),
+    (lambda n: SWEEP_CP2_TA + ["--from", "1/10", "--to", "1/10", "--step",
+                               f"{n}"], "--step")]
+
+
+@pytest.mark.parametrize("argv, where", RATIONAL_OPTIONS,
+                         ids=[where for _, where in RATIONAL_OPTIONS])
+def test_argv_rationals_are_bounded_like_document_rationals(argv, where):
+    """A numerator or denominator of 32 bits runs; one of 33 bits is a
+    ValidationError that names its option."""
+    assert cli.main(argv(2 ** 32 - 1), out=io.StringIO()) == 0
+    out = io.StringIO()
+    assert cli.main(argv(2 ** 32 + 1), out=out) == 3
+    error = json.loads(out.getvalue())["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith(f"{where}: a ")
+    assert error["message"].endswith(" of 33 bits; the limit is 32 bits")
+
+
+def test_a_long_sweep_of_4001_digit_rationals_is_refused_at_once():
+    """10,000 points with 4,001-digit denominators used to run for seconds."""
+    den = 10 ** 4000
+    argv = SWEEP_CP2_TA + ["--from", "1/10", "--to", f"{den // 10 + 9999}/{den}",
+                           "--step", f"1/{den}"]
+    out = io.StringIO()
+    start = time.perf_counter()
+    assert cli.main(argv, out=out) == 3
+    assert time.perf_counter() - start < 1
+    assert json.loads(out.getvalue())["error"]["message"].startswith("--to: ")
 
 
 def usage_by_construction(argv) -> bool:

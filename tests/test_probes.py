@@ -489,6 +489,16 @@ def test_largest_circle_at_bound_30_stays_fast(tmp_path):
         assert seconds < 1
 
 
+def test_a_13000_bit_point_is_refused_at_once(tmp_path):
+    """The search at bound 30 with this point used to take seconds."""
+    point = f"1/3,-1/{1 << 12999}"
+    code, error, seconds = _probes_error(tmp_path, _circle(268), point, 30)
+    assert (code, error["type"]) == (3, "ValidationError")
+    assert error["message"] == ("--point: a denominator of 13000 bits; the "
+                                "limit is 32 bits")
+    assert seconds < 1
+
+
 def test_probe_messages_print_rationals():
     tri = builtin_polytope("p1xp1")
     out = io.StringIO()

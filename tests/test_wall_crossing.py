@@ -1,0 +1,104 @@
+"""Wall-crossing check of the builtin Chekanov-type ledgers.
+
+Auroux (arXiv:0706.3207, section 5) glues the superpotential of the
+Chekanov-type tori to that of the Clifford-type tori across the wall by
+u = x + y, w = y/x, that is x = u/(1+w) and y = uw/(1+w).  Read t as 1, u as
+the dbeta exponent and w as the dalpha exponent.  Then the cp2_ta ledger
+must give x + y + 1/(xy) and the p1xp1_ta ledger x + y + 1/x + 1/y, at every
+a.  Both sides are compared exactly at seeded rational points off the wall
+w = -1 and off w = 0.  The cotangent-bundle ledgers trp2_la and ts2_la drop
+the disk of boundary u, which crosses the removed divisor, and keep the rest.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from floerdisk.potential import potential_from_ledger
+from floerdisk.scenario import builtin_scenario
+
+A_VALUES = [Fraction(1, 10), Fraction(1, 5), Fraction(1, 4)]
+
+
+def _points(count=20, seed=1):
+    """count seeded rational points (u, w) with u != 0 and w not in {0, -1}."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        u = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+        w = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+        if u != 0 and w not in (0, -1):
+            points.append((u, w))
+    return points
+
+
+POINTS = _points()
+
+
+def _clifford_coordinates(u, w):
+    return u / (1 + w), u * w / (1 + w)
+
+
+def cp2_mirror(u, w):
+    x, y = _clifford_coordinates(u, w)
+    return x + y + 1 / (x * y)
+
+
+def p1xp1_mirror(u, w):
+    x, y = _clifford_coordinates(u, w)
+    return x + y + 1 / x + 1 / y
+
+
+MIRRORS = {"cp2_ta": cp2_mirror, "p1xp1_ta": p1xp1_mirror}
+
+
+def _at_t_one(poly, u, w):
+    """The potential with t = 1, its z exponent read on u and its w exponent
+    on w; the builtins carry no bulk exponent."""
+    return sum((t.coeff * u ** t.z_exp * w ** t.w_exp for t in poly.terms),
+               Fraction(0))
+
+
+def _agrees(side, mirror) -> bool:
+    poly = potential_from_ledger(side)
+    return all(_at_t_one(poly, u, w) == mirror(u, w) for u, w in POINTS)
+
+
+def _side(name, a):
+    return builtin_scenario(name, {"a": a}).sides[0]
+
+
+def _mutant(side, label, **changes):
+    disks = tuple(replace(d, **changes) if d.label == label else d
+                  for d in side.ledger.disks)
+    assert disks != side.ledger.disks
+    return replace(side, ledger=replace(side.ledger, disks=disks))
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("name", sorted(MIRRORS))
+def test_chekanov_ledger_crosses_the_wall_to_the_clifford_potential(name, a):
+    assert _agrees(_side(name, a), MIRRORS[name])
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("cotangent, compact", [("trp2_la", "cp2_ta"),
+                                                ("ts2_la", "p1xp1_ta")])
+def test_cotangent_ledger_is_the_compact_one_less_its_u_term(cotangent,
+                                                             compact, a):
+    compact_terms = potential_from_ledger(_side(compact, a)).terms
+    u_terms = [t for t in compact_terms if (t.z_exp, t.w_exp) == (1, 0)]
+    assert len(u_terms) == 1
+    assert potential_from_ledger(_side(cotangent, a)).terms == tuple(
+        t for t in compact_terms if t not in u_terms)
+
+
+@pytest.mark.parametrize("label, changes", [
+    ("H-2b", {"count": 1}),
+    ("H-2b+a", {"boundary": (-2, -1)})], ids=["count", "sign"])
+def test_a_mutated_cp2_ledger_fails_the_check(label, changes):
+    side = _side("cp2_ta", Fraction(1, 5))
+    assert _agrees(side, cp2_mirror)
+    assert not _agrees(_mutant(side, label, **changes), cp2_mirror)
