@@ -421,7 +421,7 @@ def _cmd_potential(args):
             for z, w in residue_critical_points(truncated, ring)]
         result["residue_ring"] = ring.name
     options = {"bulk": args.bulk, "analyze_units": args.analyze_units,
-               "residue_ring": args.residue_ring}
+               "residue_ring": None if ring is None else ring.name}
     return _report("potential", scenario, options, result)
 
 

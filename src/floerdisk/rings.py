@@ -8,6 +8,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -98,16 +99,15 @@ class Ring:
 
     @classmethod
     def parse(cls, name: str) -> "Ring":
-        """Parse a ring name: "Z", "Z/<n>", "Q", "F<p>"."""
+        """Parse "Z", "Z/<n>", "Q" or "F<p>", n and p in ASCII digits."""
         name = name.strip()
         if name == "Z":
             return cls.integers()
         if name == "Q":
             return cls.rationals()
-        if name.startswith("Z/"):
-            return cls.integers_mod(int(name[2:]))
-        if name.startswith("F"):
-            return cls.prime_field(int(name[1:]))
+        if match := re.fullmatch(r"(Z/|F)([0-9]+)", name):
+            kind = INTEGERS_MOD if match[1] == "Z/" else PRIME_FIELD
+            return cls(kind, int(match[2]))
         raise ValueError(f"cannot parse ring name {name!r}")
 
     @property

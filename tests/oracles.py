@@ -3,7 +3,7 @@
 Everything here is deliberately naive (exhaustive search, hand formulas) and
 shares no code path with the implementations under test.  The one exception
 is oracle_residue_critical_points, the exhaustive RingElement search, which
-shares partial_derivative and reduce with the fast residue search;
+shares reduce with the fast residue search;
 plain_residue_critical_points checks the same answers with plain ints only.
 oracle_search_probes, the old Fraction probe search, reads the facets that
 Polytope2 builds and its contains checks, but not the integer clipping.

@@ -131,7 +131,9 @@ SWEEP_CP2 = ["sweep", "--vs", "cp2_clifford", "--from", "1/10", "--to", "1/5",
      "only the parameter 'a' can be swept"),
     (SWEEP_CP2 + ["--builtin", "cp2_clifford"], 3, "BadParams",
      "sweeps need a parametric builtin for the swept side"),
-    ([], 2, "usage", "a subcommand is required")])
+    ([], 2, "usage", "a subcommand is required"),
+    (["potential", "--builtin", "cp2_ta:a=1/5", "--residue-ring", "Z/+8"], 2,
+     "usage", "cannot parse ring name 'Z/+8'")])
 def test_rejected_argvs_name_their_fault(argv, code, kind, message):
     out = io.StringIO()
     assert cli.main(argv, out=out) == code

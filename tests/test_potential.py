@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerdisk import potential
 from floerdisk.cli import main
@@ -327,6 +328,11 @@ RESIDUE_POLYS = {
     "synthetic": NovikovPolynomial.from_terms([
         term(F(2, 7), 0, z=-3, w=2), term(5, 0, ec=1, z=2, w=-1),
         term(-1, 0, z=1, w=1), term(3, 0, ec=2, z=2, w=-1)]),
+    # roots (1, 3) and (6, 4) mod 7: the z-partial's rows at z and -z mod 49
+    # agree, but the candidate ws above the two roots differ, so a zero set
+    # scanned above one root must not be reused above the other
+    "two_roots": NovikovPolynomial.from_terms([
+        term(2, 0, w=2), term(3, 0, z=1, w=3), term(-2, 0, z=3, w=1)]),
 }
 PRIMES = [p for p in range(2, 62) if all(p % d for d in range(2, p))]
 RESIDUE_RINGS = ([Ring.integers_mod(n) for n in range(2, 65)]
@@ -403,6 +409,111 @@ def test_residue_budget_stages(monkeypatch):
     # 1024 roots mod 64 cannot all be output
     with pytest.raises(ResidueSearchTooLarge):
         residue_critical_points(constant, Ring.integers_mod(64))
+
+
+# The budget each search charged and its outcome (points, or "refused") at
+# the commit before rows and shared zero sets, per builtin over the rings of
+# ROADMAP item O, and Z/4, where a compiled coefficient can vanish.  "-"
+# skips a Z/65536 search bound by its 65,536 output pairs: each takes about
+# a second, and cp2_ta:a=1/5 runs the same stages.
+O_RINGS = ["Z/4", "Z/8", "Z/128", "Z/1024", "Z/65536", "Z/27", "Z/243",
+           "Z/2187", "Z/3125", "Z/720", "Z/4096"]
+O_CHARGES = {
+    "cp2_ta:a=1/5": "84:4 361:16 4713:128 36969:1024 2359401:65536 668:18 "
+                    "6212:162 56108:1458 118080:2500 8551:384 147561:4096",
+    "cp2_ta:a=1/3": "5:0 6:0 6:0 6:0 6:0 288:3 612:3 936:3 712:1 6:0 6:0",
+    "cp2_clifford": "36:1 52:1 116:1 164:1 260:1 208:3 424:3 640:3 480:1 "
+                    "280:3 196:1",
+    "p1xp1_ta:a=1/5": "89:4 233:8 4553:128 36809:1024 - 668:18 6212:162 "
+                      "56108:1458 118080:2500 8391:384 147401:4096",
+    "p1xp1_clifford": "84:4 340:16 1364:16 2132:16 3668:16 368:4 656:4 "
+                      "944:4 1728:4 5940:256 2644:16",
+    "bl3_ta:a=1/5": "89:4 233:8 4553:128 36809:1024 - 668:18 6212:162 "
+                    "56108:1458 118080:2500 8391:384 147401:4096",
+    "bl3_clifford": "69:4 277:16 70997:4096 349525:refused 349525:refused "
+                    "5548:324 449428:26244 265720:refused 260416:refused "
+                    "627853:36864 349525:refused",
+    "ts2_la:a=1/5": "89:4 233:8 4553:128 36809:1024 - 668:18 6212:162 "
+                    "56108:1458 118080:2500 8391:384 147401:4096",
+    "trp2_la:a=1/5": "84:4 361:16 4713:128 36969:1024 - 668:18 6212:162 "
+                     "56108:1458 118080:2500 8551:384 147561:4096",
+}
+
+
+@pytest.mark.parametrize("name", sorted(O_CHARGES))
+def test_residue_charges_and_refusals_do_not_move(monkeypatch, name):
+    budgets = []
+
+    class Recorded(potential._WorkBudget):
+        def __init__(self, ring_name):
+            super().__init__(ring_name)
+            budgets.append(self)
+
+    monkeypatch.setattr(potential, "_WorkBudget", Recorded)
+    base, _, a = name.partition(":a=")
+    side = builtin_scenario(base, {"a": F(a)} if a else None).side
+    p = potential_from_ledger(side)
+    low = truncate_to_level(p, p.t_levels()[0]) if p.t_levels() else p
+    for ring, cell in zip(O_RINGS, O_CHARGES[name].split()):
+        if cell == "-":
+            continue
+        budgets.clear()
+        try:
+            outcome = str(len(residue_critical_points(low, Ring.parse(ring))))
+        except ResidueSearchTooLarge:
+            outcome = "refused"
+        assert f"{budgets[0].spent}:{outcome}" == cell, ring
+
+
+def test_largest_accepted_prime_field_search_is_fast():
+    # 772^2 candidates times five compiled terms is within the budget; the
+    # terms of each partial share one z exponent, so each row is scanned once
+    low = RESIDUE_POLYS["cp2_a=1/5"]
+    start = time.perf_counter()
+    points = residue_critical_points(low, Ring.prime_field(773))
+    assert time.perf_counter() - start < 1
+    assert points == [(z, 772) for z in range(1, 773)]
+
+
+coefficients = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+exponents = st.integers(-4, 4)
+
+
+@st.composite
+def laurent_polynomials(draw):
+    """Single-level polynomials of 1-6 terms; sometimes every z or every w
+    exponent is 0, so that one partial is zero."""
+    flat = draw(st.sampled_from([None, "z", "w"]))
+    terms = draw(st.lists(st.builds(
+        lambda c, ec, z, w: term(c, F(1, 5), ec=ec, z=0 if flat == "z" else z,
+                                 w=0 if flat == "w" else w),
+        coefficients, st.integers(0, 2), exponents, exponents),
+        min_size=1, max_size=6))
+    return NovikovPolynomial.from_terms(terms)
+
+
+@settings(max_examples=200)
+@given(laurent_polynomials(),
+       st.sampled_from([Ring.integers_mod(n) for n in range(2, 65)]
+                       + [Ring.prime_field(p) for p in range(2, 100)
+                          if all(p % d for d in range(2, p))]))
+def test_residue_matches_plain_search_on_random_polynomials(p, ring):
+    try:
+        expected = plain_residue_critical_points(p, ring.modulus)
+    except ValueError:   # a denominator is a zero divisor mod n
+        with pytest.raises(NonInvertibleDenominator):
+            residue_critical_points(p, ring)
+        return
+    assert residue_critical_points(p, ring) == expected
+
+
+def test_potential_echoes_one_ring_name():
+    out = io.StringIO()
+    assert main(["potential", "--builtin", "cp2_ta:a=1/5",
+                 "--residue-ring", " Z/08 "], out=out) == 0
+    report = json.loads(out.getvalue())
+    assert report["options"]["residue_ring"] == "Z/8"
+    assert report["result"]["residue_ring"] == "Z/8"
 
 
 def test_basis_mismatch():

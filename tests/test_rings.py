@@ -19,6 +19,14 @@ def test_parse_and_names():
         assert Ring.parse(name).name == name
 
 
+def test_parse_takes_only_ascii_digits():
+    # int() would read each of these as 8, 1000 or 7
+    for name in ["Z/ 8", "Z/+8", "Z/1_000", "F 7", "F+7", "Z/\u0668", "Z/8 8",
+                 "Z/", "F", "Z/x"]:
+        with pytest.raises(ValueError, match="cannot parse ring name"):
+            Ring.parse(name)
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         Ring.prime_field(6)

@@ -340,7 +340,11 @@ def test_side_rejections_exit_3_with_their_message(tmp_path, name, path,
      "ValidationError", "subspace field must be a prime field"),
     (("sides", 0, "subspace"), {"field": "F4", "base": [0, 0], "span": []},
      "ValidationError",
-     "sides[0].subspace: prime field requires a prime modulus")])
+     "sides[0].subspace: prime field requires a prime modulus"),
+    (("ring",), "Z/ 8", "ValidationError", "cannot parse ring name 'Z/ 8'"),
+    (("sides", 0, "subspace"), {"field": "F\u0662", "base": [0, 0],
+                                "span": []},
+     "ValidationError", "sides[0].subspace: cannot parse ring name 'F\u0662'")])
 def test_document_rejections_exit_3_with_their_message(tmp_path, path, value,
                                                        kind, message):
     doc = make("cp2_ta").to_json_dict()
