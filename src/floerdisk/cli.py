@@ -428,8 +428,11 @@ def _cmd_potential(args):
 def _cmd_probes(args):
     poly = (builtin_polytope(args.polytope) if args.polytope in ("p1xp1", "cp2")
             else polytope_from_json(read_document(args.polytope)))
-    x_text, _, y_text = args.point.partition(",")
-    point = (_rational_arg(x_text, "--point"), _rational_arg(y_text, "--point"))
+    coordinates = args.point.split(",")
+    if len(coordinates) != 2:
+        raise _UsageError(
+            f"--point takes two coordinates x,y, got {args.point!r}")
+    point = tuple(_rational_arg(x, "--point") for x in coordinates)
     hits = search_probes(poly, point, args.bound)
     result = {"polytope": poly.to_json_dict(),
               "point": [rational_str(point[0]), rational_str(point[1])],

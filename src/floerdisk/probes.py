@@ -15,6 +15,7 @@ rest of the open segment is interior to the polytope.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -27,8 +28,10 @@ from .scenario import _at_most, _ints, _need, _rational
 Point = tuple
 
 # Most work one probe search may plan, in (nonzero direction in the bound's
-# box) x (facet) pairs.  Bound 30 fits on polygons of up to 268 facets; with
-# 32-bit coordinates the largest accepted search takes about 0.35 s.
+# box) x (facet) pairs: an upper bound, as only the at most 2B + 1 facet-
+# transverse directions per facet are clipped.  Bound 30 fits on polygons of
+# up to 268 facets; with 32-bit coordinates the largest accepted search
+# takes about 0.06 s.
 PROBE_WORK_BUDGET = 1_000_000
 
 # Most vertices a polygon document may hold, counted before any is read;
@@ -271,18 +274,28 @@ def probe_displaces(poly: Polytope2, probe: Probe, point) -> bool:
     the search's ray test along the probe's direction finds this probe."""
     try:
         return any(hit.probe == probe
-                   for hit in _hits(poly, point, [probe.direction]))
+                   for hit in _hits(poly, poly.facets, point,
+                                   [probe.direction]))
     except ValidationError:
         return False
 
 
-def _primitive_directions(bound: int):
-    for dx in range(-bound, bound + 1):
-        for dy in range(-bound, bound + 1):
-            if (dx, dy) == (0, 0):
-                continue
-            if gcd(abs(dx), abs(dy)) == 1:
-                yield (dx, dy)
+def _transverse_directions(facets, bound: int) -> list:
+    """In (dx, dy) order, the d in the box [-bound, bound]^2 with n . d = 1
+    for some facet normal n: the only directions that can enter a facet, each
+    primitive, and at most 2 * bound + 1 per facet, on one line."""
+    span = range(-bound, bound + 1)
+    found = set()
+    for f in facets:
+        a, b = f.normal
+        if b == 0:      # a is 1 or -1
+            found.update((a, dy) for dy in span)
+            continue
+        for dx in span:
+            dy, rest = divmod(1 - a * dx, b)
+            if not rest and -bound <= dy <= bound:
+                found.add((dx, dy))
+    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -315,10 +328,12 @@ def search_probes(poly: Polytope2, point, direction_bound: int) -> list[ProbeHit
         raise ProbeSearchTooLarge(
             f"probe search with bound {direction_bound} over {n} "
             f"facets exceeds the work budget of {PROBE_WORK_BUDGET}")
-    return _hits(poly, point, _primitive_directions(direction_bound))
+    facets = poly.facets
+    return _hits(poly, facets, point,
+                 _transverse_directions(facets, direction_bound))
 
 
-def _hits(poly: Polytope2, point, directions) -> list[ProbeHit]:
+def _hits(poly: Polytope2, facets, point, directions) -> list[ProbeHit]:
     """The probes along the given primitive directions that displace the
     interior point; a point that is not interior is a ValidationError.
 
@@ -328,7 +343,6 @@ def _hits(poly: Polytope2, point, directions) -> list[ProbeHit]:
     facet heights are scaled to ints once, each direction is one integer
     clipping pass, and Fractions are only built for hits.
     """
-    facets = poly.facets
     point = _frac_point(point)
     heights, den = _heights(facets, point)
     if min(heights) <= 0:
@@ -359,6 +373,7 @@ def _hits(poly: Polytope2, point, directions) -> list[ProbeHit]:
 
 # --- default semitoric pictures -------------------------------------------------
 
+@functools.cache
 def builtin_polytope(name: str) -> Polytope2:
     """The two semitoric triangles used by the built-in scenarios.
 

@@ -537,11 +537,12 @@ def decode_json(data):
         raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
-def read_document(path):
-    """The JSON value in the regular file at path, by decode_json.  A FIFO,
-    socket or device is a ValidationError before it is opened, a file over
-    MAX_DOCUMENT_BYTES bytes one before it is read; a missing path or a
-    directory raises the OSError that stat or open gives it."""
+def read_document(path) -> dict:
+    """The JSON object in the regular file at path, by decode_json; another
+    top level, such as a string, is a SchemaError.  A FIFO, socket or device
+    is a ValidationError before it is opened, a file over MAX_DOCUMENT_BYTES
+    bytes one before it is read; a missing path or a directory raises the
+    OSError that stat or open gives it."""
     info = os.stat(path)
     if not (stat.S_ISREG(info.st_mode) or stat.S_ISDIR(info.st_mode)):
         raise ValidationError(f"{path}: not a regular file")
@@ -549,7 +550,10 @@ def read_document(path):
         raise ValidationError(f"document: {info.st_size} bytes; the limit is "
                               f"{MAX_DOCUMENT_BYTES} bytes")
     with open(path, "rb") as handle:
-        return decode_json(handle.read())
+        document = decode_json(handle.read())
+    if not isinstance(document, dict):
+        raise SchemaError("top level must be a JSON object")
+    return document
 
 
 def load_scenario(document) -> Scenario:

@@ -133,7 +133,13 @@ SWEEP_CP2 = ["sweep", "--vs", "cp2_clifford", "--from", "1/10", "--to", "1/5",
      "sweeps need a parametric builtin for the swept side"),
     ([], 2, "usage", "a subcommand is required"),
     (["potential", "--builtin", "cp2_ta:a=1/5", "--residue-ring", "Z/+8"], 2,
-     "usage", "cannot parse ring name 'Z/+8'")])
+     "usage", "cannot parse ring name 'Z/+8'"),
+    (["probes", "p1xp1", "--point=1/4"], 2, "usage",
+     "--point takes two coordinates x,y, got '1/4'"),
+    (["probes", "p1xp1", "--point=1/4,1/4,1"], 2, "usage",
+     "--point takes two coordinates x,y, got '1/4,1/4,1'"),
+    (["probes", "p1xp1", "--point=0,3/4,"], 2, "usage",
+     "--point takes two coordinates x,y, got '0,3/4,'")])
 def test_rejected_argvs_name_their_fault(argv, code, kind, message):
     out = io.StringIO()
     assert cli.main(argv, out=out) == code

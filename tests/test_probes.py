@@ -284,6 +284,9 @@ DIFFERENTIAL_CASES = [
     (Polytope2(((F(-1, 2), F(-1, 3)), (F(5, 3), F(-1, 2)), (2, F(1, 4)),
                 (F(3, 4), F(7, 4)), (F(-5, 4), F(3, 2)), (F(-3, 2), 0)), (4,)),
      [(0, 0), (F(1, 3), F(2, 3)), (F(-1, 1), F(1, 2))]),
+    # vertical facets (normal (a, 0)) as well as horizontal ones (0, b)
+    (Polytope2(((0, 0), (2, 0), (3, 1), (3, 2), (1, 2), (0, 1)), (2,)),
+     [(1, 1), (F(1, 2), F(1, 3)), (F(5, 2), F(3, 2))]),
 ]
 
 
@@ -293,6 +296,42 @@ def test_search_equals_oracle_search(poly, points):
         for bound in range(1, 9):
             assert search_probes(poly, point, bound) == \
                 oracle_search_probes(poly, point, bound), (point, bound)
+
+
+# the two triangles, the rational pentagon and the hexagon
+@pytest.mark.parametrize("poly, points", [
+    DIFFERENTIAL_CASES[i] for i in (0, 1, 2, 5)])
+def test_search_equals_oracle_search_at_wide_bounds(poly, points):
+    """Directions on the box's edge and entries through every kind of facet
+    only give probes at the wider bounds."""
+    for point in points:
+        for bound in range(9, 17):
+            assert search_probes(poly, point, bound) == \
+                oracle_search_probes(poly, point, bound), (point, bound)
+
+
+def test_search_clips_only_facet_transverse_directions(monkeypatch):
+    clipped = []
+
+    def counting_clip(facets, heights, direction):
+        clipped.append(direction)
+        return clip(facets, heights, direction)
+
+    clip = probes._clip
+    monkeypatch.setattr(probes, "_clip", counting_clip)
+    tri = builtin_polytope("p1xp1")
+    hits = search_probes(tri, (0, F(3, 4)), 15)
+    assert hits == oracle_search_probes(tri, (0, F(3, 4)), 15)
+    # at most 2 * 15 + 1 directions per facet, each clipped once
+    assert len(clipped) == len(set(clipped)) <= 3 * 31
+    normals = [f.normal for f in tri.facets]
+    assert all(any(a * dx + b * dy == 1 for a, b in normals)
+               for dx, dy in clipped)
+
+
+def test_builtin_polytopes_are_shared():
+    assert builtin_polytope("cp2") is builtin_polytope("cp2")
+    assert builtin_polytope("p1xp1") is not builtin_polytope("cp2")
 
 
 def _hull(points):
@@ -319,7 +358,7 @@ coordinate = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
 @settings(max_examples=60)
 @given(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=8),
        st.lists(st.integers(1, 5), min_size=8, max_size=8),
-       st.integers(1, 4), st.data())
+       st.integers(1, 10), st.data())
 def test_search_property_against_oracles(points, weights, bound, data):
     verts = _hull(points)
     assume(len(verts) >= 3)

@@ -573,6 +573,26 @@ def test_entries_at_the_bit_limit_load():
         load_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("data", [
+    # a valid scenario encoded twice: a JSON string holding the document
+    json.dumps(builtin_scenario("cp2_ta", {"a": "1/10"}).canonical_json()),
+    '"x"', "[1, 2]", "3", "null"],
+    ids=["double-encoded", "string", "list", "number", "null"])
+@pytest.mark.parametrize("command", [
+    ["validate", "{}"], ["invariant", "--ring", "Z/8", "--scenario", "{}"],
+    ["probes", "{}", "--point", "1/4,1/4"]])
+def test_files_that_hold_no_json_object_are_schema_errors(tmp_path, command,
+                                                          data):
+    """The one file reader decodes once and wants an object, so a document
+    encoded twice is refused rather than decoded again."""
+    path = tmp_path / "document.json"
+    path.write_text(data)
+    out = io.StringIO()
+    assert main([x.format(path) for x in command], out=out) == 3
+    assert json.loads(out.getvalue())["error"] == {
+        "type": "SchemaError", "message": "top level must be a JSON object"}
+
+
 def test_integer_too_long_for_int_is_a_schema_error(tmp_path):
     text = builtin_scenario("cp2_clifford").canonical_json().replace(
         '"form":[[1]]', '"form":[[1' + "0" * 5000 + "]]")
