@@ -31,8 +31,9 @@ from .potential import (potential_from_ledger, residue_critical_points,
 from .probes import builtin_polytope, polytope_from_json, search_probes
 from .rings import PRIME_FIELD, Ring, parse_rational, rational_str
 from .scenario import (A_INTERVALS, AffineSubspace, BUILTIN_NAMES, Scenario,
-                       _bounded_rational, builtin_row, builtin_scenario,
-                       check_a, combine, load_scenario, read_document)
+                       _bounded, _bounded_rational, builtin_row,
+                       builtin_scenario, check_a, combine, load_scenario,
+                       read_document)
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
@@ -82,10 +83,15 @@ def _resolve_scenario(ref: str) -> Scenario:
     return builtin_scenario(name, params)
 
 
+def _int_arg(text: str, where: str) -> int:
+    """An argv integer, bounded as a document integer is."""
+    return _bounded(int(text), where)
+
+
 def _parse_subspace(text: str, field: Ring) -> AffineSubspace:
     base_text, _, span_text = text.partition(";")
-    base = tuple(int(x) for x in base_text.split(","))
-    span = tuple(tuple(int(x) for x in row.split(","))
+    base = tuple(_int_arg(x, "--subspace") for x in base_text.split(","))
+    span = tuple(tuple(_int_arg(x, "--subspace") for x in row.split(","))
                  for row in span_text.split("|") if row)
     try:
         return AffineSubspace(field, base, span)
@@ -406,7 +412,7 @@ def _cmd_potential(args):
     if ring is not None and not ring.is_finite:
         raise BadParams(f"--residue-ring {ring.name}: the residue search "
                         f"needs a finite ring")
-    hits = (_parse_assignments(args.bulk, "bulk", lambda value, _: int(value))
+    hits = (_parse_assignments(args.bulk, "bulk", _int_arg)
             if args.bulk is not None else None)
     poly = potential_from_ledger(side, divisor_hits=hits)
     result = {"terms": poly.to_dicts()}

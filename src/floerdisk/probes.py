@@ -23,7 +23,7 @@ from math import gcd, lcm
 from .errors import (BadParams, InvalidProbe, ProbeSearchTooLarge, SchemaError,
                      ValidationError)
 from .rings import rational_str
-from .scenario import _at_most, _ints, _need, _rational
+from .scenario import INTEGER, RATIONAL, REQUIRED, Kind, listof, table
 
 Point = tuple
 
@@ -137,29 +137,29 @@ class Polytope2:
         return [self.vertices[i] for i in self.excluded_vertices]
 
     def to_json_dict(self) -> dict:
-        return {"vertices": [[rational_str(x), rational_str(y)]
-                             for x, y in self.vertices],
-                "excluded_vertices": list(self.excluded_vertices)}
+        return _POLYGON.write(self)
+
+
+_COORDINATES = listof(RATIONAL)
+
+
+def _read_point(value, where) -> Point:
+    if type(value) is not list or len(value) != 2:
+        raise SchemaError(f"{where}: expected a pair [x, y], got {value!r}")
+    return _COORDINATES.read(value, where)
+
+
+# Geometry (convexity, index range) is Polytope2's to check.
+_POLYGON = table(
+    Polytope2,
+    ("vertices", "vertices", listof(Kind(_read_point, _COORDINATES.write),
+                                    MAX_VERTICES, "vertices"), REQUIRED),
+    ("excluded_vertices", "excluded_vertices", listof(INTEGER), []))
 
 
 def polytope_from_json(doc) -> Polytope2:
-    """Read ``{"vertices": [[x, y], ...], "excluded_vertices": [i, ...]}``.
-
-    Coordinates are ints or rational strings and indices are ints, bounded
-    as in a scenario document; any other shape is a SchemaError.  Geometry
-    (convexity, index range) is Polytope2's to check.
-    """
-    vertices = _at_most(_need(doc, "vertices", list, "document"),
-                        MAX_VERTICES, "vertices", "vertices")
-    verts = []
-    for i, vertex in enumerate(vertices):
-        if not isinstance(vertex, list) or len(vertex) != 2:
-            raise SchemaError(f"vertices[{i}]: expected a pair [x, y], "
-                              f"got {vertex!r}")
-        verts.append((_rational(vertex[0], f"vertices[{i}][0]"),
-                      _rational(vertex[1], f"vertices[{i}][1]")))
-    return Polytope2(tuple(verts), _ints(doc.get("excluded_vertices", []),
-                                         "excluded_vertices"))
+    """The Polytope2 of a polygon document, read by the _POLYGON table."""
+    return _POLYGON.read(doc, "")
 
 
 @dataclass(frozen=True)

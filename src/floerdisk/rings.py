@@ -274,7 +274,7 @@ def rational_from(value, where) -> Fraction:
 
 def rational_str(x) -> str:
     """Serialize a rational as "p/q" (q > 0, lowest terms) or "p"."""
-    frac = Fraction(x)
+    frac = x if type(x) is Fraction else Fraction(x)
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"

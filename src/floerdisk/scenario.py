@@ -13,8 +13,10 @@ import hashlib
 import json
 import os
 import stat
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .abelian import (FgAbelianGroup, GroupHom, IntersectionForm,
                       kernel_basis, mat_vec, solve_linear, vec_sub)
@@ -23,6 +25,7 @@ from .errors import (BadParams, DimensionMismatch, SchemaError, TorsionGroup,
 from .rings import PRIME_FIELD, Ring, rational_from, rational_str
 
 Z = Ring.integers()
+Lattice = namedtuple("Lattice", "k N")     # a side's lattice parameters
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ class LagrangianSide:
     ledger: DiskLedger
     monotone: bool = False
     monotonicity_constant: Fraction | None = None
-    lattice_params: tuple | None = None      # (k, N)
+    lattice_params: Lattice | None = None
     local_system: tuple | None = None        # sorted ((label, Fraction), ...)
     subspace: AffineSubspace | None = None
     asserted_invariant: tuple | None = None
@@ -175,8 +178,8 @@ class LagrangianSide:
             object.__setattr__(self, "monotonicity_constant",
                                Fraction(self.monotonicity_constant))
         if self.lattice_params is not None:
-            k, n = self.lattice_params
-            object.__setattr__(self, "lattice_params", (int(k), int(n)))
+            object.__setattr__(self, "lattice_params",
+                               Lattice(*map(int, self.lattice_params)))
         if self.asserted_invariant is not None:
             object.__setattr__(self, "asserted_invariant",
                                tuple(self.asserted_invariant))
@@ -218,7 +221,7 @@ class Scenario:
         return self.sides[0]
 
     def to_json_dict(self) -> dict:
-        return _scenario_to_dict(self)
+        return _SCENARIO.write(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True,
@@ -321,34 +324,15 @@ def _check_exactness(side: LagrangianSide):
     object.__setattr__(bd, "_exact_after", j)
 
 
-# --- JSON ingestion ----------------------------------------------------------
+# --- JSON documents ------------------------------------------------------------
 #
-# Top-level schema (UTF-8 JSON):
-#   {"ring": "Z/8",
-#    "H2_X": {"generators": [str], "relations": [[int]]},
-#    "form": [[int]],
-#    "sides": [{"name": str,
-#               "H1_L": {...}, "H2_XL": {...},
-#               "j": [[int]], "bd": [[int]],
-#               "fundamental_class": [int],
-#               "monotone": bool, "b": "p/q"?,
-#               "lattice_params": {"k": int, "N": int}?,
-#               "local_system": {gen: "unit"}?,
-#               "subspace": {"field": "F2", "base": [int], "span": [[int]]}?,
-#               "asserted_invariant": [int]?,
-#               "ledger": {"complete_below": "p/q" | "inf",
-#                          "disks": [{"label": str, "rel_class": [int],
-#                                     "boundary": [int], "maslov": int,
-#                                     "area": "p/q", "count": int}]}}]}
+# Each JSON object is declared once, as a table: the kind that reads and
+# writes it.  A kind is a pair (read, write): read(value, path) checks a JSON
+# value at its path and converts it, and write converts back (None: the
+# value is written as it is).
 
-def _need(mapping, key, kind, where):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise SchemaError(f"{where}: missing key {key!r}")
-    value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise SchemaError(f"{where}: key {key!r} has wrong type")
-    return value
-
+Kind = namedtuple("Kind", "read write")
+REQUIRED = object()
 
 # What a document may hold.  Exact elimination grows its entries without
 # bound, so these keep the slowest document admitted (dense, at every bound)
@@ -360,13 +344,6 @@ MAX_INT_BITS = 32       # bit length of every integer, numerator, denominator
 MAX_DOCUMENT_BYTES = 8 << 20   # length of a file read, before it is parsed
 
 
-def _at_most(items, limit: int, what: str, where: str):
-    if len(items) > limit:
-        raise ValidationError(
-            f"{where}: {len(items)} {what}; the limit is {limit}")
-    return items
-
-
 def _bounded(x: int, where: str, what: str = "an integer") -> int:
     """x, else a ValidationError at its JSON path when it has more than
     MAX_INT_BITS bits."""
@@ -376,146 +353,169 @@ def _bounded(x: int, where: str, what: str = "an integer") -> int:
     return x
 
 
-def _int(mapping, key, where) -> int:
-    """The JSON integer under the key, else a SchemaError at its path."""
-    value = _need(mapping, key, None, where)
-    if type(value) is not int:
-        raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
-    return _bounded(value, f"{where}.{key}")
-
-
-def _rational(value, where) -> Fraction:
-    """The document rational at the JSON path, bounded."""
-    return _bounded_rational(rational_from(value, where), where)
-
-
 def _bounded_rational(x: Fraction, where: str) -> Fraction:
-    """x, else a ValidationError at where when its numerator or denominator
-    has more than MAX_INT_BITS bits."""
+    """x, its numerator and its denominator each bounded as by _bounded."""
     _bounded(x.numerator, where, "a numerator")
     _bounded(x.denominator, where, "a denominator")
     return x
 
 
-def _ints(value, where, depth=1) -> tuple:
-    """A JSON list of ints (depth 1), or a list of such rows (depth 2), as
-    tuples; a float, bool, string or other entry is a SchemaError at its
-    JSON path, an entry of more than MAX_INT_BITS bits a ValidationError."""
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected a list, got {value!r}")
-    if depth > 1:
-        return tuple(_ints(row, f"{where}[{i}]", depth - 1)
-                     for i, row in enumerate(value))
-    for i, x in enumerate(value):
-        if type(x) is not int:
-            raise SchemaError(f"{where}[{i}]: expected an integer, got {x!r}")
-        _bounded(x, f"{where}[{i}]")
-    return tuple(value)
+def _typed(json_type: type, expected: str, check=None):
+    """The read of a JSON value of exactly that type (a bool is no int)."""
+    def read(value, where):
+        if type(value) is not json_type:
+            raise SchemaError(f"{where}: expected {expected}, got {value!r}")
+        return value if check is None else check(value, where)
+    return read
 
 
-def _group_from_dict(data, where) -> FgAbelianGroup:
-    gens = _at_most(_need(data, "generators", list, where), MAX_GENERATORS,
-                    "generators", where)
-    relations = _at_most(
-        _ints(data.get("relations", []), f"{where}.relations", 2),
-        MAX_RELATIONS, "relation rows", where)
+def listof(kind: Kind, limit: int | None = None, what: str = "",
+           too_many: str | None = None) -> Kind:
+    """A JSON list of the kind's values, read as a tuple.  A list of more
+    than limit entries is a ValidationError, counted before any entry is
+    read: too_many, or the count at the path of the object that holds it."""
+    read_item, write_item = kind
+
+    def read(value, where):
+        if type(value) is not list:
+            raise SchemaError(f"{where}: expected a list, got {value!r}")
+        if limit is not None and len(value) > limit:
+            at = where.rpartition(".")[0] or where
+            raise ValidationError(too_many or f"{at}: {len(value)} {what}; "
+                                  f"the limit is {limit}")
+        return tuple([read_item(x, f"{where}[{i}]")
+                      for i, x in enumerate(value)])
+    return Kind(read, list if write_item is None
+                else lambda items: [write_item(x) for x in items])
+
+
+def _checked(where: str, build, *args):
+    """build(*args); a ValueError or shape error is a ValidationError at
+    where (bare when where is empty)."""
     try:
-        return FgAbelianGroup(tuple(str(g) for g in gens), relations)
-    except (ValueError, DimensionMismatch) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+        return build(*args)
+    except (ValueError, DimensionMismatch, TorsionGroup) as exc:
+        raise ValidationError(f"{where}: {exc}" if where else str(exc)) \
+            from exc
 
 
-def _side_from_dict(h2x, data, index) -> LagrangianSide:
+def table(build, *rows) -> Kind:
+    """The JSON object of the rows (key, field, kind, default): each key is
+    read into build's argument `field` and written from the built object's
+    attribute `field`.  A key not REQUIRED that is absent or null reads as
+    its default: None, left out when written, or a JSON value for the kind.
+    A row with key None derives its field from the fields before it.  The
+    object's ValueErrors and shape errors are _checked at its path."""
+    plan = [(key, write, default is None)
+            for key, _, (_, write), default in rows if key is not None]
+    fields_of = attrgetter(*(field for key, field, *_ in rows if key))
+
+    def read(data, path):
+        _OBJECT(data, path or "document")
+        fields = {}
+        for key, field, (read_value, _), default in rows:
+            value, where = data.get(key), f"{path}.{key}" if path else key
+            if key is None:
+                fields[field] = read_value(**fields)
+            elif value is not None or key in data and default is REQUIRED:
+                fields[field] = read_value(value, where)
+            elif default is REQUIRED:
+                raise SchemaError(f"{path or 'document'}: missing key {key!r}")
+            else:   # absent or null
+                fields[field] = (None if default is None
+                                 else read_value(default, where))
+        return build(**fields)
+
+    def write(obj):
+        return {key: value if write is None else write(value)
+                for (key, write, optional), value in zip(plan, fields_of(obj))
+                if value is not None or not optional}
+    return Kind(lambda data, path: _checked(path, read, data, path), write)
+
+
+_OBJECT = _typed(dict, "an object")
+STRING = Kind(_typed(str, "a string"), None)
+BOOL = Kind(_typed(bool, "true or false"), None)
+INTEGER = Kind(_typed(int, "an integer", _bounded), None)
+RATIONAL = Kind(lambda value, where: _bounded_rational(
+    rational_from(value, where), where), rational_str)
+_CUTOFF = Kind(lambda value, where: None if value == "inf"
+               else RATIONAL.read(value, where),
+               lambda x: "inf" if x is None else rational_str(x))
+_RING = Kind(_typed(str, "a ring name", lambda name, _: Ring.parse(name)),
+             lambda ring: ring.name)
+_INTS = listof(INTEGER)
+_MATRIX = listof(_INTS)
+# a GroupHom or IntersectionForm, read as its matrix
+_MAP = Kind(_MATRIX.read, lambda x: _MATRIX.write(x.matrix))
+# a JSON object of rationals, read as (key, value) pairs
+_LOCAL_SYSTEM = Kind(
+    lambda value, where: tuple((k, RATIONAL.read(v, f"{where}.{k}"))
+                               for k, v in _OBJECT(value, where).items()),
+    lambda pairs: {k: rational_str(v) for k, v in pairs})
+_GROUP = table(
+    FgAbelianGroup,
+    ("generators", "generator_labels",
+     listof(STRING, MAX_GENERATORS, "generators"), REQUIRED),
+    ("relations", "relations",
+     listof(_INTS, MAX_RELATIONS, "relation rows"), []))
+_DISK = table(
+    DiskClass,
+    ("label", "label", STRING, REQUIRED),
+    ("rel_class", "rel_class", _INTS, REQUIRED),
+    ("boundary", "boundary", _INTS, REQUIRED),
+    ("maslov", "maslov", INTEGER, REQUIRED),
+    ("area", "area", RATIONAL, REQUIRED),
+    ("count", "count", INTEGER, REQUIRED))
+_LEDGER = table(
+    DiskLedger,
+    ("complete_below", "complete_below", _CUTOFF, "inf"),
+    ("disks", "disks", listof(_DISK, MAX_DISKS, "disks"), REQUIRED))
+_SUBSPACE = table(
+    AffineSubspace,
+    ("field", "field", _RING, REQUIRED),
+    ("base", "base", _INTS, REQUIRED),
+    ("span", "span", _MATRIX, REQUIRED))
+_LATTICE = table(
+    Lattice, ("k", "k", INTEGER, REQUIRED), ("N", "N", INTEGER, REQUIRED))
+# A side reads to its fields; _side builds it once H2(X) is known.
+_SIDE = table(
+    dict,
+    ("name", "name", STRING, None),
+    ("H1_L", "h1", _GROUP, REQUIRED),
+    ("H2_XL", "h2_rel", _GROUP, REQUIRED),
+    ("j", "j", _MAP, REQUIRED),
+    ("bd", "bd", _MAP, REQUIRED),
+    ("ledger", "ledger", _LEDGER, REQUIRED),
+    ("subspace", "subspace", _SUBSPACE, None),
+    ("local_system", "local_system", _LOCAL_SYSTEM, None),
+    ("lattice_params", "lattice_params", _LATTICE, None),
+    ("b", "monotonicity_constant", RATIONAL, None),
+    ("monotone", "monotone", BOOL, False),
+    ("asserted_invariant", "asserted_invariant", _INTS, None),
+    ("fundamental_class", "fundamental_class", _INTS, REQUIRED))
+
+
+def _side(h2x, index, name, h1, h2_rel, j, bd, **options) -> LagrangianSide:
+    """The side of the fields _SIDE read, its maps built over H2(X)."""
     where = f"sides[{index}]"
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: a side must be a JSON object")
-    name = str(data.get("name", f"side{index}"))
-    h1 = _group_from_dict(_need(data, "H1_L", dict, where), f"{where}.H1_L")
-    h2_rel = _group_from_dict(_need(data, "H2_XL", dict, where),
-                              f"{where}.H2_XL")
-    try:
-        j = GroupHom(h2x, h2_rel,
-                     _ints(_need(data, "j", list, where), f"{where}.j", 2))
-        bd = GroupHom(h2_rel, h1,
-                      _ints(_need(data, "bd", list, where), f"{where}.bd", 2))
-    except (ValueError, DimensionMismatch) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-    ledger_data = _need(data, "ledger", dict, where)
-    cutoff_raw = ledger_data.get("complete_below")
-    if cutoff_raw in (None, "inf"):
-        cutoff = None
-    else:
-        cutoff = _rational(cutoff_raw, f"{where}.ledger.complete_below")
-    disks = []
-    disks_data = _at_most(_need(ledger_data, "disks", list, f"{where}.ledger"),
-                          MAX_DISKS, "disks", f"{where}.ledger")
-    for di, disk_data in enumerate(disks_data):
-        dwhere = f"{where}.ledger.disks[{di}]"
-        disks.append(DiskClass(
-            label=str(_need(disk_data, "label", str, dwhere)),
-            rel_class=_ints(_need(disk_data, "rel_class", list, dwhere),
-                            f"{dwhere}.rel_class"),
-            boundary=_ints(_need(disk_data, "boundary", list, dwhere),
-                           f"{dwhere}.boundary"),
-            maslov=_int(disk_data, "maslov", dwhere),
-            area=_rational(_need(disk_data, "area", None, dwhere),
-                           f"{dwhere}.area"),
-            count=_int(disk_data, "count", dwhere),
-        ))
-    ledger = DiskLedger(tuple(disks), cutoff)
-
-    subspace = None
-    if data.get("subspace") is not None:
-        sub = data["subspace"]
-        swhere = f"{where}.subspace"
-        try:
-            field = Ring.parse(str(_need(sub, "field", str, swhere)))
-            subspace = AffineSubspace(
-                field,
-                _ints(_need(sub, "base", list, swhere), f"{swhere}.base"),
-                _ints(_need(sub, "span", list, swhere), f"{swhere}.span", 2))
-        except (ValueError, DimensionMismatch) as exc:
-            raise ValidationError(f"{swhere}: {exc}") from exc
-
-    local_system = None
-    if data.get("local_system") is not None:
-        local_system = tuple(
-            (str(k), _rational(v, f"{where}.local_system.{k}"))
-            for k, v in _need(data, "local_system", dict, where).items())
-
-    lattice = None
-    if data.get("lattice_params") is not None:
-        lp = data["lattice_params"]
-        lattice = (_int(lp, "k", f"{where}.lattice_params"),
-                   _int(lp, "N", f"{where}.lattice_params"))
-
-    constant = None
-    if data.get("b") is not None:
-        constant = _rational(data["b"], f"{where}.b")
-
-    monotone = data.get("monotone", False)
-    if type(monotone) is not bool:
-        raise SchemaError(
-            f"{where}.monotone: expected true or false, got {monotone!r}")
-
-    asserted = None
-    if data.get("asserted_invariant") is not None:
-        asserted = _ints(data["asserted_invariant"],
-                         f"{where}.asserted_invariant")
-
     return LagrangianSide(
-        name=name, h1=h1, h2_rel=h2_rel, j=j, bd=bd,
-        fundamental_class=_ints(_need(data, "fundamental_class", list, where),
-                                f"{where}.fundamental_class"),
-        ledger=ledger,
-        monotone=monotone,
-        monotonicity_constant=constant,
-        lattice_params=lattice,
-        local_system=local_system,
-        subspace=subspace,
-        asserted_invariant=asserted,
-    )
+        name=f"side{index}" if name is None else name, h1=h1, h2_rel=h2_rel,
+        j=_checked(where, GroupHom, h2x, h2_rel, j),
+        bd=_checked(where, GroupHom, h2_rel, h1, bd), **options)
+
+
+_SCENARIO = table(
+    lambda ring, h2x, form, sides: Scenario(h2x, form, tuple(
+        _side(h2x, i, **side) for i, side in enumerate(sides)), ring),
+    ("ring", "ring", _RING, REQUIRED),
+    ("H2_X", "h2x", _GROUP, REQUIRED),
+    ("form", "form", _MAP, REQUIRED),
+    # the form is checked as soon as it is read, before any side
+    (None, "form", Kind(lambda h2x, form, **_: _checked(
+        "form", IntersectionForm, h2x, form), None), None),
+    ("sides", "sides",
+     listof(_SIDE, 2, too_many="a scenario has one or two sides"), REQUIRED))
 
 
 def decode_json(data):
@@ -560,78 +560,7 @@ def load_scenario(document) -> Scenario:
     """Parse and fully validate a scenario document (bytes, str, or dict)."""
     if isinstance(document, (bytes, bytearray, str)):
         document = decode_json(document)
-    if not isinstance(document, dict):
-        raise SchemaError("top level must be a JSON object")
-
-    try:
-        ring = Ring.parse(str(_need(document, "ring", str, "document")))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    h2x = _group_from_dict(_need(document, "H2_X", dict, "document"), "H2_X")
-    try:
-        form = IntersectionForm(
-            h2x, _ints(_need(document, "form", list, "document"), "form", 2))
-    except (ValueError, DimensionMismatch, TorsionGroup) as exc:
-        raise ValidationError(f"form: {exc}") from exc
-
-    sides_data = _need(document, "sides", list, "document")
-    if not 1 <= len(sides_data) <= 2:
-        raise ValidationError("a scenario has one or two sides")
-    sides = tuple(_side_from_dict(h2x, side, i)
-                  for i, side in enumerate(sides_data))
-    return Scenario(h2x, form, sides, ring)
-
-
-def _scenario_to_dict(scenario: Scenario) -> dict:
-    def group_dict(g):
-        return {"generators": list(g.generator_labels),
-                "relations": [list(r) for r in g.relations]}
-
-    sides = []
-    for side in scenario.sides:
-        entry = {
-            "name": side.name,
-            "H1_L": group_dict(side.h1),
-            "H2_XL": group_dict(side.h2_rel),
-            "j": [list(r) for r in side.j.matrix],
-            "bd": [list(r) for r in side.bd.matrix],
-            "fundamental_class": list(side.fundamental_class),
-            "monotone": side.monotone,
-            "ledger": {
-                "complete_below": ("inf" if side.ledger.complete_below is None
-                                   else rational_str(side.ledger.complete_below)),
-                "disks": [{
-                    "label": d.label,
-                    "rel_class": list(d.rel_class),
-                    "boundary": list(d.boundary),
-                    "maslov": d.maslov,
-                    "area": rational_str(d.area),
-                    "count": d.count,
-                } for d in side.ledger.disks],
-            },
-        }
-        if side.monotonicity_constant is not None:
-            entry["b"] = rational_str(side.monotonicity_constant)
-        if side.lattice_params is not None:
-            entry["lattice_params"] = {"k": side.lattice_params[0],
-                                       "N": side.lattice_params[1]}
-        if side.local_system is not None:
-            entry["local_system"] = {k: rational_str(v)
-                                     for k, v in side.local_system}
-        if side.subspace is not None:
-            entry["subspace"] = {"field": side.subspace.field.name,
-                                 "base": list(side.subspace.base),
-                                 "span": [list(r) for r in side.subspace.span]}
-        if side.asserted_invariant is not None:
-            entry["asserted_invariant"] = list(side.asserted_invariant)
-        sides.append(entry)
-
-    return {
-        "ring": scenario.ring.name,
-        "H2_X": group_dict(scenario.h2x),
-        "form": [list(r) for r in scenario.form.matrix],
-        "sides": sides,
-    }
+    return _SCENARIO.read(document, "")
 
 
 # --- built-in scenarios ---------------------------------------------------

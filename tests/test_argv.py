@@ -242,21 +242,28 @@ RATIONAL_OPTIONS = [
     (lambda n: SWEEP_CP2_TA + ["--from", f"1/{2 ** 32 - 1}", "--to", f"1/{n}",
                                "--step", "1"], "--to"),
     (lambda n: SWEEP_CP2_TA + ["--from", "1/10", "--to", "1/10", "--step",
-                               f"{n}"], "--step")]
+                               f"{n}"], "--step"),
+    # integers: a --bulk hit count and a --subspace entry
+    (lambda n: ["potential", "--builtin", "cp2_ta:a=1/5", "--bulk", f"b={n}"],
+     "bulk b"),
+    (lambda n: ["invariant", "--builtin", "cp2_ta:a=1/10", "--ring", "Z/8",
+                "--field", "F2", "--subspace", f"0,0;{n},0|0,1"],
+     "--subspace")]
 
 
 @pytest.mark.parametrize("argv, where", RATIONAL_OPTIONS,
                          ids=[where for _, where in RATIONAL_OPTIONS])
 def test_argv_rationals_are_bounded_like_document_rationals(argv, where):
-    """A numerator or denominator of 32 bits runs; one of 33 bits is a
-    ValidationError that names its option."""
+    """A numerator, denominator or integer of 32 bits runs; one of 33 bits
+    is a ValidationError that names its option."""
     assert cli.main(argv(2 ** 32 - 1), out=io.StringIO()) == 0
     out = io.StringIO()
     assert cli.main(argv(2 ** 32 + 1), out=out) == 3
     error = json.loads(out.getvalue())["error"]
     assert error["type"] == "ValidationError"
-    assert error["message"].startswith(f"{where}: a ")
-    assert error["message"].endswith(" of 33 bits; the limit is 32 bits")
+    assert re.fullmatch(rf"{re.escape(where)}: (a numerator|a denominator|"
+                        rf"an integer) of 33 bits; the limit is 32 bits",
+                        error["message"])
 
 
 def test_a_long_sweep_of_4001_digit_rationals_is_refused_at_once():

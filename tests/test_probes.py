@@ -151,10 +151,16 @@ def test_search_monotone_in_bound():
 
 
 def test_json_roundtrip():
-    tri = builtin_polytope("cp2")
-    doc = tri.to_json_dict()
-    again = polytope_from_json(doc)
-    assert again == tri
+    pentagon = Polytope2(((0, 0), (F(3, 2), 0), (2, F(2, 3)), (1, F(5, 4)),
+                          (F(-1, 7), 1)), (1, 3))
+    for poly in (builtin_polytope("cp2"), pentagon):
+        doc = poly.to_json_dict()
+        assert polytope_from_json(doc) == poly
+        assert polytope_from_json(json.loads(json.dumps(doc))) == poly
+    assert pentagon.to_json_dict() == {
+        "vertices": [["0", "0"], ["3/2", "0"], ["2", "2/3"], ["1", "5/4"],
+                     ["-1/7", "1"]],
+        "excluded_vertices": [1, 3]}
 
 
 def _random_unimodular(rng):
@@ -419,6 +425,36 @@ def test_search_work_budget(monkeypatch):
 def test_polytope_json_schema_errors(doc):
     with pytest.raises(SchemaError):
         polytope_from_json(doc)
+
+
+@pytest.mark.parametrize("path, value, where", [
+    ((), [], "document"),
+    (("vertices",), "0,0 1,0 0,1", "vertices"),
+    (("vertices", 1), "1,0", "vertices[1]"),
+    (("vertices", 1, 0), 0.5, "vertices[1][0]"),
+    (("excluded_vertices",), 1, "excluded_vertices"),
+    (("excluded_vertices", 0), "0", "excluded_vertices[0]")])
+def test_polygon_errors_name_their_path(path, value, where):
+    doc = {"vertices": [[0, 0], [1, 0], [0, 1]], "excluded_vertices": [0]}
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    with pytest.raises(SchemaError) as info:
+        polytope_from_json(doc)
+    assert str(info.value).startswith(f"{where}: expected ")
+
+
+def test_polygon_keys_absent_or_null():
+    with pytest.raises(SchemaError, match="^document: missing key 'vertices'$"):
+        polytope_from_json({"excluded_vertices": []})
+    triangle = {"vertices": [[0, 0], [1, 0], [0, 1]]}
+    assert polytope_from_json(triangle) == STD_TRIANGLE
+    assert polytope_from_json(dict(triangle, excluded_vertices=None)) == \
+        STD_TRIANGLE
 
 
 def test_polygon_past_the_vertex_limit_ends_at_once(tmp_path):

@@ -112,13 +112,43 @@ def test_monotone_sides_proportional():
             assert disk.area == side.monotonicity_constant * disk.maslov / 2
 
 
+def _every_key_document():
+    """cp2_ta at a = 1/10 with every optional side key set; no builtin has
+    a local system, so only this document writes one."""
+    doc = make("cp2_ta").to_json_dict()
+    doc["sides"][0].update(
+        b="1/3", local_system={"dbeta": "1", "dalpha": "-1/2"},
+        subspace={"field": "F2", "base": [1, 0], "span": [[1, 1]]},
+        asserted_invariant=[1])
+    return doc
+
+
+def _canonical(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def test_json_roundtrip_bit_identical():
-    for name in BUILTIN_NAMES:
-        scenario = make(name)
+    every_key = _every_key_document()
+    scenarios = [make(name) for name in BUILTIN_NAMES] + [
+        sphere_pair(F(1, 5), F(1, 6), 2), load_scenario(every_key)]
+    assert _canonical(every_key) == scenarios[-1].canonical_json()
+    for scenario in scenarios:
         text = scenario.canonical_json()
         again = load_scenario(text)
         assert again.canonical_json() == text
         assert again.digest() == scenario.digest()
+        assert load_scenario(scenario.to_json_dict()) == scenario
+
+
+@settings(max_examples=15)
+@given(st.integers(2, MAX_GENERATORS), st.integers(0, MAX_RELATIONS),
+       st.integers(0, 6), st.integers(3, MAX_INT_BITS), st.integers(0, 2 ** 16))
+def test_dense_documents_round_trip(generators, relations, disks, bits, seed):
+    """load(dump(s)) == s, and dump(load(doc)) is doc written canonically."""
+    doc = dense_document(generators, relations, disks, bits, seed)
+    scenario = load_scenario(doc)
+    assert load_scenario(scenario.to_json_dict()) == scenario
+    assert scenario.canonical_json() == _canonical(doc)
 
 
 def test_load_rejects_boundary_mismatch():
@@ -219,10 +249,18 @@ def test_trp2_model_group():
     assert group.is_zero((8,), ring)
 
 
+DELETE = object()
+
+
 def _set(doc, path, value):
+    """Put the value at the path of the document, or delete the key there
+    when the value is DELETE."""
     for key in path[:-1]:
         doc = doc[key]
-    doc[path[-1]] = value
+    if value is DELETE:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
 
 
 @pytest.mark.parametrize("path, value", [
@@ -256,18 +294,106 @@ def test_loader_rejects_non_integer_entries(path, value):
         load_scenario(json.dumps(doc))
 
 
+def _json_path(path):
+    return "".join(f"[{key}]" if type(key) is int else f".{key}"
+                   for key in path).lstrip(".")
+
+
+_SIDE_PATH = ("sides", 0)
+_DISK_PATH = _SIDE_PATH + ("ledger", "disks", 0)
+# (path, a value of the wrong type, whether the key is required: None for a
+# list entry or a local-system value), for every key of every table of a
+# scenario document, containers included
+SCENARIO_KEYS = [
+    (("ring",), 8, True), (("H2_X",), [], True), (("form",), {}, True),
+    (("sides",), {}, True),
+    *((group + ("generators",), "H", True) for group in (
+        ("H2_X",), _SIDE_PATH + ("H1_L",), _SIDE_PATH + ("H2_XL",))),
+    *((group + ("relations",), 0, False) for group in (
+        ("H2_X",), _SIDE_PATH + ("H1_L",), _SIDE_PATH + ("H2_XL",))),
+    (("H2_X", "generators", 0), {}, None),
+    (_SIDE_PATH, "T_a", None),
+    (_SIDE_PATH + ("name",), 7, False),
+    (_SIDE_PATH + ("H1_L",), ["dbeta"], True),
+    (_SIDE_PATH + ("H2_XL",), "H", True),
+    (_SIDE_PATH + ("j",), {}, True), (_SIDE_PATH + ("bd",), 1, True),
+    (_SIDE_PATH + ("fundamental_class",), "0", True),
+    (_SIDE_PATH + ("monotone",), 1, False), (_SIDE_PATH + ("b",), [1], False),
+    (_SIDE_PATH + ("lattice_params",), [3, 2], False),
+    (_SIDE_PATH + ("lattice_params", "k"), "3", True),
+    (_SIDE_PATH + ("lattice_params", "N"), 2.0, True),
+    (_SIDE_PATH + ("local_system",), ["dbeta"], False),
+    (_SIDE_PATH + ("local_system", "dbeta"), [1], None),
+    (_SIDE_PATH + ("subspace",), "F2", False),
+    (_SIDE_PATH + ("subspace", "field"), 2, True),
+    (_SIDE_PATH + ("subspace", "base"), {}, True),
+    (_SIDE_PATH + ("subspace", "span"), 1, True),
+    (_SIDE_PATH + ("asserted_invariant",), 1, False),
+    (_SIDE_PATH + ("ledger",), [], True),
+    (_SIDE_PATH + ("ledger", "complete_below"), [], False),
+    (_SIDE_PATH + ("ledger", "disks"), {}, True),
+    (_DISK_PATH, "H-2b-a", None),
+    (_DISK_PATH + ("label",), 1, True),
+    (_DISK_PATH + ("rel_class",), "1,-2,-1", True),
+    (_DISK_PATH + ("boundary",), -2, True),
+    (_DISK_PATH + ("maslov",), "2", True),
+    (_DISK_PATH + ("area",), 0.1, True),
+    (_DISK_PATH + ("count",), None, True)]
+
+
 @pytest.mark.parametrize("path, value, where", [
     (("sides", 0, "monotone"), "no", "sides[0].monotone"),
     (("sides", 0, "ledger", "disks", 1, "count"), True,
      "sides[0].ledger.disks[1].count"),
     (("sides", 0, "lattice_params"), {"k": True, "N": 2},
      "sides[0].lattice_params.k"),
-])
+    *((path, value, _json_path(path)) for path, value, _ in SCENARIO_KEYS)])
 def test_loader_scalar_errors_name_their_path(path, value, where):
-    doc = builtin_scenario("cp2_ta", A_DEFAULT).to_json_dict()
+    """A value of the wrong type is a SchemaError in one form: its JSON path,
+    the kind expected and the value."""
+    doc = _every_key_document()
     _set(doc, path, value)
-    with pytest.raises(SchemaError, match=rf"^{re.escape(where)}: "):
+    with pytest.raises(SchemaError,
+                       match=rf"^{re.escape(where)}: expected .+, got "):
         load_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path", [path for path, _, required
+                                  in SCENARIO_KEYS if required],
+                         ids=_json_path)
+def test_loader_missing_keys_name_their_object(path):
+    doc = _every_key_document()
+    _set(doc, path, DELETE)
+    where = _json_path(path[:-1]) or "document"
+    with pytest.raises(SchemaError) as info:
+        load_scenario(json.dumps(doc))
+    assert str(info.value) == f"{where}: missing key {path[-1]!r}"
+
+
+@pytest.mark.parametrize("path", [path for path, _, required
+                                  in SCENARIO_KEYS if required is False],
+                         ids=_json_path)
+def test_loader_reads_an_absent_or_null_optional_key_as_its_default(path):
+    """Deleting an optional key and setting it to null load alike; the
+    cutoff then reads as "inf", which this non-monotone side refuses."""
+    results = []
+    for value in (DELETE, None):
+        doc = _every_key_document()
+        _set(doc, path, value)
+        try:
+            results.append(load_scenario(json.dumps(doc)).canonical_json())
+        except ValidationError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+
+
+def test_an_absent_or_null_side_name_is_its_index():
+    doc = combine(make("cp2_ta"), builtin_scenario("cp2_clifford")
+                  ).to_json_dict()
+    del doc["sides"][0]["name"]
+    doc["sides"][1]["name"] = None
+    assert [side.name for side in load_scenario(doc).sides] == [
+        "side0", "side1"]
 
 
 @pytest.mark.parametrize("k, n", [(-1, 0), (0, 2), (3, 0)])
@@ -286,9 +412,6 @@ def _run(doc, tmp_path, command):
     start = time.perf_counter()
     code = main([command, "--scenario", str(path)], out=out)
     return code, json.loads(out.getvalue()), time.perf_counter() - start
-
-
-DELETE = object()
 
 
 @pytest.mark.parametrize("name, path, value, message", [
@@ -318,10 +441,7 @@ DELETE = object()
 def test_side_rejections_exit_3_with_their_message(tmp_path, name, path,
                                                    value, message):
     doc = make(name).to_json_dict()
-    if value is DELETE:
-        del doc["sides"][0][path[-1]]
-    else:
-        _set(doc, path, value)
+    _set(doc, path, value)
     code, report, _ = _run(doc, tmp_path, "validate")
     assert (code, report["error"]) == (3, {"type": "ValidationError",
                                            "message": message})
@@ -344,7 +464,17 @@ def test_side_rejections_exit_3_with_their_message(tmp_path, name, path,
     (("ring",), "Z/ 8", "ValidationError", "cannot parse ring name 'Z/ 8'"),
     (("sides", 0, "subspace"), {"field": "F\u0662", "base": [0, 0],
                                 "span": []},
-     "ValidationError", "sides[0].subspace: cannot parse ring name 'F\u0662'")])
+     "ValidationError", "sides[0].subspace: cannot parse ring name 'F\u0662'"),
+    # the four invalid documents of the benchmark's requests workload, which
+    # checks each by a fragment of its message
+    (("sides", 0, "ledger", "disks", 0, "count"), DELETE, "SchemaError",
+     "sides[0].ledger.disks[0]: missing key 'count'"),
+    (("sides", 0, "ledger", "disks", 1, "area"), "1/x", "SchemaError",
+     "sides[0].ledger.disks[1].area: bad rational '1/x'"),
+    (("sides", 0, "ledger", "disks", 2, "boundary"), [9, 9],
+     "ValidationError", "side T_a: boundary mismatch for disk H-2b+a"),
+    (("sides", 0, "ledger", "disks", 0, "maslov"), 3, "ValidationError",
+     "disk H-2b-a: odd Maslov index")])
 def test_document_rejections_exit_3_with_their_message(tmp_path, path, value,
                                                        kind, message):
     doc = make("cp2_ta").to_json_dict()

@@ -8,6 +8,11 @@ must give x + y + 1/(xy) and the p1xp1_ta ledger x + y + 1/x + 1/y, at every
 a.  Both sides are compared exactly at seeded rational points off the wall
 w = -1 and off w = 0.  The cotangent-bundle ledgers trp2_la and ts2_la drop
 the disk of boundary u, which crosses the removed divisor, and keep the rest.
+
+The area half: a disk's area is the symplectic area of its class, so on every
+builtin some rational omega on H2(X,L) gives area = omega(rel_class) for each
+disk, with omega = 1 on the line class H (on H1 and H2 for P1 x P1 and its
+blow-up) and omega(alpha) = 0, wherever those generators exist.
 """
 
 import random
@@ -17,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from floerdisk.potential import potential_from_ledger
-from floerdisk.scenario import builtin_scenario
+from floerdisk.scenario import A_INTERVALS, BUILTIN_NAMES, builtin_scenario
 
 A_VALUES = [Fraction(1, 10), Fraction(1, 5), Fraction(1, 4)]
 
@@ -102,3 +107,80 @@ def test_a_mutated_cp2_ledger_fails_the_check(label, changes):
     side = _side("cp2_ta", Fraction(1, 5))
     assert _agrees(side, cp2_mirror)
     assert not _agrees(_mutant(side, label, **changes), cp2_mirror)
+
+
+# --- areas are linear in the relative class ------------------------------------
+
+PINNED = {"H": 1, "H1": 1, "H2": 1, "alpha": 0}
+
+
+def _solve(rows):
+    """A rational solution x of the rows (coefficients, value), each
+    sum(c * x) = value, by Gauss-Jordan elimination; None if there is none."""
+    rows = [[Fraction(c) for c in coefficients] + [Fraction(value)]
+            for coefficients, value in rows]
+    width = len(rows[0]) - 1
+    pivots = []
+    for column in range(width):
+        pivot = next((r for r in range(len(pivots), len(rows))
+                      if rows[r][column]), None)
+        if pivot is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        rows[top] = [x / rows[top][column] for x in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and row[column]:
+                rows[r] = [x - row[column] * y for x, y in zip(row, rows[top])]
+        pivots.append(column)
+    if any(not any(row[:-1]) and row[-1] for row in rows):
+        return None
+    x = [Fraction(0)] * width
+    for row, column in zip(rows, pivots):
+        x[column] = row[-1]
+    return x
+
+
+def _area_form(side):
+    """omega as a dict over the H2(X,L) generators, or None."""
+    labels = side.h2_rel.generator_labels
+    rows = [(disk.rel_class, disk.area) for disk in side.ledger.disks]
+    rows += [([int(label == g) for g in labels], value)
+             for label, value in PINNED.items() if label in labels]
+    omega = _solve(rows)
+    return None if omega is None else dict(zip(labels, omega))
+
+
+def _area_cases():
+    for name in BUILTIN_NAMES:
+        if name not in A_INTERVALS:
+            yield name, None
+            continue
+        _, high, top_allowed = A_INTERVALS[name]
+        yield from ((name, a) for a in A_VALUES[:2])
+        if top_allowed:
+            yield name, high
+
+
+@pytest.mark.parametrize("name, a", list(_area_cases()))
+def test_disk_areas_are_linear_in_the_relative_class(name, a):
+    side = builtin_scenario(name, None if a is None else {"a": a}).sides[0]
+    if name == "bl3_clifford":
+        assert side.ledger.disks == ()
+        return
+    omega = _area_form(side)
+    assert omega is not None
+    for disk in side.ledger.disks:
+        assert sum(omega[g] * c for g, c in zip(
+            side.h2_rel.generator_labels, disk.rel_class)) == disk.area
+    if name == "bl3_ta":
+        assert (omega["E1"], omega["E2"]) == (Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name, label, area", [
+    ("cp2_ta", "b", Fraction(1, 3)), ("bl3_ta", "H2-b", Fraction(1, 3)),
+    ("ts2_la", "-b+a", Fraction(1, 4))])
+def test_a_nonlinear_area_has_no_area_form(name, label, area):
+    side = _side(name, Fraction(1, 5))
+    assert _area_form(side) is not None
+    assert _area_form(_mutant(side, label, area=area)) is None
