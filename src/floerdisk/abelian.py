@@ -67,7 +67,8 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     cols = len(m[0]) if rows else 0
     d = [list(row) for row in m]
     u = [list(row) for row in identity(rows)]
-    v = [list(row) for row in identity(cols)]
+    # V transposed: a column operation on V is a row operation on vt
+    vt = [list(row) for row in identity(cols)]
 
     def row_add(dst, src, c):
         d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
@@ -76,8 +77,7 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     def col_add(dst, src, c):
         for r in range(rows):
             d[r][dst] += c * d[r][src]
-        for r in range(cols):
-            v[r][dst] += c * v[r][src]
+        vt[dst] = [x + c * y for x, y in zip(vt[dst], vt[src])]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
@@ -86,8 +86,7 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     def col_swap(i, j):
         for r in range(rows):
             d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     def pivot_at(t):
         best = None
@@ -139,7 +138,7 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
 
-    return freeze(u), freeze(d), freeze(v)
+    return freeze(u), freeze(d), transpose(vt)
 
 
 def diagonal(d: Matrix) -> list[int]:

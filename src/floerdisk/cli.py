@@ -26,10 +26,8 @@ from .criterion import (evaluate_pair, gate_failure, gate_inputs, gate_sides,
                         side_subspace)
 from .errors import BadParams, DimensionMismatch, FloerDiskError
 from .invariants import area_spectrum, oc_low
-from .potential import (potential_from_ledger, residue_critical_points,
-                        truncate_to_level, unit_critical_analysis)
-from .probes import builtin_polytope, polytope_from_json, search_probes
-from .rings import PRIME_FIELD, Ring, parse_rational, rational_str
+from .rings import (PRIME_FIELD, Ring, parse_integer, parse_rational,
+                    rational_str)
 from .scenario import (A_INTERVALS, AffineSubspace, BUILTIN_NAMES, Scenario,
                        _bounded, _bounded_rational, builtin_row,
                        builtin_scenario, check_a, combine, load_scenario,
@@ -85,7 +83,7 @@ def _resolve_scenario(ref: str) -> Scenario:
 
 def _int_arg(text: str, where: str) -> int:
     """An argv integer, bounded as a document integer is."""
-    return _bounded(int(text), where)
+    return _bounded(parse_integer(text), where)
 
 
 def _parse_subspace(text: str, field: Ring) -> AffineSubspace:
@@ -405,6 +403,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_potential(args):
+    from .potential import (potential_from_ledger, residue_critical_points,
+                            truncate_to_level, unit_critical_analysis)
     scenario = _resolve_scenario(args.scenario)
     side = scenario.sides[0]
     ring = (Ring.parse(args.residue_ring) if args.residue_ring is not None
@@ -432,6 +432,7 @@ def _cmd_potential(args):
 
 
 def _cmd_probes(args):
+    from .probes import builtin_polytope, polytope_from_json, search_probes
     poly = (builtin_polytope(args.polytope) if args.polytope in ("p1xp1", "cp2")
             else polytope_from_json(read_document(args.polytope)))
     coordinates = args.point.split(",")
@@ -496,6 +497,14 @@ def _value(text: str) -> str:
     return text
 
 
+def _integer(text: str) -> int:
+    """An option's integer in ASCII digits; anything else is a usage error."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     """The whole argv declaration; each subcommand registers exactly the
     options its handler reads."""
@@ -558,7 +567,7 @@ def _build_parser() -> _Parser:
     p = command("probes", _cmd_probes, scenario=False)
     p.add_argument("polytope", help="polytope JSON file, or 'p1xp1' / 'cp2'")
     p.add_argument("--point", required=True, help="interior point 'x,y'")
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=_integer, default=3)
     command("builtin-list", _cmd_builtin_list, scenario=False)
     return parser
 

@@ -9,6 +9,7 @@ tested over Z, regardless of the ring the sums live in.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,12 +31,10 @@ WEIGHT_BIT_LIMIT = 4096
 
 # --- area spectrum ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(namedtuple("Progression", "base step")):
     """The arithmetic progression base + step * Z of admissible disk areas."""
 
-    base: Fraction
-    step: Fraction
+    __slots__ = ()
 
     @property
     def bound(self) -> Fraction:
@@ -82,10 +81,10 @@ def next_area(side: LagrangianSide) -> Fraction | None:
         f"parameters; the next area is undetermined")
 
 
-@dataclass(frozen=True)
-class AreaSpectrum:
-    least: Fraction
-    next: Fraction | None        # None = +infinity
+class AreaSpectrum(namedtuple("AreaSpectrum", "least next")):
+    """The least area and the next one; next None stands for +infinity."""
+
+    __slots__ = ()
 
     def as_dict(self):
         return {"a": rational_str(self.least),
@@ -162,12 +161,7 @@ def boundary_sum(side: LagrangianSide, ring: Ring, level,
     return _weighted_sum(side, disks, "boundary", ring, local_system)
 
 
-@dataclass(frozen=True)
-class CosetReport:
-    key: tuple
-    disks: tuple
-    total: tuple
-    cancels: bool
+CosetReport = namedtuple("CosetReport", "key disks total cancels")
 
 
 def grouped_cancellation(side: LagrangianSide,
@@ -322,18 +316,17 @@ def _kernel_inside_ambiguity(side, ring: Ring) -> bool:
 
 # --- the threshold of the monotone-partner criterion ----------------------------
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(namedtuple("ThresholdResult",
+                                 "threshold cutoff levels")):
     """First ledger level whose unweighted boundary sums fail to cancel.
 
     threshold None means no level below the cutoff fails; callers must then
     read the bound as ">= cutoff" (or unbounded when the ledger is complete
-    at every area, cutoff None).
+    at every area, cutoff None).  levels holds (level, cancels) pairs in
+    increasing order.
     """
 
-    threshold: Fraction | None
-    cutoff: Fraction | None
-    levels: tuple  # (level, cancels) pairs in increasing order
+    __slots__ = ()
 
     @property
     def effective_bound(self) -> Fraction | None:

@@ -241,18 +241,35 @@ def units_of(ring: Ring) -> list[RingElement]:
     return [RingElement(ring, x) for x in range(n) if gcd(x, n) == 1]
 
 
+def _is_integer(text: str) -> bool:
+    """Is text an optional sign and ASCII digits?  int() would also take '_'
+    separators, blanks and the digits of other scripts."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def parse_integer(text: str) -> int:
+    """Parse an optional sign and ASCII digits; blanks around them are
+    stripped."""
+    text = text.strip()
+    if not _is_integer(text):
+        raise ValueError(f"{text!r} is not an integer: give it as ASCII "
+                         f"digits with an optional sign")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" with arbitrary-precision integers.
+    """Parse "p/q" or "p" with arbitrary-precision integers, each an
+    optional sign and ASCII digits; blanks around the whole are stripped.
 
     Decimal notation is rejected on purpose: all inputs must be exact.
     """
     text = text.strip()
     num, slash, den = text.partition("/")
-    try:
-        num, den = int(num), int(den) if slash else 1
-    except ValueError:
+    if not (_is_integer(num) and (_is_integer(den) or not slash)):
         raise ValueError(f"{text!r} is not an exact rational: give it as "
-                         f"p/q or p, with integers p and q") from None
+                         f"p/q or p, with integers p and q")
+    num, den = int(num), int(den) if slash else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)

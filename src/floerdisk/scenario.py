@@ -574,19 +574,14 @@ _A, _THIRD, _HALF = (0, 1), (Fraction(1, 3), 0), (Fraction(1, 2), 0)
 _T, _CL = ("dbeta", "dalpha"), ("db1", "db2")   # H1(L) of T_a, of Clifford
 
 
-@dataclass(frozen=True)
-class _Builtin:
-    ambient: tuple               # (H2(X) generators, form, default ring)
-    side: str
-    h1: tuple
-    h2_rel: tuple
-    disks: tuple                 # rows (label, rel_class, count, area)
-    cutoff: tuple | None = None      # completeness cutoff, affine in a
-    constant: tuple | None = None    # monotonicity constant, affine in a
-    lattice: tuple | None = None     # (k, N)
-    span: tuple | None = None        # F2 subspace through 0
-    asserted: tuple | None = None
-    interval: tuple | None = None    # the A_INTERVALS row
+# ambient: (H2(X) generators, form, default ring); disks: rows (label,
+# rel_class, count, area); cutoff: the completeness cutoff and constant: the
+# monotonicity constant, both affine in a; lattice: (k, N); span: an F2
+# subspace through 0; interval: the A_INTERVALS row.  The last six default
+# to None.
+_Builtin = namedtuple("_Builtin", "ambient side h1 h2_rel disks cutoff "
+                      "constant lattice span asserted interval",
+                      defaults=(None,) * 6)
 
 
 _CP2 = (("H",), ((1,),), "Z/8")

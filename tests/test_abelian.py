@@ -60,6 +60,102 @@ def test_snf_random_identities():
                     assert x == 0
 
 
+def rowwise_snf(m):
+    """smith_normal_form as it was before V was kept transposed: each
+    column operation on V walks V one row at a time."""
+    m = freeze(m)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    d = [list(row) for row in m]
+    u = [list(row) for row in identity(rows)]
+    v = [list(row) for row in identity(cols)]
+
+    def row_add(dst, src, c):
+        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def col_add(dst, src, c):
+        for r in range(rows):
+            d[r][dst] += c * d[r][src]
+        for r in range(cols):
+            v[r][dst] += c * v[r][src]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for r in range(rows):
+            d[r][i], d[r][j] = d[r][j], d[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def pivot_at(t):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if d[i][j] != 0:
+                    key = (abs(d[i][j]), i, j)
+                    if best is None or key < best:
+                        best = key
+        return None if best is None else (best[1], best[2])
+
+    for t in range(min(rows, cols)):
+        while True:
+            pos = pivot_at(t)
+            if pos is None:
+                break
+            row_swap(t, pos[0])
+            col_swap(t, pos[1])
+            p = d[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    row_add(i, t, -(d[i][t] // p))
+                    if d[i][t]:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    col_add(j, t, -(d[t][j] // p))
+                    if d[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # Pull any entry the pivot does not divide into row t, so the
+            # pivot shrinks to a gcd and the divisibility chain holds.
+            fixed = True
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if d[i][j] % p:
+                        row_add(t, i, 1)
+                        fixed = False
+                        break
+                if not fixed:
+                    break
+            if fixed:
+                break
+        if pivot_at(t) is None and d[t][t] == 0:
+            break
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+
+    return freeze(u), freeze(d), freeze(v)
+
+
+def test_snf_matches_the_rowwise_update():
+    # keeping V transposed changes no arithmetic: (U, D, V) are the same
+    rng = random.Random(2718)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        # sparse and small, or dense with large entries
+        low, high = rng.choice(((-1, 1), (-9, 9), (-10 ** 6, 10 ** 6)))
+        m = freeze([[rng.randint(low, high) for _ in range(cols)]
+                    for _ in range(rows)])
+        assert smith_normal_form(m) == rowwise_snf(m)
+    assert smith_normal_form(((),)) == rowwise_snf(((),))
+
+
 def test_solve_linear_identity_and_parity():
     assert solve_linear(identity(3), (4, -1, 7), Z) == (4, -1, 7)
     assert solve_linear(((2,),), (1,), Z) is None

@@ -139,7 +139,21 @@ SWEEP_CP2 = ["sweep", "--vs", "cp2_clifford", "--from", "1/10", "--to", "1/5",
     (["probes", "p1xp1", "--point=1/4,1/4,1"], 2, "usage",
      "--point takes two coordinates x,y, got '1/4,1/4,1'"),
     (["probes", "p1xp1", "--point=0,3/4,"], 2, "usage",
-     "--point takes two coordinates x,y, got '0,3/4,'")])
+     "--point takes two coordinates x,y, got '0,3/4,'"),
+    # digits are ASCII, with no '_' separators, as int() alone would take
+    (["invariant", "--builtin", "cp2_ta:a=\u0661/\u0661_0", "--ring", "Z/8"],
+     2, "usage", "'\u0661/\u0661_0' is not an exact rational: give it as "
+     "p/q or p, with integers p and q"),
+    (["potential", "--builtin", "cp2_ta:a=1/5", "--bulk", "b=\u0663"], 2,
+     "usage", "'\u0663' is not an integer: give it as ASCII digits with an "
+     "optional sign"),
+    (["probes", "p1xp1", "--point", "0,3/4", "--bound", "1_0"], 2, "usage",
+     "argument --bound: '1_0' is not an integer: give it as ASCII digits "
+     "with an optional sign"),
+    (["invariant", "--builtin", "p1xp1_ta:a=1/5", "--ring", "Z/2", "--field",
+      "F2", "--subspace", "0,1_0;"], 2, "usage",
+     "'1_0' is not an integer: give it as ASCII digits with an optional "
+     "sign")])
 def test_rejected_argvs_name_their_fault(argv, code, kind, message):
     out = io.StringIO()
     assert cli.main(argv, out=out) == code

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from floerdisk.errors import InfiniteRing, NonInvertibleDenominator, SchemaError
-from floerdisk.rings import (Ring, _is_prime, parse_rational, rational_from,
-                             rational_str, reduce, units_of)
+from floerdisk.rings import (Ring, _is_prime, parse_integer, parse_rational,
+                             rational_from, rational_str, reduce, units_of)
 
 from oracles import brute_force_units
 
@@ -154,7 +154,8 @@ def test_zero_denominator_is_a_value_error():
 
 
 def test_a_decimal_is_refused_by_name():
-    for text in ("0.1", "1e-1", "3/", "1/2.5"):
+    for text in ("0.1", "1e-1", "3/", "1/2.5", "1_0/2_0", "\u0661/\u0662",
+                 "3 / 4", "1/ 2"):
         with pytest.raises(ValueError, match=f"'{text}' is not an exact "
                                              f"rational: give it as p/q"):
             parse_rational(text)
@@ -168,3 +169,12 @@ def test_rational_from_documents():
     for bad in ("inf", "1/0", "0.5", 0.5, True, None, [1]):
         with pytest.raises(SchemaError):
             rational_from(bad, "x")
+
+
+def test_exact_numbers_take_signs_and_surrounding_blanks():
+    assert parse_rational(" -3/-6\t") == Fraction(1, 2)
+    assert parse_rational("+7") == Fraction(7)
+    assert parse_integer(" -0012 ") == -12
+    for bad in ("1_0", "\u0663", "1 2", "", "+", "--1", "0x10"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            parse_integer(bad)

@@ -474,7 +474,9 @@ def test_side_rejections_exit_3_with_their_message(tmp_path, name, path,
     (("sides", 0, "ledger", "disks", 2, "boundary"), [9, 9],
      "ValidationError", "side T_a: boundary mismatch for disk H-2b+a"),
     (("sides", 0, "ledger", "disks", 0, "maslov"), 3, "ValidationError",
-     "disk H-2b-a: odd Maslov index")])
+     "disk H-2b-a: odd Maslov index"),
+    (("sides", 0, "ledger", "disks", 1, "area"), "1_0/2_0", "SchemaError",
+     "sides[0].ledger.disks[1].area: bad rational '1_0/2_0'")])
 def test_document_rejections_exit_3_with_their_message(tmp_path, path, value,
                                                        kind, message):
     doc = make("cp2_ta").to_json_dict()
