@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, TorsionGroup
-from .rings import RATIONALS, Ring, reduce
+from .rings import RATIONALS, Ring, residue
 
 Matrix = tuple  # tuple of row tuples
 Vector = tuple
@@ -132,7 +132,7 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
                     break
             if fixed:
                 break
-        if pivot_at(t) is None and d[t][t] == 0:
+        if pos is None:   # the trailing block is zero
             break
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
@@ -197,7 +197,7 @@ def solve_linear(m, b, ring: Ring, relations=()):
             f"rhs has length {len(b)}, matrix has {rows} rows")
     rational = ring.kind == RATIONALS
     if ring.is_finite:
-        b = tuple(reduce(x, ring).value for x in b)
+        b = tuple(residue(x, ring) for x in b)
     else:
         b = tuple(Fraction(x) for x in b)
         if not rational:
@@ -274,8 +274,8 @@ class FgAbelianGroup:
             raise DimensionMismatch("coordinate length != generator count")
         if not self.relations:   # each coordinate alone; the hot path
             if ring.is_finite:
-                return all(reduce(x, ring).is_zero for x in coords)
-            return all(Fraction(x) == 0 for x in coords)
+                return all(residue(x, ring) == 0 for x in coords)
+            return all(x == 0 for x in coords)
         return solve_linear(((),) * self.ngens, coords, ring,
                             relations=self.relations) is not None
 
@@ -358,4 +358,4 @@ def pair(form: IntersectionForm, x, y, ring: Ring):
             if yj == 0:
                 continue
             total += xi * form.matrix[i][j] * yj
-    return reduce(total, ring).value
+    return residue(total, ring)

@@ -17,7 +17,7 @@ from .abelian import FgAbelianGroup, kernel_basis, solve_linear, vec_sub
 from .errors import (CancellationFails, HypothesisViolated, InsufficientLedger,
                      MissingLocalSystem, NoLift, NonInvertibleDenominator,
                      ValidationError, WeightTooLarge)
-from .rings import Ring, rational_str, reduce
+from .rings import Ring, rational_str, reduce, residue
 from .scenario import AffineSubspace, LagrangianSide
 
 Z = Ring.integers()
@@ -150,7 +150,7 @@ def _weighted_sum(side, disks, attr, ring, local_map) -> tuple:
             scale *= _local_weight(side, local_map, disk.boundary, ring).value
         for idx, coord in enumerate(getattr(disk, attr)):
             acc[idx] += scale * coord
-    return tuple(reduce(x, ring).value for x in acc)
+    return tuple(residue(x, ring) for x in acc)
 
 
 def boundary_sum(side: LagrangianSide, ring: Ring, level,
@@ -304,14 +304,18 @@ def _kernel_inside_ambiguity(side, ring: Ring) -> bool:
     """Does every ring solution of j(v) = 0 lie in <[L]>?
 
     When true, the lift coset is unique and the invariant is well defined up
-    to its declared ambiguity.  The answer depends on the topology alone;
-    the factorisations it reads are memoised in the abelian layer.
+    to its declared ambiguity.  The answer reads j, [L] and the ring alone,
+    so it is kept on the j object, off its fields, per (ring, [L]); the
+    sides built from one builtin template share their j.
     """
-    zero = (0,) * side.h2x.ngens
-    return all(_in_ambiguity_coset(side.h2x, v, zero, side.fundamental_class,
-                                   ring)
-               for v in kernel_basis(side.j.matrix, side.h2_rel.relations,
-                                     ring))
+    ambiguity = side.fundamental_class
+    memo = side.j.__dict__.setdefault("_lift_unique", {})
+    if (ring, ambiguity) not in memo:
+        zero = (0,) * side.h2x.ngens
+        memo[ring, ambiguity] = all(
+            _in_ambiguity_coset(side.h2x, v, zero, ambiguity, ring)
+            for v in kernel_basis(side.j.matrix, side.h2_rel.relations, ring))
+    return memo[ring, ambiguity]
 
 
 # --- the threshold of the monotone-partner criterion ----------------------------

@@ -201,32 +201,39 @@ def reduce(x, ring: Ring) -> RingElement:
     >>> reduce(Fraction(4, 6), Ring.parse("Q")).value
     Fraction(2, 3)
     """
+    if isinstance(x, RingElement) and x.ring == ring:
+        return x
+    return RingElement(ring, residue(x, ring))
+
+
+def residue(x, ring: Ring):
+    """reduce(x, ring).value, the plain representative, built without a
+    RingElement: an int in [0, n) over Z/n and F_p, an int over Z and a
+    Fraction over Q.  The errors are reduce's."""
+    if type(x) is int and ring.modulus is not None:   # not a bool
+        return x % ring.modulus
     if isinstance(x, RingElement):
         if x.ring == ring:
-            return x
+            return x.value
         x = x.value
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"cannot reduce {x!r} into {ring.name}")
-
+    frac = Fraction(x)
     if ring.kind == RATIONALS:
-        return RingElement(ring, Fraction(x))
-
+        return frac
     if ring.kind == INTEGERS:
-        frac = Fraction(x)
         if frac.denominator != 1:
             raise NonInvertibleDenominator(
                 f"{frac} has no integer representative")
-        return RingElement(ring, int(frac))
-
+        return frac.numerator
     n = ring.modulus
-    frac = Fraction(x)
     num, den = frac.numerator, frac.denominator
     if den != 1:
         if gcd(den, n) != 1:
             raise NonInvertibleDenominator(
                 f"denominator {den} is a zero divisor in {ring.name}")
-        return RingElement(ring, (num * pow(den, -1, n)) % n)
-    return RingElement(ring, num % n)
+        return (num * pow(den, -1, n)) % n
+    return num % n
 
 
 def units_of(ring: Ring) -> list[RingElement]:

@@ -143,10 +143,13 @@ class DiskLedger:
                     raise ValidationError(
                         f"disk {d.label}: area {d.area} not below ledger "
                         f"cutoff {self.complete_below}")
+        # sorted once, kept off the dataclass fields so eq and repr ignore it
+        object.__setattr__(self, "_levels",
+                           tuple(sorted({d.area for d in self.disks})))
 
     @property
     def levels(self) -> list[Fraction]:
-        return sorted({d.area for d in self.disks})
+        return list(self._levels)
 
     def at_level(self, level) -> list[DiskClass]:
         level = Fraction(level)
@@ -663,8 +666,9 @@ A_INTERVALS = {name: entry.interval
 
 
 def _make_topology(entry: _Builtin) -> tuple:
-    """(H2(X), form, ring, side template): all that an entry fixes for every
-    a.  Sides from one template share (j, bd), so exactness is checked once."""
+    """(H2(X), form, ring, side template, disk rows): all that an entry fixes
+    for every a.  Sides from one template share (j, bd), so exactness is
+    checked once; a disk row is (label, rel_class, boundary, count, area)."""
     gens, form, ring = entry.ambient
     h2x, h1 = FgAbelianGroup(gens), FgAbelianGroup(entry.h1)
     h2_rel = FgAbelianGroup(entry.h2_rel)
@@ -678,7 +682,13 @@ def _make_topology(entry: _Builtin) -> tuple:
         ledger=DiskLedger(()), asserted_invariant=entry.asserted,
         subspace=(AffineSubspace(Ring.prime_field(2), (0,) * len(entry.h1),
                                  entry.span) if entry.span else None))
-    return h2x, IntersectionForm(h2x, form), Ring.parse(ring), template
+    return (h2x, IntersectionForm(h2x, form), Ring.parse(ring), template,
+            _disk_rows(entry, bd))
+
+
+def _disk_rows(entry: _Builtin, bd) -> tuple:
+    return tuple((label, rel, mat_vec(bd, rel), count, area)
+                 for label, rel, count, area in entry.disks)
 
 
 @functools.cache
@@ -686,17 +696,15 @@ def _topology(name: str) -> tuple:
     return _make_topology(_TABLE[name])
 
 
-def _make_side(entry: _Builtin, template: LagrangianSide,
+def _make_side(entry: _Builtin, template: LagrangianSide, rows: tuple,
                a: Fraction) -> LagrangianSide:
-    """The entry's side at a (any value for a fixed entry)."""
+    """The entry's side at a (any value for a fixed entry), from its
+    template and disk rows; each distinct affine value is taken once."""
     top = entry.interval is not None and a == entry.interval[1]
-
-    def at(value):
-        return None if value is None else value[0] + value[1] * a
-
-    disks = tuple(DiskClass(label, rel, mat_vec(template.bd.matrix, rel), 2,
-                            at(area), count)
-                  for label, rel, count, area in entry.disks)
+    at = functools.cache(
+        lambda value: None if value is None else value[0] + value[1] * a)
+    disks = tuple(DiskClass(label, rel, boundary, 2, at(area), count)
+                  for label, rel, boundary, count, area in rows)
     constant = a if top else at(entry.constant)
     cutoff = None if top else at(entry.cutoff)
     return replace(template, name=entry.side,
@@ -741,8 +749,8 @@ def builtin_scenario(name: str, params=None) -> Scenario:
     a = Fraction(a)
     if name in A_INTERVALS:
         check_a(name, a)
-    h2x, form, ring, template = _topology(name)
-    return Scenario(h2x, form, (_make_side(_TABLE[name], template, a),), ring)
+    h2x, form, ring, *template = _topology(name)
+    return Scenario(h2x, form, (_make_side(_TABLE[name], *template, a),), ring)
 
 
 def sphere_pair(a, b, k: int) -> Scenario:
@@ -772,6 +780,7 @@ def sphere_pair(a, b, k: int) -> Scenario:
             cutoff=(1, 1 - k), lattice=(k, 1), span=((1, 0),))
 
     first, second = entry("T_a", (1, 0), a), entry("T'_b", (0, 1), b)
-    h2x, form, ring, template = _make_topology(first)
-    return Scenario(h2x, form, (_make_side(first, template, a),
-                                _make_side(second, template, b)), ring)
+    h2x, form, ring, template, _ = _make_topology(first)
+    return Scenario(h2x, form, tuple(
+        _make_side(e, template, _disk_rows(e, template.bd.matrix), x)
+        for e, x in ((first, a), (second, b))), ring)

@@ -42,6 +42,55 @@ def test_golden_outputs(name):
     assert text == expected  # byte-for-byte regression
 
 
+def _sweep(first, second, flags, d, start, stop):
+    return ["sweep", "--builtin", first, "--vs", second, *flags, "--param",
+            "a", "--from", f"{start}/{d}", "--to", f"{stop}/{d}",
+            "--step", f"1/{d}"]
+
+
+# the benchmark's three sweep pairs, each on a coarse and a fine grid
+PAIR_SWEEPS = [
+    _sweep("cp2_ta", "cp2_clifford", ["--ring", "Z/8"], 24, 1, 8),
+    _sweep("cp2_ta", "cp2_clifford", ["--ring", "Z/8"], 57, 1, 19),
+    _sweep("p1xp1_ta", "p1xp1_clifford", ["--ring", "Z/2", "--field", "F2"],
+           20, 1, 10),
+    _sweep("p1xp1_ta", "p1xp1_clifford", ["--ring", "Z/2", "--field", "F2"],
+           50, 6, 25),
+    _sweep("bl3_ta", "bl3_clifford",
+           ["--ring", "Z/2", "--field", "F2", "--monotone-variant"], 30, 1, 14),
+    _sweep("bl3_ta", "bl3_clifford",
+           ["--ring", "Z/2", "--field", "F2", "--monotone-variant"], 44, 2, 21),
+]
+
+
+def test_cold_caches_give_the_same_bytes():
+    # the builtin templates (and the lift-uniqueness answers kept on their
+    # j) and the factorisations live across calls; emptied before every
+    # call, they must not change a byte or an exit code
+    import floerdisk.abelian as abelian
+    import floerdisk.scenario as scen
+    argvs = [GOLDEN_COMMANDS[name] for name in sorted(GOLDEN_COMMANDS)]
+    argvs += PAIR_SWEEPS
+
+    def outputs(cold):
+        result = []
+        for argv in argvs:
+            if cold:
+                scen._topology.cache_clear()
+                abelian._factor.cache_clear()
+            result.append(run(argv))
+        return result
+
+    outputs(cold=False)
+    warm = outputs(cold=False)
+    assert outputs(cold=True) == warm
+    for name, (code, text) in zip(sorted(GOLDEN_COMMANDS), warm):
+        assert text == (GOLDEN / f"{name}.json").read_text(), name
+    assert [code for code, _ in warm] == [0] * len(argvs)
+    for _, text in warm[len(GOLDEN_COMMANDS):]:
+        assert len(json.loads(text)["result"]["points"]) > 1
+
+
 def test_criterion_payload():
     code, text = run(GOLDEN_COMMANDS["criterion_cp2"])
     payload = json.loads(text)

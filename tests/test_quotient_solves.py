@@ -10,15 +10,17 @@ from types import SimpleNamespace
 import pytest
 
 import floerdisk.abelian as abelian
-from floerdisk.abelian import FgAbelianGroup, kernel_basis, solve_linear
+from floerdisk.abelian import (FgAbelianGroup, GroupHom, IntersectionForm,
+                               kernel_basis, solve_linear)
 from floerdisk.errors import FloerDiskError
 from floerdisk.invariants import (_in_ambiguity_coset,
                                   _kernel_inside_ambiguity,
                                   cancellation_threshold,
                                   grouped_cancellation, oc_low)
 from floerdisk.rings import Ring
-from floerdisk.scenario import (AffineSubspace, BUILTIN_NAMES,
-                                builtin_scenario, sphere_pair)
+from floerdisk.scenario import (AffineSubspace, BUILTIN_NAMES, DiskLedger,
+                                LagrangianSide, Scenario, builtin_scenario,
+                                sphere_pair)
 
 from oracles import (append_relation_columns, oracle_cancellation_threshold,
                      oracle_in_ambiguity_coset, oracle_kernel,
@@ -137,6 +139,30 @@ def test_oc_low_matches_old_path_on_builtins(name, side):
                 got = type(exc).__name__
             assert got == oracle_oc_low(side, ring, subspace), \
                 (name, ring.name, subspace)
+
+
+def test_lift_uniqueness_memo_keys_by_ring_and_fundamental_class():
+    # j = 2: H2(X) = Z -> H2(X, L) = Z, exact with bd: Z -> Z/2.  Over Z its
+    # kernel is 0; over Z/2 it is everything, inside <[L]> only for [L] = 1
+    h2x, h2_rel = FgAbelianGroup(("x",)), FgAbelianGroup(("y",))
+    h1 = FgAbelianGroup(("g",), ((2,),))
+    first = LagrangianSide(
+        "L0", h1, h2_rel, GroupHom(h2x, h2_rel, ((2,),)),
+        GroupHom(h2_rel, h1, ((1,),)), (0,), DiskLedger(()))
+    second = replace(first, name="L1", fundamental_class=(1,))
+    Scenario(h2x, IntersectionForm(h2x, ((0,),)), (first, second),
+             Ring.integers())
+    assert second.j is first.j
+    z2 = Ring.integers_mod(2)
+    # in this order a memo keyed by [L] alone answers the second call with
+    # the first's True, and one keyed by the ring alone the third with False
+    for side, ring, unique in ((first, Ring.integers(), True),
+                               (first, z2, False), (second, z2, True),
+                               (second, Ring.integers(), True),
+                               (first, z2, False)):
+        assert oracle_kernel_inside_ambiguity(side, ring) == unique
+        assert _kernel_inside_ambiguity(side, ring) == unique, \
+            (side.name, ring)
 
 
 def test_kernel_inside_ambiguity_once_per_topology(monkeypatch):

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerdisk.errors import InfiniteRing, NonInvertibleDenominator, SchemaError
-from floerdisk.rings import (Ring, _is_prime, parse_integer, parse_rational,
-                             rational_from, rational_str, reduce, units_of)
+from floerdisk.rings import (Ring, RingElement, _is_prime, parse_integer,
+                             parse_rational, rational_from, rational_str,
+                             reduce, residue, units_of)
 
 from oracles import brute_force_units
 
@@ -178,3 +181,71 @@ def test_exact_numbers_take_signs_and_surrounding_blanks():
     for bad in ("1_0", "\u0663", "1 2", "", "+", "--1", "0x10"):
         with pytest.raises(ValueError, match="is not an integer"):
             parse_integer(bad)
+
+
+def _reduce_as_written_before_residue(x, ring):
+    """reduce's value as it was before residue backed it, kept here so that
+    a fault shared by reduce and residue still shows."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot reduce {x!r} into {ring.name}")
+    if ring.kind == "Q":
+        return Fraction(x)
+    frac = Fraction(x)
+    if ring.kind == "Z":
+        if frac.denominator != 1:
+            raise NonInvertibleDenominator(
+                f"{frac} has no integer representative")
+        return int(frac)
+    n = ring.modulus
+    num, den = frac.numerator, frac.denominator
+    if den != 1:
+        if gcd(den, n) != 1:
+            raise NonInvertibleDenominator(
+                f"denominator {den} is a zero divisor in {ring.name}")
+        return (num * pow(den, -1, n)) % n
+    return num % n
+
+
+RESIDUE_RINGS = ([Z, Q] + [Ring.integers_mod(n) for n in range(2, 65)]
+                 + [Ring.prime_field(p) for p in range(100) if _is_prime(p)])
+
+
+@st.composite
+def ring_and_number(draw):
+    """A ring and an int, a bool or a Fraction whose denominator often
+    shares a factor with the ring's modulus."""
+    ring = draw(st.sampled_from(RESIDUE_RINGS))
+    n = ring.modulus or draw(st.integers(2, 64))
+    factor = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    den = factor * draw(st.integers(1, 30))
+    number = draw(st.one_of(
+        st.integers(-10 ** 30, 10 ** 30), st.booleans(),
+        st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.just(den))))
+    return ring, number
+
+
+def _outcome(reduction, x, ring):
+    try:
+        value = reduction(x, ring)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@settings(max_examples=500)
+@given(ring_and_number())
+def test_residue_matches_reduce(case):
+    ring, x = case
+    expected = _outcome(_reduce_as_written_before_residue, x, ring)
+    assert _outcome(residue, x, ring) == expected
+    assert _outcome(lambda x, ring: reduce(x, ring).value, x, ring) \
+        == expected
+
+
+def test_residue_refuses_bools_and_reads_ring_elements():
+    for ring in (Z, Q, Z8, Ring.prime_field(7)):
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="cannot reduce"):
+                residue(flag, ring)
+    assert residue(RingElement(Z, 13), Z8) == 5
+    assert residue(reduce(13, Z8), Z8) == 5

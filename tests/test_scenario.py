@@ -79,6 +79,15 @@ def test_p1xp1_clifford_areas():
     assert len(scenario.side.ledger.disks) == 4
 
 
+def test_ledger_levels_are_a_fresh_list_each_call():
+    ledger = builtin_scenario("cp2_ta", {"a": F(1, 10)}).side.ledger
+    levels = ledger.levels
+    levels.append(F(0))
+    levels.sort()
+    assert ledger.levels == [F(1, 10), F(9, 20)]
+    assert ledger.levels is not ledger.levels
+
+
 def test_bl3_ta_extra_disks():
     scenario = builtin_scenario("bl3_ta", {"a": F(1, 5)})
     halves = [d for d in scenario.side.ledger.disks if d.area == F(1, 2)]
