@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, TorsionGroup
-from .rings import RATIONALS, Ring, residue
+from .rings import RATIONALS, Ring, reduce
 
 Matrix = tuple  # tuple of row tuples
 Vector = tuple
@@ -197,7 +197,7 @@ def solve_linear(m, b, ring: Ring, relations=()):
             f"rhs has length {len(b)}, matrix has {rows} rows")
     rational = ring.kind == RATIONALS
     if ring.is_finite:
-        b = tuple(residue(x, ring) for x in b)
+        b = tuple(reduce(x, ring) for x in b)
     else:
         b = tuple(Fraction(x) for x in b)
         if not rational:
@@ -274,7 +274,7 @@ class FgAbelianGroup:
             raise DimensionMismatch("coordinate length != generator count")
         if not self.relations:   # each coordinate alone; the hot path
             if ring.is_finite:
-                return all(residue(x, ring) == 0 for x in coords)
+                return all(reduce(x, ring) == 0 for x in coords)
             return all(x == 0 for x in coords)
         return solve_linear(((),) * self.ngens, coords, ring,
                             relations=self.relations) is not None
@@ -358,4 +358,4 @@ def pair(form: IntersectionForm, x, y, ring: Ring):
             if yj == 0:
                 continue
             total += xi * form.matrix[i][j] * yj
-    return residue(total, ring)
+    return reduce(total, ring)

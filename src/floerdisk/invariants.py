@@ -17,7 +17,7 @@ from .abelian import FgAbelianGroup, kernel_basis, solve_linear, vec_sub
 from .errors import (CancellationFails, HypothesisViolated, InsufficientLedger,
                      MissingLocalSystem, NoLift, NonInvertibleDenominator,
                      ValidationError, WeightTooLarge)
-from .rings import Ring, rational_str, reduce, residue
+from .rings import Ring, RingElement, rational_str, reduce
 from .scenario import AffineSubspace, LagrangianSide
 
 Z = Ring.integers()
@@ -107,7 +107,7 @@ def _local_weight(side, local_map, boundary, ring):
             raise MissingLocalSystem(
                 f"side {side.name}: local system misses generator {label}")
         try:
-            value = reduce(local_map[label], ring)
+            value = RingElement(ring, reduce(local_map[label], ring))
             unit = value.is_unit
         except NonInvertibleDenominator:
             value, unit = rational_str(local_map[label]), False
@@ -150,7 +150,7 @@ def _weighted_sum(side, disks, attr, ring, local_map) -> tuple:
             scale *= _local_weight(side, local_map, disk.boundary, ring).value
         for idx, coord in enumerate(getattr(disk, attr)):
             acc[idx] += scale * coord
-    return tuple(residue(x, ring) for x in acc)
+    return tuple(reduce(x, ring) for x in acc)
 
 
 def boundary_sum(side: LagrangianSide, ring: Ring, level,

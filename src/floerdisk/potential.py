@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .errors import (BasisMismatch, Degenerate, InfiniteRing, NotSingleLevel,
                      ResidueSearchTooLarge, UnknownLabel, UnsupportedShape)
-from .rings import Ring, rational_str, reduce
+from .rings import Ring, RingElement, rational_str, reduce
 from .scenario import LagrangianSide
 
 
@@ -312,9 +312,9 @@ def evaluate_partials_at(p: NovikovPolynomial, z0, w0, ring: Ring):
     for var in ("z", "w"):
         total = ring.zero()
         for t in partial_derivative(p, var).terms:
-            term = reduce(t.coeff, ring)
-            term = term * (reduce(z0, ring) ** t.z_exp)
-            term = term * (reduce(w0, ring) ** t.w_exp)
+            term = RingElement(ring, reduce(t.coeff, ring))
+            term = term * (RingElement(ring, reduce(z0, ring)) ** t.z_exp)
+            term = term * (RingElement(ring, reduce(w0, ring)) ** t.w_exp)
             total = total + term
         out.append(total)
     return tuple(out)
@@ -334,7 +334,7 @@ def _compile_partials(p: NovikovPolynomial, ring: Ring) -> tuple:
             if exp := t.z_exp * dz + t.w_exp * dw:
                 key = (t.z_exp - dz, t.w_exp - dw)
                 merged[key] = (merged.get(key, 0)
-                               + reduce(t.coeff * exp, ring).value) % n
+                               + reduce(t.coeff * exp, ring)) % n
         out.append(tuple((c, ze, we) for (ze, we), c in merged.items() if c))
     return tuple(out)
 

@@ -1,9 +1,9 @@
 """Canonical exact arithmetic over Z, Z/n, Q and prime fields.
 
-All values are immutable and carry their ring, so arithmetic is closed and
-canonical by construction: residues live in [0, n), rationals are kept in
-lowest terms with positive denominator (fractions.Fraction guarantees this).
-No floating point is used anywhere.
+reduce gives canonical plain representatives: residues in [0, n), and
+rationals in lowest terms with positive denominator.  RingElement, a value
+that carries its ring, is the reference arithmetic, built only where ring
+arithmetic is wanted.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ class Ring:
         return self.kind in (INTEGERS_MOD, PRIME_FIELD)
 
     def zero(self) -> "RingElement":
-        return reduce(0, self)
+        return RingElement(self, reduce(0, self))
 
     def one(self) -> "RingElement":
-        return reduce(1, self)
+        return RingElement(self, reduce(1, self))
 
     def __repr__(self):
         return f"Ring({self.name})"
@@ -147,11 +147,13 @@ class RingElement:
 
     def __add__(self, other):
         self._check(other)
-        return reduce(self.value + other.value, self.ring)
+        return RingElement(self.ring, reduce(self.value + other.value,
+                                             self.ring))
 
     def __mul__(self, other):
         self._check(other)
-        return reduce(self.value * other.value, self.ring)
+        return RingElement(self.ring, reduce(self.value * other.value,
+                                             self.ring))
 
     @property
     def is_zero(self) -> bool:
@@ -190,26 +192,18 @@ class RingElement:
         return f"{self.value} in {self.ring.name}"
 
 
-def reduce(x, ring: Ring) -> RingElement:
-    """Map an integer or fraction to its canonical representative in the ring.
+def reduce(x, ring: Ring):
+    """The canonical plain representative of an int, Fraction or RingElement:
+    an int in [0, n) over Z/n and F_p, an int over Z, a Fraction over Q.
 
     Fractions are only accepted when the denominator is invertible; in Z/n
     that means gcd(denominator, n) = 1.
 
-    >>> reduce(16, Ring.parse("Z/8")).value
+    >>> reduce(16, Ring.parse("Z/8"))
     0
-    >>> reduce(Fraction(4, 6), Ring.parse("Q")).value
+    >>> reduce(Fraction(4, 6), Ring.parse("Q"))
     Fraction(2, 3)
     """
-    if isinstance(x, RingElement) and x.ring == ring:
-        return x
-    return RingElement(ring, residue(x, ring))
-
-
-def residue(x, ring: Ring):
-    """reduce(x, ring).value, the plain representative, built without a
-    RingElement: an int in [0, n) over Z/n and F_p, an int over Z and a
-    Fraction over Q.  The errors are reduce's."""
     if type(x) is int and ring.modulus is not None:   # not a bool
         return x % ring.modulus
     if isinstance(x, RingElement):

@@ -287,7 +287,7 @@ def oracle_solve_linear(m, b, ring):
             return (0,) * cols
         aug = tuple(row + tuple(n if i == k else 0 for k in range(rows))
                     for i, row in enumerate(m))
-        sol = oracle_solve_linear(aug, tuple(reduce(x, ring).value for x in b),
+        sol = oracle_solve_linear(aug, tuple(reduce(x, ring) for x in b),
                                   Ring.integers())
         return None if sol is None else tuple(x % n for x in sol[:cols])
     rational = ring.name == "Q"
@@ -375,14 +375,14 @@ def _oracle_weighted_sum(side, disks, attr, width, ring, local):
     """Sum of count * weight * disk.<attr> on RingElements; every weight is 1
     without a local map."""
     from floerdisk.invariants import _local_weight
-    from floerdisk.rings import reduce
+    from floerdisk.rings import RingElement, reduce
 
     acc = [ring.zero()] * width
     for disk in disks:
         weight = (ring.one() if local is None
                   else _local_weight(side, local, disk.boundary, ring))
         for i, coord in enumerate(getattr(disk, attr)):
-            acc[i] = acc[i] + weight * reduce(disk.count * coord, ring)
+            acc[i] += weight * RingElement(ring, reduce(disk.count * coord, ring))
     return tuple(x.value for x in acc)
 
 

@@ -1,10 +1,11 @@
 """Sweeps: the exact gate threshold from affine margins, its agreement with
 every grid point, the chamber walk against the per-point sweep, the affine
-premise it rests on, and how often a sweep validates a side or runs the
-decision tree."""
+premise it rests on, how often a sweep validates a side or runs the
+decision tree, and that the benchmark's tracer sees its ring reductions."""
 
 import io
 import json
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from floerdisk.rings import Ring, parse_rational, rational_str
 from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, Scenario,
                                 builtin_scenario, combine)
 from oracles import oracle_gate_threshold
+from test_cli import GOLDEN_COMMANDS
 
 F = Fraction
 
@@ -678,3 +680,32 @@ def test_no_two_affine_quantities_cross_inside_the_interval(name):
             if p1 != q1:
                 root = (q0 - p0) / (p1 - q1)
                 assert not low < root < high, (name, (p0, p1), (q0, q1))
+
+
+def test_traced_sweep_counts_its_reductions(monkeypatch):
+    # The benchmark's tracer counts calls to rings.reduce.  The solves, zero
+    # tests, pairings and disk sums of a sweep or a criterion reduce through
+    # it, so a traced run must count them, and print what it prints untraced.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent
+                                    / "bench"))
+    import tracing
+
+    argvs = [GOLDEN_COMMANDS["sweep_p1xp1"],
+             ["criterion", "--builtin", "cp2_ta:a=1/10", "--vs",
+              "cp2_clifford", "--ring", "Z/8"]]
+
+    def output(argv):
+        out = io.StringIO()
+        return main(argv, out=out), out.getvalue()
+
+    plain = [output(argv) for argv in argvs]
+    tracer, traced, counts = tracing.Tracer(), [], []
+    try:
+        tracer.install()
+        for argv in argvs:
+            traced.append(output(argv))
+            counts.append(tracer.counts["rings.reduce.calls"])
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert 0 < counts[0] < counts[1]   # each argv reduced

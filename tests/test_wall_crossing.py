@@ -9,6 +9,12 @@ a.  Both sides are compared exactly at seeded rational points off the wall
 w = -1 and off w = 0.  The cotangent-bundle ledgers trp2_la and ts2_la drop
 the disk of boundary u, which crosses the removed divisor, and keep the rest.
 
+bl3_ta's superpotential terms are not checked against wall-crossing.  Its
+potential would have to come from a mutation of the hexagon's Clifford
+potential (Vianna, arXiv:1305.7512; Pascaleff-Tonkonog, arXiv:1711.03209),
+and no mutation-derived potential is in the repo to compare with; only the
+area half below covers bl3_ta.
+
 The area half: a disk's area is the symplectic area of its class, so on every
 builtin some rational omega on H2(X,L) gives area = omega(rel_class) for each
 disk, with omega = 1 on the line class H (on H1 and H2 for P1 x P1 and its
