@@ -177,11 +177,54 @@ def _render_text(value, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, parts: list, pad: str) -> None:
+    """Append to parts the text of json.dumps(value, indent=2,
+    sort_keys=True), its inner lines indented by pad.  The stdlib writes an
+    indented dump with its pure-Python encoder; this writer takes the
+    report's own types (str, int, bool, None, lists and str-keyed dicts)
+    directly and hands any other value to json.dumps."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_encode_str(value))
+    elif kind is dict and type(next(iter(value), "")) is str:
+        # sorted() raises TypeError on a mix of key types, as json.dumps does
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            parts.append(sep + _encode_str(key) + ": ")
+            _write_json(value[key], parts, inner)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + "}" if value else "{}")
+    elif kind is list:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, parts, inner)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + "]" if value else "[]")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif value is None:
+        parts.append("null")
+    else:
+        text = json.dumps(value, indent=2, sort_keys=True)
+        parts.append(text.replace("\n", "\n" + pad))
+
+
 def _emit(report: dict, fmt: str, stream) -> None:
     if fmt == "text":
         stream.write(_render_text(report) + "\n")
     else:
-        stream.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        parts = []
+        _write_json(report, parts, "")
+        parts.append("\n")
+        stream.write("".join(parts))
 
 
 def _oc_payload(invariant) -> dict:

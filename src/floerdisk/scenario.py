@@ -99,6 +99,11 @@ class AffineSubspace:
         return tuple(v)
 
 
+def _fraction(x) -> Fraction:
+    """x itself when its type is exactly Fraction, else Fraction(x)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class DiskClass:
     """One family of Maslov-index-2 disks through a generic point."""
@@ -113,7 +118,7 @@ class DiskClass:
     def __post_init__(self):
         object.__setattr__(self, "rel_class", tuple(self.rel_class))
         object.__setattr__(self, "boundary", tuple(self.boundary))
-        object.__setattr__(self, "area", Fraction(self.area))
+        object.__setattr__(self, "area", _fraction(self.area))
         if self.maslov % 2:
             raise ValidationError(f"disk {self.label}: odd Maslov index")
         if self.area <= 0:
@@ -133,7 +138,7 @@ class DiskLedger:
         object.__setattr__(self, "disks", tuple(self.disks))
         if self.complete_below is not None:
             object.__setattr__(self, "complete_below",
-                               Fraction(self.complete_below))
+                               _fraction(self.complete_below))
         labels = [d.label for d in self.disks]
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate disk labels in ledger")
@@ -179,7 +184,7 @@ class LagrangianSide:
                            tuple(self.fundamental_class))
         if self.monotonicity_constant is not None:
             object.__setattr__(self, "monotonicity_constant",
-                               Fraction(self.monotonicity_constant))
+                               _fraction(self.monotonicity_constant))
         if self.lattice_params is not None:
             object.__setattr__(self, "lattice_params",
                                Lattice(*map(int, self.lattice_params)))
@@ -189,7 +194,7 @@ class LagrangianSide:
         if self.local_system is not None:
             object.__setattr__(
                 self, "local_system",
-                tuple(sorted((str(k), Fraction(v))
+                tuple(sorted((str(k), _fraction(v))
                              for k, v in dict(self.local_system).items())))
 
     @property

@@ -22,9 +22,9 @@ from floerdisk.invariants import oc_low
 from floerdisk.rings import Ring
 from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, MAX_DISKS,
                                 MAX_DOCUMENT_BYTES, MAX_GENERATORS,
-                                MAX_INT_BITS, MAX_RELATIONS,
-                                Scenario, builtin_scenario, combine,
-                                load_scenario, sphere_pair)
+                                MAX_INT_BITS, MAX_RELATIONS, DiskClass,
+                                DiskLedger, Scenario, builtin_scenario,
+                                combine, load_scenario, sphere_pair)
 from oracles import oracle_builtin_scenario, oracle_sphere_pair
 
 F = Fraction
@@ -1073,3 +1073,33 @@ def test_replaced_j_is_checked_again():
     broken = replace(side, j=replace(side.j, matrix=((0,), (0,), (0,))))
     with pytest.raises(ValidationError, match=r"exactness \(ker bd"):
         Scenario(scenario.h2x, scenario.form, (broken,), scenario.ring)
+
+
+@pytest.mark.parametrize("value", [3, F(3), F(7, 2)])
+def test_records_keep_fractions_and_convert_other_rationals(value):
+    """A Fraction given to DiskClass, DiskLedger or LagrangianSide is kept as
+    the same object; an int becomes an equal Fraction."""
+    def check(got):
+        assert type(got) is Fraction and got == value
+        assert got is value or type(value) is not Fraction
+    disk = DiskClass("b", (1,), (1,), 2, value, 1)
+    check(disk.area)
+    check(DiskLedger((), complete_below=value).complete_below)
+    side = builtin_scenario("cp2_clifford", {}).side
+    check(replace(side, monotonicity_constant=value).monotonicity_constant)
+    check(dict(replace(side, local_system={"x": value}).local_system)["x"])
+
+
+@pytest.mark.parametrize("area, cutoff, message", [
+    (0, None, "disk b: area must be positive"),
+    (F(0), None, "disk b: area must be positive"),
+    (F(-1, 2), None, "disk b: area must be positive"),
+    (2, 2, "disk b: area 2 not below ledger cutoff 2"),
+    (F(5, 2), F(2), "disk b: area 5/2 not below ledger cutoff 2"),
+])
+def test_record_messages_read_the_same_for_ints_and_fractions(area, cutoff,
+                                                              message):
+    with pytest.raises(ValidationError) as caught:
+        DiskLedger((DiskClass("b", (1,), (1,), 2, area, 1),),
+                   complete_below=cutoff)
+    assert str(caught.value) == message
