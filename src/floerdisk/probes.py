@@ -48,18 +48,12 @@ def _point_str(p) -> str:
     return f"({rational_str(p[0])}, {rational_str(p[1])})"
 
 
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _primitive(v) -> tuple:
-    x, y = Fraction(v[0]), Fraction(v[1])
-    if x == 0 and y == 0:
-        raise ValidationError("zero vector has no primitive form")
-    scale = lcm(x.denominator, y.denominator)
-    ix, iy = int(x * scale), int(y * scale)
-    g = gcd(ix, iy)
-    return (ix // g, iy // g)
+def _scaled(p) -> tuple[int, int, int]:
+    """(X, Y, W) with p == (X / W, Y / W), W the least common denominator."""
+    x, y = p
+    w = lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator),
+            y.numerator * (w // y.denominator), w)
 
 
 @dataclass(frozen=True)
@@ -69,26 +63,6 @@ class Facet:
     end: Point
     normal: tuple          # primitive integer inward normal
     offset: Fraction       # normal . x == offset on the facet line
-
-    def contains_in_relative_interior(self, p: Point) -> bool:
-        p = _frac_point(p)
-        edge = (self.end[0] - self.start[0], self.end[1] - self.start[1])
-        rel = (p[0] - self.start[0], p[1] - self.start[1])
-        if _cross(rel, edge) != 0:
-            return False
-        if edge[0] != 0:
-            u = rel[0] / edge[0]
-        else:
-            u = rel[1] / edge[1]
-        return 0 < u < 1
-
-
-def _facet(index: int, start: Point, end: Point) -> Facet:
-    direction = (end[0] - start[0], end[1] - start[1])
-    # inward normal for a counterclockwise polygon: left rotation
-    normal = _primitive((-direction[1], direction[0]))
-    offset = normal[0] * start[0] + normal[1] * start[1]
-    return Facet(index, start, end, normal, offset)
 
 
 @dataclass(frozen=True)
@@ -106,32 +80,43 @@ class Polytope2:
         if len(verts) < 3:
             raise ValidationError("a polygon needs at least three vertices")
         n = len(verts)
-        for i in range(n):
-            a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-            turn = _cross((b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1]))
-            if turn <= 0:
-                raise ValidationError(
-                    "vertices must be strictly convex in counterclockwise order")
+        # An edge's primitive direction comes from its ends scaled by their
+        # own denominators; its left rotation is the inward normal n.  The row
+        # (D n, D c, D), D the offset c's denominator, makes _heights all ints.
+        # Both are kept off the dataclass fields, so eq and repr ignore them.
+        scaled = [_scaled(v) for v in verts]
+        facets, rows = [], []
+        for i, ((x, y, w), (x1, y1, w1)) in enumerate(
+                zip(scaled, scaled[1:] + scaled[:1])):
+            ex, ey = x1 * w - x * w1, y1 * w - y * w1
+            g = gcd(ex, ey) or 1        # a zero edge fails the turn test
+            normal = (-ey // g, ex // g)
+            offset = Fraction(normal[0] * x + normal[1] * y, w)
+            d = offset.denominator
+            facets.append(Facet(i, verts[i], verts[(i + 1) % n], normal,
+                                offset))
+            rows.append((normal[0] * d, normal[1] * d, offset.numerator, d))
+        # Every turn is left (its normals' cross product is positive), and the
+        # normals go round once: one step leaves the lower half of directions
+        # for the upper.  A star polygon turns left but goes round twice.
+        pairs = list(zip(rows, rows[1:] + rows[:1]))
+        if any(a[0] * b[1] <= a[1] * b[0] for a, b in pairs) or sum(
+                (a[1], a[0]) <= (0, 0) < (b[1], b[0]) for a, b in pairs) != 1:
+            raise ValidationError(
+                "vertices must be strictly convex in counterclockwise order")
         for i in self.excluded_vertices:
             if not 0 <= i < n:
                 raise ValidationError(f"excluded vertex index {i} out of range")
-        # built once, kept off the dataclass fields so eq and repr ignore it
-        object.__setattr__(self, "_facets", tuple(
-            _facet(i, verts[i], verts[(i + 1) % n]) for i in range(n)))
+        object.__setattr__(self, "_facets", tuple(facets))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @property
     def facets(self) -> tuple:
         return self._facets
 
     def contains(self, p, strict: bool = False) -> bool:
-        p = _frac_point(p)
-        for f in self.facets:
-            value = f.normal[0] * p[0] + f.normal[1] * p[1]
-            if strict and value <= f.offset:
-                return False
-            if not strict and value < f.offset:
-                return False
-        return True
+        low = min(_heights(self._rows, _frac_point(p))[0])
+        return low > 0 if strict else low >= 0
 
     def excluded_points(self) -> list[Point]:
         return [self.vertices[i] for i in self.excluded_vertices]
@@ -189,7 +174,7 @@ def validate_probe(poly: Polytope2, probe: Probe):
             f"facet {probe.facet} (normal {facet.normal})")
     if dot != 1:
         raise InvalidProbe(f"direction {probe.direction} points outward")
-    if not facet.contains_in_relative_interior(probe.base):
+    if _facet_at(poly, probe.base) != probe.facet:
         raise InvalidProbe(
             f"base {_point_str(probe.base)} is not in the relative interior "
             f"of facet {probe.facet}")
@@ -198,13 +183,13 @@ def validate_probe(poly: Polytope2, probe: Probe):
 def make_probe(poly: Polytope2, base, direction) -> Probe:
     """Build a probe by locating the facet whose relative interior holds base."""
     base = _frac_point(base)
-    for facet in poly.facets:
-        if facet.contains_in_relative_interior(base):
-            probe = Probe(facet.index, base, tuple(direction))
-            validate_probe(poly, probe)
-            return probe
-    raise InvalidProbe(f"base {_point_str(base)} is not in any facet's "
-                       "relative interior")
+    facet = _facet_at(poly, base)
+    if facet is None:
+        raise InvalidProbe(f"base {_point_str(base)} is not in any facet's "
+                           "relative interior")
+    probe = Probe(facet, base, tuple(direction))
+    validate_probe(poly, probe)
+    return probe
 
 
 @dataclass(frozen=True)
@@ -215,39 +200,48 @@ class ProbeSegment:
     exits_at_excluded_vertex: bool
 
 
-def _heights(facets, point) -> tuple[list[int], int]:
-    """Each facet's height n . point - c over one common denominator: the
-    ints H and the denominator D with height_i = H[i] / D."""
-    px, py = point
-    heights = [f.normal[0] * px + f.normal[1] * py - f.offset for f in facets]
-    den = lcm(*(h.denominator for h in heights))
-    return [h.numerator * (den // h.denominator) for h in heights], den
+def _heights(rows, point) -> tuple[list[int], int]:
+    """The ints H = D q (n . point - c), one per facet, and q, the point's
+    denominator.  Every polygon question reads these: their signs, their
+    zeros, and their ratios to D n . d along a direction d."""
+    x, y, q = _scaled(point)
+    return [mx * x + my * y - c * q for mx, my, c, _ in rows], q
 
 
-def _clip(facets, heights, direction) -> tuple:
+def _facet_at(poly: Polytope2, point):
+    """The index of the facet whose relative interior holds the point, or
+    None: that facet's height is the only zero and every other is positive."""
+    heights, _ = _heights(poly._rows, point)
+    if min(heights) == 0 and heights.count(0) == 1:
+        return heights.index(0)
+    return None
+
+
+def _clip(rows, heights, direction) -> tuple:
     """Both ends of the line point + t * direction, in one pass over the
-    facets, given the point's scaled heights H.
+    facets, given the point's heights H.
 
-    With k = n . direction for each facet, the line leaves backwards through
-    the facet minimising H / k over k > 0 and forwards through the one
-    minimising H / -k over k < 0; ratios are compared by cross-multiplying.
-    Returns (back, forward), each None when no facet bounds that end, or
-    (facet index, H, |k|, tie), where tie means a second facet reaches the
-    same ratio, i.e. that end is a vertex.
+    With k = D n . direction for each facet, the line leaves backwards
+    through the facet minimising H / k over k > 0 and forwards through the
+    one minimising H / -k over k < 0; ratios are compared by
+    cross-multiplying.  Returns (back, forward), each (facet index, H, |k|,
+    tie), where tie means a second facet reaches the same ratio, i.e. that
+    end is a vertex.  Both ends exist: the edges of a closed polygon sum to
+    zero and are not all parallel, so some k is positive and some negative.
     """
     dx, dy = direction
     back = forward = None
-    for f, h in zip(facets, heights):
-        k = f.normal[0] * dx + f.normal[1] * dy
+    for i, ((mx, my, _, _), h) in enumerate(zip(rows, heights)):
+        k = mx * dx + my * dy
         if k > 0:
             if back is None or h * back[2] < back[1] * k:
-                back = (f.index, h, k, False)
+                back = (i, h, k, False)
             elif h * back[2] == back[1] * k:
                 back = back[:3] + (True,)
         elif k < 0:
             k = -k
             if forward is None or h * forward[2] < forward[1] * k:
-                forward = (f.index, h, k, False)
+                forward = (i, h, k, False)
             elif h * forward[2] == forward[1] * k:
                 forward = forward[:3] + (True,)
     return back, forward
@@ -258,11 +252,8 @@ def probe_segment(poly: Polytope2, probe: Probe) -> ProbeSegment:
     validate_probe(poly, probe)
     bx, by = probe.base
     dx, dy = probe.direction
-    heights, den = _heights(poly.facets, probe.base)
-    _, forward = _clip(poly.facets, heights, probe.direction)
-    if forward is None:
-        raise InvalidProbe("probe never exits; polytope data is inconsistent")
-    _, h, k, _ = forward
+    heights, den = _heights(poly._rows, probe.base)
+    _, (_, h, k, _) = _clip(poly._rows, heights, probe.direction)
     length = Fraction(h, den * k)
     exit_point = (bx + length * dx, by + length * dy)
     return ProbeSegment(exit_point, length, exit_point in poly.vertices,
@@ -274,8 +265,7 @@ def probe_displaces(poly: Polytope2, probe: Probe, point) -> bool:
     the search's ray test along the probe's direction finds this probe."""
     try:
         return any(hit.probe == probe
-                   for hit in _hits(poly, poly.facets, point,
-                                   [probe.direction]))
+                   for hit in _hits(poly, point, [probe.direction]))
     except ValidationError:
         return False
 
@@ -328,40 +318,39 @@ def search_probes(poly: Polytope2, point, direction_bound: int) -> list[ProbeHit
         raise ProbeSearchTooLarge(
             f"probe search with bound {direction_bound} over {n} "
             f"facets exceeds the work budget of {PROBE_WORK_BUDGET}")
-    facets = poly.facets
-    return _hits(poly, facets, point,
-                 _transverse_directions(facets, direction_bound))
+    return _hits(poly, point,
+                 _transverse_directions(poly.facets, direction_bound))
 
 
-def _hits(poly: Polytope2, facets, point, directions) -> list[ProbeHit]:
+def _hits(poly: Polytope2, point, directions) -> list[ProbeHit]:
     """The probes along the given primitive directions that displace the
     interior point; a point that is not interior is a ValidationError.
 
     For each direction, the candidate base is the unique boundary point hit
     by walking backwards from the point; directions whose backward ray lands
     on a vertex or on a non-transverse facet yield no probe.  The point's
-    facet heights are scaled to ints once, each direction is one integer
+    facet heights are ints taken once, each direction is one integer
     clipping pass, and Fractions are only built for hits.
     """
     point = _frac_point(point)
-    heights, den = _heights(facets, point)
+    rows = poly._rows
+    heights, den = _heights(rows, point)
     if min(heights) <= 0:
         raise ValidationError(f"query point {_point_str(point)} is not interior")
     hits = []
     for direction in directions:
-        back, forward = _clip(facets, heights, direction)
-        if back is None or forward is None:
-            continue
+        back, forward = _clip(rows, heights, direction)
         entry, back_h, back_k, at_vertex = back
         # the base is a vertex, or d is not integrally transverse to the
-        # entry facet
-        if at_vertex or back_k != 1:
+        # entry facet: n . d = 1 iff k = D
+        if at_vertex or back_k != rows[entry][3]:
             continue
         _, forward_h, forward_k, _ = forward
         # displaced iff 2 * back < length = back + forward
-        if back_h * forward_k >= forward_h:
+        if back_h * forward_k >= forward_h * back_k:
             continue
-        s, rest = Fraction(back_h, den), Fraction(forward_h, den * forward_k)
+        s = Fraction(back_h, den * back_k)
+        rest = Fraction(forward_h, den * forward_k)
         dx, dy = direction
         base = (point[0] - s * dx, point[1] - s * dy)
         exit_point = (point[0] + rest * dx, point[1] + rest * dy)

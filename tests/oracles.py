@@ -6,7 +6,7 @@ is oracle_residue_critical_points, the exhaustive RingElement search, which
 shares reduce with the fast residue search;
 plain_residue_critical_points checks the same answers with plain ints only.
 oracle_search_probes, the old Fraction probe search, reads the facets that
-Polytope2 builds and its contains checks, but not the integer clipping.
+Polytope2 builds, but not their integer heights or clipping.
 The linear-algebra oracles (oracle_solve_linear and the hand-built quotient
 matrices after it) share the Smith normal form with the library, and
 oracle_oc_low and oracle_cancellation_threshold also its unchanged helpers
@@ -217,17 +217,23 @@ def oracle_search_probes(poly, point, direction_bound):
     boundary, drops vertex bases, finds the entry facet by scanning every
     facet, checks integral transversality, clips the probe again from its
     base and tests the strict-half criterion.  It shares the Polytope2,
-    Facet, Probe and ProbeHit records with the library, not its clipping."""
+    Facet, Probe and ProbeHit records with the library, not its heights."""
     from floerdisk.errors import ValidationError
     from floerdisk.probes import Probe, ProbeHit
 
     point = (Fraction(point[0]), Fraction(point[1]))
-    if not poly.contains(point, strict=True):
-        raise ValidationError(f"query point {point} is not interior")
     facets = poly.facets
 
     def dot(normal, v):
         return normal[0] * v[0] + normal[1] * v[1]
+
+    def on_open_edge(f, p):
+        ex, ey = f.end[0] - f.start[0], f.end[1] - f.start[1]
+        rx, ry = p[0] - f.start[0], p[1] - f.start[1]
+        return rx * ey == ry * ex and 0 < rx * ex + ry * ey < ex * ex + ey * ey
+
+    if any(dot(f.normal, point) <= f.offset for f in facets):
+        raise ValidationError(f"query point {point} is not interior")
 
     hits = []
     for dx in range(-direction_bound, direction_bound + 1):
@@ -247,7 +253,7 @@ def oracle_search_probes(poly, point, direction_bound):
             base = (point[0] - back * dx, point[1] - back * dy)
             if base in poly.vertices:
                 continue
-            entry = [f for f in facets if f.contains_in_relative_interior(base)]
+            entry = [f for f in facets if on_open_edge(f, base)]
             if not entry or dot(entry[0].normal, (dx, dy)) != 1:
                 continue
             length = None

@@ -20,6 +20,7 @@ from floerdisk.errors import (BadParams, InvalidProbe, ProbeSearchTooLarge,
 from floerdisk.probes import (Polytope2, Probe, builtin_polytope, make_probe,
                               polytope_from_json, probe_displaces,
                               probe_segment, search_probes, validate_probe)
+from floerdisk.rings import rational_str
 
 from oracles import (oracle_probe_displaces, oracle_search_probes,
                      segment_ray_exit)
@@ -38,6 +39,8 @@ def test_polytope_validation():
         Polytope2(((0, 0), (0, 1), (1, 0)))
     with pytest.raises(ValidationError):  # collinear
         Polytope2(((0, 0), (1, 0), (2, 0), (0, 1)))
+    with pytest.raises(ValidationError):  # a pentagram: left turns, twice round
+        Polytope2(((0, 3), (-2, -2), (3, 1), (-3, 1), (2, -2)))
     with pytest.raises(ValidationError):
         Polytope2(((0, 0), (1, 0), (0, 1)), (5,))
 
@@ -381,6 +384,105 @@ def test_search_property_against_oracles(points, weights, bound, data):
     assert hits == oracle_search_probes(poly, point, bound)
 
 
+def _fraction_build(vertices, excluded):
+    """The Fraction build that the integer one replaced, kept as its
+    reference: the facets' (normals, offsets), or the refusal's message.
+    Convexity is checked by its definition, every other vertex strictly
+    left of every edge; the old build checked only the turns, so it took
+    star polygons."""
+    verts = [(F(x), F(y)) for x, y in vertices]
+    n = len(verts)
+    if n < 3:
+        return "a polygon needs at least three vertices"
+    edges = [(b[0] - a[0], b[1] - a[1])
+             for a, b in zip(verts, verts[1:] + verts[:1])]
+    if any(ex * (y - a[1]) - ey * (x - a[0]) <= 0
+           for i, (a, (ex, ey)) in enumerate(zip(verts, edges))
+           for j, (x, y) in enumerate(verts) if j not in (i, (i + 1) % n)):
+        return "vertices must be strictly convex in counterclockwise order"
+    for i in excluded:
+        if not 0 <= i < n:
+            return f"excluded vertex index {i} out of range"
+    normals = []
+    for ex, ey in edges:
+        scale = math.lcm(ex.denominator, ey.denominator)
+        x, y = int(-ey * scale), int(ex * scale)
+        normals.append((x // math.gcd(x, y), y // math.gcd(x, y)))
+    return normals, [a * x + b * y for (a, b), (x, y) in zip(normals, verts)]
+
+
+def _fraction_probe(verts, normals, base, direction):
+    """make_probe on the Fraction build: the probe's facet, or the message
+    of its InvalidProbe."""
+    for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        rx, ry = base[0] - a[0], base[1] - a[1]
+        if rx * ey == ry * ex and 0 < rx * ex + ry * ey < ex * ex + ey * ey:
+            break
+    else:
+        return (f"base ({rational_str(base[0])}, {rational_str(base[1])}) is "
+                "not in any facet's relative interior")
+    dot = normals[i][0] * direction[0] + normals[i][1] * direction[1]
+    if math.gcd(*direction) != 1:
+        return f"direction {direction} is not primitive"
+    if abs(dot) != 1:
+        return (f"direction {direction} is not integrally transverse to "
+                f"facet {i} (normal {normals[i]})")
+    return i if dot == 1 else f"direction {direction} points outward"
+
+
+rationals = st.builds(Fraction, st.integers(-12, 12),
+                      st.sampled_from([2, 3, 5, 7]))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(rationals, rationals), min_size=3, max_size=8),
+       st.sampled_from(["convex", "clockwise", "collinear", "repeated",
+                        "excluded", "shuffled", "two"]), st.data())
+def test_integer_build_matches_the_fraction_build(points, change, data):
+    verts, excluded = _hull(points), ()
+    assume(len(verts) >= 3)
+    if change == "clockwise":
+        verts.reverse()
+    elif change == "collinear":
+        verts.insert(1, ((verts[0][0] + verts[1][0]) / 2,
+                         (verts[0][1] + verts[1][1]) / 2))
+    elif change == "repeated":
+        verts.insert(1, verts[1])
+    elif change == "excluded":
+        excluded = (data.draw(st.sampled_from([-1, len(verts)])),)
+    elif change == "shuffled":
+        verts = data.draw(st.permutations(verts))
+    elif change == "two":
+        verts = verts[:2]
+    expected = _fraction_build(verts, excluded)
+    try:
+        poly = Polytope2(tuple(verts), excluded)
+    except ValidationError as exc:
+        assert str(exc) == expected
+        return
+    normals, offsets = expected
+    assert [f.normal for f in poly.facets] == normals
+    assert [f.offset for f in poly.facets] == offsets
+    # vertices, points inside edges, and points anywhere
+    queries = verts + [(a[0] + u * (b[0] - a[0]), a[1] + u * (b[1] - a[1]))
+                       for a, b in zip(verts, verts[1:] + verts[:1])
+                       for u in (F(1, 3), F(1, 2))]
+    queries += data.draw(st.lists(st.tuples(rationals, rationals), max_size=4))
+    for p in queries:
+        values = [a * p[0] + b * p[1] - c
+                  for (a, b), c in zip(normals, offsets)]
+        assert poly.contains(p) == (min(values) >= 0)
+        assert poly.contains(p, strict=True) == (min(values) > 0)
+        direction = data.draw(st.tuples(st.integers(-3, 3),
+                                        st.integers(-3, 3)))
+        expected = _fraction_probe(verts, normals, p, direction)
+        try:
+            assert make_probe(poly, p, direction).facet == expected
+        except InvalidProbe as exc:
+            assert str(exc) == expected
+
+
 def test_search_rejects_bounds_below_one():
     tri = builtin_polytope("p1xp1")
     for bound in (0, -1):
@@ -562,6 +664,38 @@ def test_largest_circle_at_bound_30_stays_fast(tmp_path):
         code, error, seconds = _probes_error(tmp_path, doc, point, 30)
         assert (code, error) == (0, None)
         assert seconds < 1
+
+
+def _largest_primes_below(n, count, width=1 << 19):
+    """The count largest primes below n, by sieving [n - width, n) with the
+    primes up to sqrt(n)."""
+    root, low = math.isqrt(n), n - width
+    small, window = bytearray([1]) * (root + 1), bytearray([1]) * width
+    for p in range(2, root + 1):
+        if small[p]:
+            small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+            start = -low % p
+            window[start::p] = bytes(len(range(start, width, p)))
+    return [low + i for i in range(width) if window[i]][-count:]
+
+
+def test_coprime_denominators_at_the_vertex_limit_stay_fast(tmp_path):
+    """Each coordinate of this MAX_VERTICES polygon has its own 32-bit prime
+    denominator, so one common denominator of all the vertices would have
+    about 500,000 bits.  Facets are built from each edge's own two ends, and
+    loading, building and searching at bound 1 take under a second."""
+    n = probes.MAX_VERTICES
+    primes = _largest_primes_below(1 << 32, 2 * n)
+    vertices = []
+    for k, (p, q) in enumerate(zip(primes[::2], primes[1::2])):
+        angle = 2 * math.pi * (k + F(1, 2)) / n
+        vertices.append([f"{round(math.cos(angle) * p)}/{p}",
+                         f"{round(math.sin(angle) * q)}/{q}"])
+    assert len({F(x).denominator for v in vertices for x in v}) == 2 * n
+    code, error, seconds = _probes_error(tmp_path, {"vertices": vertices},
+                                         "1/3,-1/5", 1)
+    assert (code, error) == (0, None)
+    assert seconds < 1
 
 
 def test_a_13000_bit_point_is_refused_at_once(tmp_path):

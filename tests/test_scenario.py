@@ -936,6 +936,16 @@ def mutated_documents(draw):
     return doc
 
 
+# later commands with an explicit ring, field, local system or residue ring;
+# none may crash on a document that validate accepts
+ACCEPTED_DOCUMENT_ARGVS = [
+    ["potential", "--analyze-units", "--residue-ring", "Z/8"],
+    ["potential", "--residue-ring", "F7"],
+    ["invariant", "--ring", "Z/9", "--local-system=dbeta=2,dalpha=-1"],
+    ["criterion", "--ring", "F2", "--field", "F2"],
+]
+
+
 @settings(max_examples=300)
 @given(mutated_documents())
 def test_mutated_documents_end_in_typed_errors(doc):
@@ -948,6 +958,9 @@ def test_mutated_documents_end_in_typed_errors(doc):
                         out=io.StringIO()) in (0, 2, 3, 4)
         if main(["validate", path], out=io.StringIO()) != 0:
             return
+        for argv in ACCEPTED_DOCUMENT_ARGVS:
+            assert main([argv[0], "--scenario", path, *argv[1:]],
+                        out=io.StringIO()) in (0, 2, 3, 4)
     scenario = load_scenario(json.dumps(doc))
     for side in scenario.sides:
         try:
