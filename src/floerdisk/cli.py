@@ -608,7 +608,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--residue-ring", type=_value,
                    help="finite ring for the truncated-level critical search")
     p = command("probes", _cmd_probes, scenario=False)
-    p.add_argument("polytope", help="polytope JSON file, or 'p1xp1' / 'cp2'")
+    p.add_argument("polytope", type=_value,
+                   help="polytope JSON file, or 'p1xp1' / 'cp2'")
     p.add_argument("--point", required=True, help="interior point 'x,y'")
     p.add_argument("--bound", type=_integer, default=3)
     command("builtin-list", _cmd_builtin_list, scenario=False)

@@ -22,7 +22,7 @@ from operator import itemgetter
 from .errors import (BasisMismatch, Degenerate, InfiniteRing, NotSingleLevel,
                      ResidueSearchTooLarge, UnknownLabel, UnsupportedShape)
 from .rings import Ring, RingElement, rational_str, reduce
-from .scenario import LagrangianSide
+from .scenario import LagrangianSide, _fraction
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class NovikovTerm:
     w_exp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "t_exp", Fraction(self.t_exp))
+        object.__setattr__(self, "coeff", _fraction(self.coeff))
+        object.__setattr__(self, "t_exp", _fraction(self.t_exp))
 
     @property
     def key(self):

@@ -7,10 +7,10 @@ it exits.  A toric fibre sitting strictly inside the first half of the probe
 under GL(2,Z) affine maps) is displaceable.
 
 Excluded vertices mark non-toric corners.  A probe may exit at a vertex,
-excluded or not; such exits are flagged rather than rejected, because the
-displacement construction only needs the open probe.  A probe can never meet
-a vertex anywhere else: its base is in a facet's relative interior and the
-rest of the open segment is interior to the polytope.
+excluded or not; the integer clip names that vertex, and the exit is flagged
+rather than rejected, as the displacement construction only needs the open
+probe.  A probe never meets a vertex anywhere else: its base is in a facet's
+relative interior and the rest of the open segment is interior.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from math import gcd, lcm
 from .errors import (BadParams, InvalidProbe, ProbeSearchTooLarge, SchemaError,
                      ValidationError)
 from .rings import rational_str
-from .scenario import INTEGER, RATIONAL, REQUIRED, Kind, listof, table
+from .scenario import (INTEGER, RATIONAL, REQUIRED, Kind, _fraction, listof,
+                       table)
 
 Point = tuple
 
@@ -41,7 +42,7 @@ MAX_VERTICES = 8_000
 
 
 def _frac_point(p) -> Point:
-    return (Fraction(p[0]), Fraction(p[1]))
+    return (_fraction(p[0]), _fraction(p[1]))
 
 
 def _point_str(p) -> str:
@@ -117,9 +118,6 @@ class Polytope2:
     def contains(self, p, strict: bool = False) -> bool:
         low = min(_heights(self._rows, _frac_point(p))[0])
         return low > 0 if strict else low >= 0
-
-    def excluded_points(self) -> list[Point]:
-        return [self.vertices[i] for i in self.excluded_vertices]
 
     def to_json_dict(self) -> dict:
         return _POLYGON.write(self)
@@ -225,9 +223,11 @@ def _clip(rows, heights, direction) -> tuple:
     through the facet minimising H / k over k > 0 and forwards through the
     one minimising H / -k over k < 0; ratios are compared by
     cross-multiplying.  Returns (back, forward), each (facet index, H, |k|,
-    tie), where tie means a second facet reaches the same ratio, i.e. that
-    end is a vertex.  Both ends exist: the edges of a closed polygon sum to
-    zero and are not all parallel, so some k is positive and some negative.
+    vertex): None, unless a later facet i ties the stored facet f, and then
+    the vertex the two share, i if i == f + 1, else 0, where the last facet
+    meets the first.  No third facet ties on a strictly convex polygon.
+    Both ends exist: the edges of a closed polygon sum to zero and are not
+    all parallel, so some k is positive and some negative.
     """
     dx, dy = direction
     back = forward = None
@@ -235,15 +235,15 @@ def _clip(rows, heights, direction) -> tuple:
         k = mx * dx + my * dy
         if k > 0:
             if back is None or h * back[2] < back[1] * k:
-                back = (i, h, k, False)
+                back = (i, h, k, None)
             elif h * back[2] == back[1] * k:
-                back = back[:3] + (True,)
+                back = back[:3] + (i if i == back[0] + 1 else 0,)
         elif k < 0:
             k = -k
             if forward is None or h * forward[2] < forward[1] * k:
-                forward = (i, h, k, False)
+                forward = (i, h, k, None)
             elif h * forward[2] == forward[1] * k:
-                forward = forward[:3] + (True,)
+                forward = forward[:3] + (i if i == forward[0] + 1 else 0,)
     return back, forward
 
 
@@ -253,11 +253,10 @@ def probe_segment(poly: Polytope2, probe: Probe) -> ProbeSegment:
     bx, by = probe.base
     dx, dy = probe.direction
     heights, den = _heights(poly._rows, probe.base)
-    _, (_, h, k, _) = _clip(poly._rows, heights, probe.direction)
+    _, (_, h, k, vertex) = _clip(poly._rows, heights, probe.direction)
     length = Fraction(h, den * k)
-    exit_point = (bx + length * dx, by + length * dy)
-    return ProbeSegment(exit_point, length, exit_point in poly.vertices,
-                        exit_point in poly.excluded_points())
+    return ProbeSegment((bx + length * dx, by + length * dy), length,
+                        vertex is not None, vertex in poly.excluded_vertices)
 
 
 def probe_displaces(poly: Polytope2, probe: Probe, point) -> bool:
@@ -340,23 +339,22 @@ def _hits(poly: Polytope2, point, directions) -> list[ProbeHit]:
     hits = []
     for direction in directions:
         back, forward = _clip(rows, heights, direction)
-        entry, back_h, back_k, at_vertex = back
+        entry, back_h, back_k, base_vertex = back
         # the base is a vertex, or d is not integrally transverse to the
         # entry facet: n . d = 1 iff k = D
-        if at_vertex or back_k != rows[entry][3]:
+        if base_vertex is not None or back_k != rows[entry][3]:
             continue
-        _, forward_h, forward_k, _ = forward
+        _, forward_h, forward_k, vertex = forward
         # displaced iff 2 * back < length = back + forward
         if back_h * forward_k >= forward_h * back_k:
             continue
         s = Fraction(back_h, den * back_k)
-        rest = Fraction(forward_h, den * forward_k)
         dx, dy = direction
         base = (point[0] - s * dx, point[1] - s * dy)
-        exit_point = (point[0] + rest * dx, point[1] + rest * dy)
-        hits.append(ProbeHit(Probe(entry, base, direction), s, s + rest,
-                             exit_point in poly.vertices,
-                             exit_point in poly.excluded_points()))
+        hits.append(ProbeHit(Probe(entry, base, direction), s,
+                             s + Fraction(forward_h, den * forward_k),
+                             vertex is not None,
+                             vertex in poly.excluded_vertices))
     return hits
 
 

@@ -273,7 +273,8 @@ def oracle_search_probes(poly, point, direction_bound):
             exit_point = (base[0] + length * dx, base[1] + length * dy)
             hits.append(ProbeHit(Probe(entry[0].index, base, (dx, dy)), s,
                                  length, exit_point in poly.vertices,
-                                 exit_point in poly.excluded_points()))
+                                 exit_point in [poly.vertices[i] for i in
+                                                poly.excluded_vertices]))
     return hits
 
 

@@ -106,6 +106,7 @@ CP2 = ["--builtin", "cp2_ta:a=1/10"]
      "1/5", "--step", "1/10"],
     ["potential", *CP2, "--bulk", ""],
     ["potential", *CP2, "--residue-ring", ""],
+    ["probes", "", "--point", "0,3/4"],
     ["invariant", *CP2, "--builtin", "cp2_ta:a=1/5"],
     ["validate", "--scenario", "x.json", "--scenario", "y.json"],
     ["invariant", *CP2, "--ring", "Z/8", "--ring", "Z/4"],

@@ -96,7 +96,7 @@ def test_probe_displaces_examples():
 def test_default_triangles():
     tri = builtin_polytope("p1xp1")
     assert tri.vertices == ((0, 0), (1, 1), (-1, 1))
-    assert tri.excluded_points() == [(0, 0)]
+    assert [tri.vertices[i] for i in tri.excluded_vertices] == [(0, 0)]
     cp2 = builtin_polytope("cp2")
     assert cp2.vertices[1] == (1, F(1, 2))
     with pytest.raises(ValidationError):
@@ -301,10 +301,21 @@ DIFFERENTIAL_CASES = [
 
 @pytest.mark.parametrize("poly, points", DIFFERENTIAL_CASES)
 def test_search_equals_oracle_search(poly, points):
+    """The search finds the oracle's hits; each hit's probe_segment has its
+    length and flags, and the flags match the segment's exit point."""
+    excluded = [poly.vertices[i] for i in poly.excluded_vertices]
     for point in points:
         for bound in range(1, 9):
-            assert search_probes(poly, point, bound) == \
-                oracle_search_probes(poly, point, bound), (point, bound)
+            hits = search_probes(poly, point, bound)
+            assert hits == oracle_search_probes(poly, point, bound), \
+                (point, bound)
+            for h in hits:
+                s = probe_segment(poly, h.probe)
+                flags = (s.exits_at_vertex, s.exits_at_excluded_vertex)
+                assert (s.length, *flags) == (
+                    h.length, h.exits_at_vertex, h.exits_at_excluded_vertex)
+                assert flags == (s.exit_point in poly.vertices,
+                                 s.exit_point in excluded), h
 
 
 # the two triangles, the rational pentagon and the hexagon
