@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, TorsionGroup
+from .errors import DimensionMismatch, NonInvertibleDenominator, TorsionGroup
 from .rings import RATIONALS, Ring, reduce
 
 Matrix = tuple  # tuple of row tuples
@@ -170,12 +170,9 @@ def kernel_basis(m, relations=(), ring: Ring = Z) -> list[Vector]:
     relation rows over the ring, as column vectors; a basis of the kernel
     when there are no relations and the ring is Z or Q."""
     m = freeze(m)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    cols = len(m[0]) if m else 0   # a matrix with no rows has no columns
     if cols == 0:
         return []
-    if rows == 0:
-        return list(identity(cols))
     _, diag, v = _factor(m, freeze(relations), ring.modulus)
     kernel = (tuple(row[j] for row in v[:cols]) for j in range(len(v))
               if j >= len(diag) or diag[j] == 0)
@@ -186,8 +183,9 @@ def solve_linear(m, b, ring: Ring, relations=()):
     """Solve M x = b over the ring, in the target modulo its relation rows;
     returns x as a tuple, or None exactly when no solution exists.
 
-    The system of _factor is solved over Z on plain ints (over Q for Q)
-    and the x block is kept, reduced mod n over Z/n and F_p.
+    The right-hand side is read through reduce; over Z a fractional entry
+    has no solution.  The system of _factor is solved over Z on plain ints
+    (over Q for Q) and the x block is kept, reduced mod n over Z/n and F_p.
     """
     m = freeze(m)
     rows = len(m)
@@ -195,15 +193,13 @@ def solve_linear(m, b, ring: Ring, relations=()):
     if len(b) != rows:
         raise DimensionMismatch(
             f"rhs has length {len(b)}, matrix has {rows} rows")
-    rational = ring.kind == RATIONALS
-    if ring.is_finite:
+    try:
         b = tuple(reduce(x, ring) for x in b)
-    else:
-        b = tuple(Fraction(x) for x in b)
-        if not rational:
-            if any(x.denominator != 1 for x in b):
-                return None
-            b = tuple(x.numerator for x in b)
+    except NonInvertibleDenominator:
+        if ring.is_finite:
+            raise
+        return None   # over Z: a fractional right-hand side
+    rational = ring.kind == RATIONALS
     if rows == 0:
         return (0,) * cols
     u, diag, v = _factor(m, freeze(relations), ring.modulus)

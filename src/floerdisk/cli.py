@@ -162,14 +162,14 @@ def _render_text(value, indent: int = 0) -> str:
     if isinstance(value, dict):
         for key in sorted(value):
             item = value[key]
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list)) and item:
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_text(item, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {item}")
     elif isinstance(value, list):
         for item in value:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list)) and item:
                 lines.append(f"{pad}-")
                 lines.append(_render_text(item, indent + 1))
             else:

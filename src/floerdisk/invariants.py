@@ -17,7 +17,7 @@ from .abelian import FgAbelianGroup, kernel_basis, solve_linear, vec_sub
 from .errors import (CancellationFails, HypothesisViolated, InsufficientLedger,
                      MissingLocalSystem, NoLift, NonInvertibleDenominator,
                      ValidationError, WeightTooLarge)
-from .rings import Ring, RingElement, rational_str, reduce
+from .rings import Ring, rational_str, reduce
 from .scenario import AffineSubspace, LagrangianSide
 
 Z = Ring.integers()
@@ -98,30 +98,31 @@ def area_spectrum(side: LagrangianSide) -> AreaSpectrum:
 # --- boundary sums and cancellation --------------------------------------------
 
 def _local_weight(side, local_map, boundary, ring):
-    """Multiplicative weight of a boundary class under a local system."""
-    weight = ring.one()
+    """Multiplicative weight of a boundary class under a local system, as a
+    plain value; a unit is a value whose inverse reduces into the ring."""
+    weight = 1
     for label, coord in zip(side.h1.generator_labels, boundary):
         if coord == 0:
             continue
         if label not in local_map:
             raise MissingLocalSystem(
                 f"side {side.name}: local system misses generator {label}")
+        value = local_map[label]
         try:
-            value = RingElement(ring, reduce(local_map[label], ring))
-            unit = value.is_unit
-        except NonInvertibleDenominator:
-            value, unit = rational_str(local_map[label]), False
-        if not unit:
+            value = reduce(value, ring)
+            inverse = reduce(Fraction(1, value), ring)
+        except (NonInvertibleDenominator, ZeroDivisionError):
             raise ValidationError(
                 f"side {side.name}: local system value {value} for {label} "
-                f"is not a unit in {ring.name}")
+                f"is not a unit in {ring.name}") from None
         if not ring.is_finite:
-            size = max(abs(value.value.numerator), value.value.denominator)
+            size = max(abs(value.numerator), value.denominator)
             if abs(coord) * (size.bit_length() - 1) > WEIGHT_BIT_LIMIT:
                 raise WeightTooLarge(
                     f"side {side.name}: local-system weight ({value})^{coord} "
                     f"for {label} needs more than {WEIGHT_BIT_LIMIT} bits")
-        weight = weight * (value ** coord)
+        base = value if coord > 0 else inverse
+        weight = reduce(weight * pow(base, abs(coord), ring.modulus), ring)
     return weight
 
 
@@ -147,7 +148,7 @@ def _weighted_sum(side, disks, attr, ring, local_map) -> tuple:
     for disk in disks:
         scale = disk.count
         if local_map is not None:
-            scale *= _local_weight(side, local_map, disk.boundary, ring).value
+            scale *= _local_weight(side, local_map, disk.boundary, ring)
         for idx, coord in enumerate(getattr(disk, attr)):
             acc[idx] += scale * coord
     return tuple(reduce(x, ring) for x in acc)

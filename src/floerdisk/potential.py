@@ -310,7 +310,7 @@ def evaluate_partials_at(p: NovikovPolynomial, z0, w0, ring: Ring):
     the residue search is tested against, not part of that search."""
     out = []
     for var in ("z", "w"):
-        total = ring.zero()
+        total = RingElement(ring, reduce(0, ring))
         for t in partial_derivative(p, var).terms:
             term = RingElement(ring, reduce(t.coeff, ring))
             term = term * (RingElement(ring, reduce(z0, ring)) ** t.z_exp)

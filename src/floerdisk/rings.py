@@ -124,12 +124,6 @@ class Ring:
     def is_finite(self) -> bool:
         return self.kind in (INTEGERS_MOD, PRIME_FIELD)
 
-    def zero(self) -> "RingElement":
-        return RingElement(self, reduce(0, self))
-
-    def one(self) -> "RingElement":
-        return RingElement(self, reduce(1, self))
-
     def __repr__(self):
         return f"Ring({self.name})"
 
@@ -171,11 +165,7 @@ class RingElement:
         if not self.is_unit:
             raise NonInvertibleDenominator(
                 f"{self.value} is not a unit in {self.ring.name}")
-        if self.ring.kind == INTEGERS:
-            return RingElement(self.ring, self.value)
-        if self.ring.kind == RATIONALS:
-            return RingElement(self.ring, 1 / Fraction(self.value))
-        return RingElement(self.ring, pow(int(self.value), -1, self.ring.modulus))
+        return RingElement(self.ring, reduce(Fraction(1, self.value), self.ring))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -193,7 +183,7 @@ class RingElement:
 
 
 def reduce(x, ring: Ring):
-    """The canonical plain representative of an int, Fraction or RingElement:
+    """The canonical plain representative of an int or a Fraction:
     an int in [0, n) over Z/n and F_p, an int over Z, a Fraction over Q.
 
     Fractions are only accepted when the denominator is invertible; in Z/n
@@ -206,10 +196,6 @@ def reduce(x, ring: Ring):
     """
     if type(x) is int and ring.modulus is not None:   # not a bool
         return x % ring.modulus
-    if isinstance(x, RingElement):
-        if x.ring == ring:
-            return x.value
-        x = x.value
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"cannot reduce {x!r} into {ring.name}")
     frac = Fraction(x)

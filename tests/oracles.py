@@ -384,10 +384,10 @@ def _oracle_weighted_sum(side, disks, attr, width, ring, local):
     from floerdisk.invariants import _local_weight
     from floerdisk.rings import RingElement, reduce
 
-    acc = [ring.zero()] * width
+    acc = [RingElement(ring, reduce(0, ring))] * width
     for disk in disks:
-        weight = (ring.one() if local is None
-                  else _local_weight(side, local, disk.boundary, ring))
+        weight = RingElement(ring, 1 if local is None
+                             else _local_weight(side, local, disk.boundary, ring))
         for i, coord in enumerate(getattr(disk, attr)):
             acc[i] += weight * RingElement(ring, reduce(disk.count * coord, ring))
     return tuple(x.value for x in acc)

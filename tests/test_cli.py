@@ -130,6 +130,17 @@ def test_text_format_renders_same_payload():
     assert plain == _render_text(json.loads(json_text)) + "\n"
 
 
+def test_text_format_writes_empty_containers_inline():
+    code, plain = run(GOLDEN_COMMANDS["criterion_cp2"] + ["--format", "text"])
+    assert code == 0
+    lines = plain.splitlines()
+    assert "" not in lines
+    assert lines[-1] == "warnings: []"
+    assert "      inputs: {}" in lines
+    from floerdisk.cli import _render_text
+    assert _render_text({"a": [[], {}, [1]]}) == "a:\n  - []\n  - {}\n  -\n    - 1"
+
+
 def test_validate_good_and_bad(tmp_path):
     code, text = run(["validate", "--builtin", "cp2_ta:a=1/10"])
     assert code == 0
