@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter
 
 from .errors import (BasisMismatch, Degenerate, InfiniteRing, NotSingleLevel,
@@ -51,19 +51,24 @@ class NovikovPolynomial:
 
     @classmethod
     def from_terms(cls, terms) -> "NovikovPolynomial":
-        merged: dict[tuple, Fraction] = {}
+        merged: dict[tuple, NovikovTerm] = {}
         for term in terms:
-            merged[term.key] = merged.get(term.key, Fraction(0)) + term.coeff
-        cleaned = [NovikovTerm(c, k[0], bulk_exp=k[3], z_exp=k[1], w_exp=k[2])
-                   for k, c in merged.items() if c != 0]
-        return cls(tuple(sorted(cleaned, key=lambda t: t.key)))
+            t = term.t_exp
+            key = (t.numerator, t.denominator, term.z_exp, term.w_exp,
+                   term.bulk_exp)
+            if old := merged.get(key):
+                term = NovikovTerm(old.coeff + term.coeff, t, term.bulk_exp,
+                                   term.z_exp, term.w_exp)
+            merged[key] = term
+        return cls(tuple(sorted((t for t in merged.values() if t.coeff),
+                                key=lambda t: t.key)))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def t_levels(self) -> list[Fraction]:
-        return sorted({t.t_exp for t in self.terms})
+        return [level for level, _ in groupby(t.t_exp for t in self.terms)]
 
     def to_dicts(self) -> list[dict]:
         return [{"coeff": rational_str(t.coeff), "t": rational_str(t.t_exp),
@@ -102,7 +107,7 @@ def potential_from_ledger(side: LagrangianSide,
 
 
 def truncate_to_level(p: NovikovPolynomial, level) -> NovikovPolynomial:
-    level = Fraction(level)
+    level = _fraction(level)
     return NovikovPolynomial(tuple(t for t in p.terms if t.t_exp == level))
 
 
@@ -160,41 +165,32 @@ def _charge_units(work: int, what: str):
                                f"budget of {UNIT_WORK_BUDGET}")
 
 
-def _rational_roots(coeffs: dict) -> list[Fraction]:
-    """Nonzero rational roots of the Laurent polynomial sum c * x^e over
-    the {e: c} items, by the rational root test after clearing
-    denominators."""
+def _rational_roots(coeffs: dict, den: int) -> list[Fraction]:
+    """Nonzero rational roots of the Laurent polynomial sum c/den * x^e over
+    the {e: c} items of int c, by the rational root test on the c/g,
+    g = gcd(den, c...), the ints that clearing the denominators gives:
+    p/q is a root iff the sum c * p^e * q^(degree - e) is zero."""
     coeffs = {e: c for e, c in coeffs.items() if c}
     if len(coeffs) <= 1:
         return []
     low, degree = min(coeffs), max(coeffs) - min(coeffs)
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    ints = {e - low: int(c * den) for e, c in coeffs.items()}
+    g = gcd(den, *coeffs.values())
+    ints = {e - low: c // g for e, c in coeffs.items()}
     a0, an = abs(ints[0]), abs(ints[degree])
     _charge_units(isqrt(a0) + isqrt(an),
                   "trial division in the rational root test")
 
     def divisors(n):
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
+        small = [d for d in range(1, isqrt(n) + 1) if not n % d]
+        return {*small, *(n // d for d in small)}
 
     tops, bottoms = divisors(a0), divisors(an)
     _charge_units(2 * len(tops) * len(bottoms) * degree,
                   f"the rational root test at degree {degree}")
-    roots = set()
-    for p in tops:
-        for q in bottoms:
-            for sign in (1, -1):
-                candidate = Fraction(sign * p, q)
-                if sum(c * candidate ** e for e, c in ints.items()) == 0:
-                    roots.add(candidate)
-    return sorted(roots)
+    return sorted(Fraction(top, q) for p in tops for q in bottoms
+                  if gcd(p, q) == 1 for top in (p, -p)
+                  if not sum(c * top ** e * q ** (degree - e)
+                             for e, c in ints.items()))
 
 
 @dataclass(frozen=True)
@@ -238,11 +234,11 @@ def unit_critical_analysis(p: NovikovPolynomial) -> CriticalReport:
     has a root over a characteristic-zero closed residue field; a rational
     root is reported too when one exists).  An analysis whose planned work
     passes UNIT_WORK_BUDGET is refused with UnsupportedShape."""
-    pw = partial_derivative(p, "w")
-    if pw.is_zero:
+    heads = {(t.t_exp.numerator, t.t_exp.denominator, t.z_exp, t.bulk_exp)
+             for t in p.terms if t.w_exp}
+    if not heads:
         raise UnsupportedShape(
             "w-derivative vanishes identically; outside the supported family")
-    heads = {(t.t_exp, t.z_exp, t.bulk_exp) for t in pw.terms}
     if len(heads) != 1:
         raise UnsupportedShape(
             "w-derivative does not factor through a single w-polynomial")
@@ -250,17 +246,25 @@ def unit_critical_analysis(p: NovikovPolynomial) -> CriticalReport:
     low, high = min(w_exps), max(w_exps)
     _charge_units(high - low, "the span of the w exponents")
 
-    pz = partial_derivative(p, "z")
+    # Both partials, read off the terms (nothing merges), scaled by den, the
+    # lcm of the denominators: a common scale moves no zero and no root.
+    den = lcm(*(t.coeff.denominator for t in p.terms))
+    ints = [t.coeff.numerator * (den // t.coeff.denominator) for t in p.terms]
+    levels = {(t.t_exp.numerator, t.t_exp.denominator): t.t_exp
+              for t in p.terms}
+    pz = [(((t.t_exp.numerator, t.t_exp.denominator), t.z_exp - 1,
+            t.bulk_exp), c * t.z_exp, t.w_exp)
+          for t, c in zip(p.terms, ints) if t.z_exp]
     branches = []
-    for w0 in _rational_roots({t.w_exp: t.coeff for t in pw.terms}):
+    for w0 in _rational_roots({t.w_exp - 1: c * t.w_exp for t, c
+                               in zip(p.terms, ints) if t.w_exp}, den):
         # each coefficient at w0 = u/v, scaled alike by u^-low * v^high
         u, v = w0.numerator, w0.denominator
-        collapsed: dict[tuple, Fraction] = {}
-        for t in pz.terms:
-            key = (t.t_exp, t.z_exp, t.bulk_exp)
-            collapsed[key] = collapsed.get(key, Fraction(0)) \
-                + t.coeff * u ** (t.w_exp - low) * v ** (high - t.w_exp)
-        support = {(te, ze) for (te, ze, _), c in collapsed.items() if c != 0}
+        collapsed: dict[tuple, int] = {}
+        for key, c, we in pz:
+            collapsed[key] = (collapsed.get(key, 0)
+                              + c * u ** (we - low) * v ** (high - we))
+        support = {(te, ze) for (te, ze, _), c in collapsed.items() if c}
         if not support:
             branches.append(BranchReport(
                 w0, (), True, None, True,
@@ -272,16 +276,16 @@ def unit_critical_analysis(p: NovikovPolynomial) -> CriticalReport:
                 w0, (), False, None, False,
                 "single z-exponent survives; no balance is possible"))
             continue
-        vals = newton_valuations(support)
+        vals = newton_valuations((levels[te], ze) for te, ze in support)
         candidate = Fraction(0) in vals
         root = None
         if candidate:
-            min_t = min(te for te, _ in support)
-            achievers = {ze: Fraction(0) for te, ze in support if te == min_t}
+            min_t = min(support, key=lambda s: levels[s[0]])[0]
+            achievers = {ze: 0 for te, ze in support if te == min_t}
             for (te, ze, _), c in collapsed.items():
                 if te == min_t and ze in achievers:
                     achievers[ze] += c
-            roots = _rational_roots(achievers)
+            roots = _rational_roots(achievers, den)
             root = roots[0] if roots else None
         note = ("balances at valuation zero" if candidate
                 else "no valuation-zero balance; any solution has "
@@ -324,8 +328,9 @@ def _compile_partials(p: NovikovPolynomial, ring: Ring) -> tuple:
     """Both partials as tuples of (coeff mod n, z_exp, w_exp) int triples,
     with t and e^c read as 1, like monomials merged and zeros dropped.
 
-    Coefficients go through ``reduce`` in the order ``evaluate_partials_at``
-    uses, so a non-invertible denominator raises the same error."""
+    An integer coefficient is taken mod n directly; the others go through
+    ``reduce`` in the order ``evaluate_partials_at`` uses, so a
+    non-invertible denominator raises the same error."""
     n = ring.modulus
     out = []
     for dz, dw in ((1, 0), (0, 1)):
@@ -333,8 +338,10 @@ def _compile_partials(p: NovikovPolynomial, ring: Ring) -> tuple:
         for t in p.terms:
             if exp := t.z_exp * dz + t.w_exp * dw:
                 key = (t.z_exp - dz, t.w_exp - dw)
-                merged[key] = (merged.get(key, 0)
-                               + reduce(t.coeff * exp, ring)) % n
+                c = t.coeff
+                c = (c.numerator * exp if c.denominator == 1
+                     else reduce(c * exp, ring))
+                merged[key] = (merged.get(key, 0) + c) % n
         out.append(tuple((c, ze, we) for (ze, we), c in merged.items() if c))
     return tuple(out)
 
@@ -357,17 +364,18 @@ def _roots(partials, groups, q: int):
     z_exps = {ze for terms in partials for _, ze, _ in terms}
     w_exps = {we for terms in partials for _, _, we in terms}
     ones = dict.fromkeys(z_exps, 1)
-    fixed = [_row(terms, ones, q) if len({ze for _, ze, _ in terms}) == 1
+    fixed = [_row(terms, ones, q) if len({ze for _, ze, _ in terms}) <= 1
              else None for terms in partials]
+    varies = None in fixed
     seen: dict[tuple, dict] = {}
     for zs, ws in groups:
         scanned = seen.setdefault(tuple(ws), {})
         every, tables = frozenset(ws), None
         for z in zs:
-            z_powers = {e: pow(z, e, q) for e in z_exps}
+            z_powers = varies and {e: pow(z, e, q) for e in z_exps}
             survivors = every
             for terms, key in zip(partials, fixed):
-                key = key or _row(terms, z_powers, q)
+                key = _row(terms, z_powers, q) if key is None else key
                 if key not in scanned:
                     tables = tables or {e: [pow(w, e, q) for w in ws]
                                         for e in w_exps}

@@ -194,8 +194,10 @@ def reduce(x, ring: Ring):
     >>> reduce(Fraction(4, 6), Ring.parse("Q"))
     Fraction(2, 3)
     """
-    if type(x) is int and ring.modulus is not None:   # not a bool
-        return x % ring.modulus
+    if type(x) is int:   # not a bool
+        if ring.modulus is not None:
+            return x % ring.modulus
+        return x if ring.kind == INTEGERS else Fraction(x)
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"cannot reduce {x!r} into {ring.name}")
     frac = Fraction(x)

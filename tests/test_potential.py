@@ -1,8 +1,10 @@
 import io
 import json
 import random
+import re
 import time
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,53 @@ def _random_poly(rng, nterms=None):
                           ec=rng.randint(0, 2), z=rng.randint(-3, 3),
                           w=rng.randint(-3, 3)))
     return NovikovPolynomial.from_terms(terms)
+
+
+def _random_term_list(rng):
+    """Terms over several levels, each t_exp an int or an equal Fraction,
+    with repeated monomials whose coefficients often cancel."""
+    monomials = [(rng.choice([0, 1, F(1, 3), F(2, 5)]), rng.randint(-2, 2),
+                  rng.randint(-2, 2), rng.randint(0, 1))
+                 for _ in range(rng.randint(1, 5))]
+    terms = []
+    for _ in range(rng.randint(0, 10)):
+        t, z, w, ec = rng.choice(monomials)
+        c = F(rng.randint(-3, 3), rng.randint(1, 3))
+        t = rng.choice([t, F(t)]) if t == int(t) else t
+        terms.append(NovikovTerm(c, t, bulk_exp=ec, z_exp=z, w_exp=w))
+        if rng.randint(0, 2) == 0:   # cancelled later in the list
+            terms.append(NovikovTerm(-c, F(t), bulk_exp=ec, z_exp=z, w_exp=w))
+    rng.shuffle(terms)
+    return terms
+
+
+def test_canonical_form_matches_its_set_definitions():
+    rng = random.Random(29)
+    seen_levels, seen_cancel = set(), 0
+    for _ in range(500):
+        terms = _random_term_list(rng)
+        sums = {}
+        for t in terms:
+            key = (F(t.t_exp), t.z_exp, t.w_exp, t.bulk_exp)
+            sums[key] = sums.get(key, 0) + t.coeff
+        expected = sorted((k, c) for k, c in sums.items() if c)
+        seen_cancel += len(sums) - len(expected)
+        p = NovikovPolynomial.from_terms(terms)
+        assert [(t.key, t.coeff) for t in p.terms] == expected
+        assert all(type(t.coeff) is F and type(t.t_exp) is F
+                   for t in p.terms)
+        levels = sorted({t.t_exp for t in p.terms})
+        assert p.t_levels() == levels
+        seen_levels.add(len(levels))
+        for level in levels + [F(1, 7)]:
+            for given in {level, level.numerator if level.denominator == 1
+                          else level}:
+                assert truncate_to_level(p, given).terms == tuple(
+                    t for t in p.terms if t.t_exp == level)
+                assert truncate_to_level(p, given) == \
+                    NovikovPolynomial.from_terms(
+                        t for t in terms if F(t.t_exp) == level)
+    assert seen_levels >= {0, 1, 2, 3} and seen_cancel > 50
 
 
 def test_derivative_examples():
@@ -230,6 +279,21 @@ def test_branch_at_a_root_that_is_not_an_integer():
     (branch,) = unit_critical_analysis(p).branches
     assert branch.w0 == F(1, 2) and branch.candidate
     assert branch.residue_rational_root == 2
+
+
+def test_branch_root_is_read_at_the_least_level():
+    # W = t^(1/3) (w^2/2 - w + z + z^2/2) + t^(1/5) (z - z^2/4): on the
+    # branch w0 = 1, dW/dz is t^(1/5) (1 - z/2) + t^(1/3) (1 + z), which
+    # balances at valuation zero on the least level 1/5, where z = 2; the
+    # level 1/3 (written (1, 3), before (1, 5) as a pair) would give -1
+    p = NovikovPolynomial.from_terms([
+        term(F(1, 2), F(1, 3), w=2), term(-1, F(1, 3), w=1),
+        term(1, F(1, 3), z=1), term(F(1, 2), F(1, 3), z=2),
+        term(1, F(1, 5), z=1), term(F(-1, 4), F(1, 5), z=2)])
+    (branch,) = unit_critical_analysis(p).branches
+    assert branch.w0 == 1 and branch.candidate
+    assert branch.residue_rational_root == 2
+    assert unit_critical_analysis(p) == reference_unit_critical_analysis(p)
 
 
 def test_unsupported_shape():
@@ -526,3 +590,209 @@ def test_basis_mismatch():
                   ledger=side.ledger.__class__((), None))
     with pytest.raises(BasisMismatch):
         potential_from_ledger(bad)
+
+
+# --- the unit analysis against its Fraction reference ---------------------------
+
+def reference_rational_roots(coeffs: dict) -> list:
+    """``potential._rational_roots`` as it was on Fraction coefficients:
+    clear the denominators, then try every candidate as a Fraction power
+    sum."""
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    if len(coeffs) <= 1:
+        return []
+    low, degree = min(coeffs), max(coeffs) - min(coeffs)
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    ints = {e - low: int(c * den) for e, c in coeffs.items()}
+    a0, an = abs(ints[0]), abs(ints[degree])
+    potential._charge_units(isqrt(a0) + isqrt(an),
+                            "trial division in the rational root test")
+
+    def divisors(n):
+        out = set()
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.add(d)
+                out.add(n // d)
+            d += 1
+        return out
+
+    tops, bottoms = divisors(a0), divisors(an)
+    potential._charge_units(2 * len(tops) * len(bottoms) * degree,
+                            f"the rational root test at degree {degree}")
+    roots = set()
+    for p in tops:
+        for q in bottoms:
+            for sign in (1, -1):
+                candidate = Fraction(sign * p, q)
+                if sum(c * candidate ** e for e, c in ints.items()) == 0:
+                    roots.add(candidate)
+    return sorted(roots)
+
+
+def reference_unit_critical_analysis(p):
+    """``unit_critical_analysis`` as it was on Fraction keys: both partials
+    through ``partial_derivative``, every branch collapsed in Fractions."""
+    pw = partial_derivative(p, "w")
+    if pw.is_zero:
+        raise UnsupportedShape(
+            "w-derivative vanishes identically; outside the supported family")
+    heads = {(t.t_exp, t.z_exp, t.bulk_exp) for t in pw.terms}
+    if len(heads) != 1:
+        raise UnsupportedShape(
+            "w-derivative does not factor through a single w-polynomial")
+    w_exps = [t.w_exp for t in p.terms]
+    low, high = min(w_exps), max(w_exps)
+    potential._charge_units(high - low, "the span of the w exponents")
+
+    pz = partial_derivative(p, "z")
+    branches = []
+    for w0 in reference_rational_roots({t.w_exp: t.coeff
+                                        for t in pw.terms}):
+        u, v = w0.numerator, w0.denominator
+        collapsed = {}
+        for t in pz.terms:
+            key = (t.t_exp, t.z_exp, t.bulk_exp)
+            collapsed[key] = collapsed.get(key, Fraction(0)) \
+                + t.coeff * u ** (t.w_exp - low) * v ** (high - t.w_exp)
+        support = {(te, ze) for (te, ze, _), c in collapsed.items() if c != 0}
+        if not support:
+            branches.append(potential.BranchReport(
+                w0, (), True, None, True,
+                "z-derivative vanishes identically on this branch; every "
+                "unit z is critical"))
+            continue
+        if len({ze for _, ze in support}) < 2:
+            branches.append(potential.BranchReport(
+                w0, (), False, None, False,
+                "single z-exponent survives; no balance is possible"))
+            continue
+        vals = newton_valuations(support)
+        candidate = Fraction(0) in vals
+        root = None
+        if candidate:
+            min_t = min(te for te, _ in support)
+            achievers = {ze: Fraction(0) for te, ze in support if te == min_t}
+            for (te, ze, _), c in collapsed.items():
+                if te == min_t and ze in achievers:
+                    achievers[ze] += c
+            roots = reference_rational_roots(achievers)
+            root = roots[0] if roots else None
+        note = ("balances at valuation zero" if candidate
+                else "no valuation-zero balance; any solution has "
+                     "non-unit z")
+        branches.append(potential.BranchReport(w0, vals, False, root,
+                                               candidate, note))
+    return potential.CriticalReport(any(b.candidate for b in branches),
+                                    tuple(branches))
+
+
+def analysis_outcome(analysis, p):
+    """The report as a dict, or the refusal as its type and message."""
+    try:
+        return analysis(p).as_dict()
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+
+
+PLANTED_ROOTS = [F(1, 2), F(-3), F(2, 3), F(1), F(-1), F(-1, 2), F(3, 2)]
+LEVELS = [F(0), F(1, 5), F(1, 3), F(2, 5)]
+# end coefficients with many divisors, or whose trial division alone
+# passes the unit budget
+SCALES = [1, 1, 1, 1, 5040, 720720, 2 ** 31 - 1]
+
+
+def one_head_polynomial(integer, choice):
+    """W = t^a z^k e^(c b) f(w) + w-free terms, where f' is w^s times
+    linear factors with planted roots, a small cofactor and a rational
+    scale; so dW/dw factors through one w-polynomial.  One in ten has a w
+    exponent far enough out to pass the unit budget.
+
+    integer(lo, hi) and choice(seq) draw the parameters: from hypothesis
+    or from a seeded random.Random."""
+    def coeff():
+        return F(integer(-9, 9), integer(1, 7))
+
+    derivative = {0: F(integer(1, 9), integer(1, 7)) * choice(SCALES)}
+    for _ in range(integer(0, 3)):
+        root, grown = choice(PLANTED_ROOTS), {}
+        for e, c in derivative.items():   # times (q w - p), root = p/q
+            grown[e + 1] = grown.get(e + 1, 0) + c * root.denominator
+            grown[e] = grown.get(e, 0) - c * root.numerator
+        derivative = grown
+    for e in range(1, integer(1, 3)):
+        derivative[e] = derivative.get(e, 0) + coeff()
+    # shifted so that no w^-1 term needs integrating
+    span = max(derivative)
+    shift = (integer(0, 2) if integer(0, 1)
+             else integer(-4 - span, -2 - span))
+    if integer(0, 9) == 0:
+        shift += potential.UNIT_WORK_BUDGET
+    head_t, head_ec, head_z = choice(LEVELS), integer(0, 1), integer(-3, 3)
+    terms = [term(F(c) / (e + shift + 1), head_t, ec=head_ec, z=head_z,
+                  w=e + shift + 1) for e, c in derivative.items()]
+    terms += [term(coeff(), choice(LEVELS), ec=integer(0, 2),
+                   z=integer(-4, 4)) for _ in range(integer(0, 4))]
+    return NovikovPolynomial.from_terms(terms)
+
+
+def any_polynomial(integer, choice):
+    """Up to six terms over several levels, most with w exponents under
+    more than one head or with no w at all: mostly outside the supported
+    family."""
+    return NovikovPolynomial.from_terms(
+        term(F(integer(-9, 9), integer(1, 7)), choice(LEVELS),
+             ec=integer(0, 1), z=integer(-4, 4),
+             w=choice([0, 0, 1, -1, 2, integer(-4, 4)]))
+        for _ in range(integer(0, 6)))
+
+
+@st.composite
+def unit_analysis_inputs(draw):
+    def integer(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    def choice(seq):
+        return draw(st.sampled_from(seq))
+
+    return choice([one_head_polynomial, one_head_polynomial,
+                   any_polynomial])(integer, choice)
+
+
+@settings(max_examples=200)
+@given(unit_analysis_inputs())
+def test_unit_analysis_matches_its_fraction_reference(p):
+    assert analysis_outcome(unit_critical_analysis, p) == \
+        analysis_outcome(reference_unit_critical_analysis, p)
+
+
+def test_unit_analysis_matches_its_reference_on_every_outcome():
+    # the same comparison on seeded draws, which reach every kind of branch
+    # and every refusal
+    rng = random.Random(29)
+    seen = set()
+    for i in range(600):
+        p = (any_polynomial if i % 3 == 2 else one_head_polynomial)(
+            rng.randint, rng.choice)
+        outcome = analysis_outcome(unit_critical_analysis, p)
+        assert outcome == analysis_outcome(reference_unit_critical_analysis,
+                                           p)
+        if isinstance(outcome, tuple):
+            seen.add(re.sub("[0-9]+", "#", outcome[1]))
+        else:
+            seen.update((b["note"].split(";")[0],
+                         b["residue_rational_root"] is not None)
+                        for b in outcome["branches"])
+    budget = "exceeds the work budget of #"
+    assert seen == {
+        "w-derivative vanishes identically; outside the supported family",
+        "w-derivative does not factor through a single w-polynomial",
+        f"unit analysis: the span of the w exponents {budget}",
+        f"unit analysis: trial division in the rational root test {budget}",
+        f"unit analysis: the rational root test at degree # {budget}",
+        ("z-derivative vanishes identically on this branch", False),
+        ("single z-exponent survives", False),
+        ("balances at valuation zero", True),
+        ("balances at valuation zero", False),
+        ("no valuation-zero balance", False)}

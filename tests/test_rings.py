@@ -94,6 +94,19 @@ def test_reduce_examples():
     assert reduce(Fraction(1, 3), Z8) == 3  # 3 * 3 = 9 = 1 mod 8
 
 
+def test_reduce_keeps_an_int_over_z_and_makes_a_fraction_over_q():
+    for x in (5, -7, 0, 10 ** 30):
+        assert type(reduce(x, Z)) is int and reduce(x, Z) == x
+        assert type(reduce(x, Q)) is Fraction and reduce(x, Q) == x
+        assert type(reduce(x, Z8)) is int and reduce(x, Z8) == x % 8
+    assert type(reduce(Fraction(6, 3), Z)) is int
+    assert type(reduce(Fraction(6, 3), Q)) is Fraction
+    for ring in (Z, Q):
+        for x in (True, False):
+            with pytest.raises(TypeError, match="cannot reduce"):
+                reduce(x, ring)
+
+
 def test_reduce_noninvertible_denominator():
     with pytest.raises(NonInvertibleDenominator):
         reduce(Fraction(1, 2), Z8)
