@@ -279,20 +279,7 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
             raise ValidationError(
                 f"side {side.name}: boundary mismatch for disk {disk.label}")
 
-    if side.monotone:
-        if side.monotonicity_constant is None:
-            raise ValidationError(
-                f"side {side.name}: monotone side needs its constant")
-        for disk in side.ledger.disks:
-            if disk.area != side.monotonicity_constant * disk.maslov / 2:
-                raise ValidationError(
-                    f"side {side.name}: disk {disk.label} violates "
-                    f"area = (b/2) * maslov")
-    elif side.ledger.disks and side.ledger.complete_below is None:
-        # only monotonicity justifies an unbounded completeness claim
-        raise ValidationError(
-            f"side {side.name}: a non-monotone ledger needs a finite "
-            f"completeness cutoff")
+    _check_areas(side)
 
     if side.local_system is not None:
         keys = {k for k, _ in side.local_system}
@@ -300,10 +287,6 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
             raise ValidationError(
                 f"side {side.name}: local system must assign a unit to every "
                 f"H1 generator")
-
-    if side.lattice_params is not None and min(side.lattice_params) < 1:
-        raise ValidationError(
-            f"side {side.name}: lattice parameters need k >= 1 and N >= 1")
 
     if side.subspace is not None and side.subspace.ambient_dim != side.h1.ngens:
         raise ValidationError(
@@ -313,6 +296,27 @@ def _validate_side(h2x: FgAbelianGroup, side: LagrangianSide):
         if len(side.asserted_invariant) != h2x.ngens:
             raise ValidationError(
                 f"side {side.name}: asserted invariant length")
+
+
+def _check_areas(side: LagrangianSide):
+    """_validate_side's checks of what a moves (every Maslov index is 2)."""
+    if side.monotone:
+        if side.monotonicity_constant is None:
+            raise ValidationError(
+                f"side {side.name}: monotone side needs its constant")
+        for disk in side.ledger.disks:
+            if disk.area != side.monotonicity_constant:
+                raise ValidationError(
+                    f"side {side.name}: disk {disk.label} violates "
+                    f"area = (b/2) * maslov")
+    elif side.ledger.disks and side.ledger.complete_below is None:
+        # only monotonicity justifies an unbounded completeness claim
+        raise ValidationError(
+            f"side {side.name}: a non-monotone ledger needs a finite "
+            f"completeness cutoff")
+    if side.lattice_params is not None and min(side.lattice_params) < 1:
+        raise ValidationError(
+            f"side {side.name}: lattice parameters need k >= 1 and N >= 1")
 
 
 def _check_exactness(side: LagrangianSide):
@@ -671,9 +675,8 @@ A_INTERVALS = {name: entry.interval
 
 
 def _make_topology(entry: _Builtin) -> tuple:
-    """(H2(X), form, ring, side template, disk rows): all that an entry fixes
-    for every a.  Sides from one template share (j, bd), so exactness is
-    checked once; a disk row is (label, rel_class, boundary, count, area)."""
+    """(H2(X), form, ring, side template, _disk_rows): all that an entry
+    fixes for every a, so that sides from one template share (j, bd)."""
     gens, form, ring = entry.ambient
     h2x, h1 = FgAbelianGroup(gens), FgAbelianGroup(entry.h1)
     h2_rel = FgAbelianGroup(entry.h2_rel)
@@ -692,8 +695,12 @@ def _make_topology(entry: _Builtin) -> tuple:
 
 
 def _disk_rows(entry: _Builtin, bd) -> tuple:
-    return tuple((label, rel, mat_vec(bd, rel), count, area)
-                 for label, rel, count, area in entry.disks)
+    """(affine rows, disk rows): the distinct area rows, the cutoff and the
+    constant; a disk row is (label, rel_class, boundary, count, area row)."""
+    areas = tuple(dict.fromkeys(area for *_, area in entry.disks))
+    return (*areas, entry.cutoff, entry.constant), tuple(
+        (label, rel, mat_vec(bd, rel), count, areas.index(area))
+        for label, rel, count, area in entry.disks)
 
 
 @functools.cache
@@ -703,20 +710,28 @@ def _topology(name: str) -> tuple:
 
 def _make_side(entry: _Builtin, template: LagrangianSide, rows: tuple,
                a: Fraction) -> LagrangianSide:
-    """The entry's side at a (any value for a fixed entry), from its
-    template and disk rows; each distinct affine value is taken once."""
+    """The entry's side at a (any value for a fixed entry) from its template
+    and rows, each affine row taken once.  Only the first side built from
+    them is validated in full; the others need only _check_areas."""
     top = entry.interval is not None and a == entry.interval[1]
-    at = functools.cache(
-        lambda value: None if value is None else value[0] + value[1] * a)
-    disks = tuple(DiskClass(label, rel, boundary, 2, at(area), count)
-                  for label, rel, boundary, count, area in rows)
-    constant = a if top else at(entry.constant)
-    cutoff = None if top else at(entry.cutoff)
-    return replace(template, name=entry.side,
-                   ledger=DiskLedger(disks, cutoff),
+    affine, disk_rows = rows
+    *at, cutoff, constant = [None if r is None else r[0] if not r[1]
+                             else r[0] + r[1] * a for r in affine]
+    disks = tuple(DiskClass(label, rel, boundary, 2, at[i], count)
+                  for label, rel, boundary, count, i in disk_rows)
+    if top:
+        cutoff, constant = None, a
+    side = replace(template, name=entry.side, ledger=DiskLedger(disks, cutoff),
                    monotone=constant is not None,
                    monotonicity_constant=constant,
                    lattice_params=None if top else entry.lattice)
+    if getattr(template, "_valid_rows", None) is rows:
+        _check_areas(side)
+    else:   # a refused side leaves the template unmarked
+        _validate_side(template.h2x, side)
+        object.__setattr__(template, "_valid_rows", rows)
+    object.__setattr__(side, "_valid_in", template.h2x)
+    return side
 
 
 def check_a(name: str, a: Fraction) -> None:
@@ -731,9 +746,8 @@ def builtin_row(name: str, value: Fraction, a: Fraction) -> tuple:
     """The row (c0, c1) of the parametric builtin, a disk area, its cutoff
     or its constant, that is worth value at a inside its open interval; no
     two rows cross there, so that one row gives the value at every a."""
-    entry = _TABLE[name]
-    rows = [area for *_, area in entry.disks] + [entry.cutoff, entry.constant]
-    return next(r for r in rows if r is not None and r[0] + r[1] * a == value)
+    affine, _ = _topology(name)[-1]
+    return next(r for r in affine if r is not None and r[0] + r[1] * a == value)
 
 
 def builtin_scenario(name: str, params=None) -> Scenario:
@@ -751,7 +765,7 @@ def builtin_scenario(name: str, params=None) -> Scenario:
         raise BadParams(f"unexpected parameters: {sorted(params)}")
     if a is None:
         raise BadParams("this scenario needs the exact rational parameter a")
-    a = Fraction(a)
+    a = _fraction(a)
     if name in A_INTERVALS:
         check_a(name, a)
     h2x, form, ring, *template = _topology(name)

@@ -16,8 +16,8 @@ import floerdisk.scenario as scenario_module
 from floerdisk.abelian import kernel_basis, mat_vec, transpose
 from floerdisk.cli import main
 from floerdisk.criterion import evaluate_pair
-from floerdisk.errors import (BadParams, FloerDiskError, SchemaError,
-                              UnknownScenario, ValidationError)
+from floerdisk.errors import (BadParams, DimensionMismatch, FloerDiskError,
+                              SchemaError, UnknownScenario, ValidationError)
 from floerdisk.invariants import oc_low
 from floerdisk.rings import Ring
 from floerdisk.scenario import (A_INTERVALS, BUILTIN_NAMES, MAX_DISKS,
@@ -1021,6 +1021,70 @@ def test_sphere_pair_past_its_bound_matches_oracle():
     with pytest.raises(BadParams) as got:
         sphere_pair(F(1, 2), F(1, 2), 3)
     assert str(got.value) == str(expected.value)
+
+
+def _fully_valid_and_equal(got, expected):
+    assert got.sides == expected.sides
+    for side in got.sides:
+        scenario_module._validate_side(got.h2x, side)
+
+
+def test_the_validation_marker_covers_only_valid_sides():
+    # built from cold templates in rising and then in falling order of a
+    # (so that each top end is once its template's first build), every
+    # builtin side passes the full validation that only that first build
+    # ran, and equals its oracle side
+    cases = list(_oracle_cases())
+    try:
+        for order in (cases, cases[::-1]):
+            scenario_module._topology.cache_clear()
+            for name, a in order:
+                _fully_valid_and_equal(
+                    builtin_scenario(name, None if a is None else {"a": a}),
+                    oracle_builtin_scenario(name, a))
+    finally:
+        scenario_module._topology.cache_clear()
+    for a, b, k in [(F(1, 5), F(1, 6), 2), (F(1, 10), F(1, 10), 3),
+                    (F(1, 4), F(1, 4), 3)]:
+        _fully_valid_and_equal(sphere_pair(a, b, k),
+                               oracle_sphere_pair(a, b, k))
+
+
+_CP2_TA = scenario_module._TABLE["cp2_ta"]
+
+
+@pytest.mark.parametrize("change, first, error, message", [
+    # a rel_class of the wrong length
+    ({"disks": (("H-2b-a", (1, -2), 1, (0, 1)),) + _CP2_TA.disks[1:]}, None,
+     DimensionMismatch, "matrix/vector shape mismatch"),
+    # a duplicate disk label
+    ({"disks": _CP2_TA.disks + _CP2_TA.disks[:1]}, None,
+     ValidationError, "duplicate disk labels in ledger"),
+    # the cutoff 1 - 3a meets the area a at a = 1/4, inside (0, 1/3)
+    ({"cutoff": (1, -3)}, F(1, 10),
+     ValidationError, "disk H-2b-a: area 1/4 not below ledger cutoff 1/4"),
+    # refused by the checks that run only on a template's first build
+    ({"asserted": (0, 0)}, None,
+     ValidationError, "side T_a: asserted invariant length"),
+    # first built at the top end, which has no lattice
+    ({"lattice": (0, 2)}, F(1, 3),
+     ValidationError, "side T_a: lattice parameters need k >= 1 and N >= 1"),
+], ids=["rel_class_length", "duplicate_label", "area_at_cutoff",
+        "asserted_length", "lattice_after_top"])
+def test_a_broken_table_row_is_refused_at_its_first_build(
+        monkeypatch, change, first, error, message):
+    monkeypatch.setitem(scenario_module._TABLE, "cp2_ta",
+                        _CP2_TA._replace(**change))
+    scenario_module._topology.cache_clear()
+    try:
+        if first is not None:
+            builtin_scenario("cp2_ta", {"a": first})
+        for _ in range(2):   # a refused template is not marked valid
+            with pytest.raises(error) as caught:
+                builtin_scenario("cp2_ta", {"a": F(1, 4)})
+            assert str(caught.value) == message
+    finally:
+        scenario_module._topology.cache_clear()
 
 
 @pytest.fixture

@@ -62,8 +62,10 @@ def test_submodules_load_through_the_package():
         "floerdisk.potential", "floerdisk.probes"]
 
 
-@pytest.mark.parametrize("name", ["potential_cp2", "probes_p1xp1"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_fresh_processes_reproduce_the_lazy_goldens(name):
+    # a fresh process loads its modules lazily and builds every builtin
+    # template cold, validating it in full
     out = _fresh("-m", "floerdisk.cli", *GOLDEN_COMMANDS[name]).stdout
     assert out == (GOLDEN / f"{name}.json").read_bytes()
 

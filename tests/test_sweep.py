@@ -197,48 +197,70 @@ def test_monotone_swept_side_threshold(tmp_path):
 
 @pytest.fixture
 def validations(monkeypatch):
-    calls = []
-    original = scenario_module._validate_side
-
-    def counted(h2x, side):
-        calls.append(side.name)
-        return original(h2x, side)
-
-    monkeypatch.setattr(scenario_module, "_validate_side", counted)
+    """The names of the sides validated in full ("full") and of those whose
+    checks that read a ran ("areas", a full validation included), from
+    cold builtin templates."""
+    calls = {"full": [], "areas": []}
+    for key, name in (("full", "_validate_side"), ("areas", "_check_areas")):
+        def counted(*args, key=key, original=getattr(scenario_module, name)):
+            calls[key].append(args[-1].name)
+            return original(*args)
+        monkeypatch.setattr(scenario_module, name, counted)
+    scenario_module._topology.cache_clear()
     return calls
 
 
 def test_combine_validates_nothing(validations):
     first = builtin_scenario("cp2_ta", {"a": F(1, 10)})
     second = builtin_scenario("cp2_clifford")
-    assert validations == ["T_a", "T_Cl"]
+    expected = {"full": ["T_a", "T_Cl"], "areas": ["T_a", "T_Cl"]}
+    assert validations == expected
     combine(first, second)
-    assert validations == ["T_a", "T_Cl"]
+    assert validations == expected
+    # from warm templates a build runs only the checks that read a
+    combine(builtin_scenario("cp2_ta", {"a": F(1, 5)}),
+            builtin_scenario("cp2_clifford"))
+    assert validations == {"full": ["T_a", "T_Cl"],
+                           "areas": ["T_a", "T_Cl"] * 2}
 
 
 def test_replaced_side_is_validated_again(validations):
+    builtin_scenario("cp2_ta", {"a": F(1, 5)})
     scenario = builtin_scenario("cp2_ta", {"a": F(1, 10)})
+    assert validations["full"] == ["T_a"]
     side = replace(scenario.side, local_system=(("dbeta", 1), ("dalpha", 1)))
     Scenario(scenario.h2x, scenario.form, (side,), scenario.ring)
-    assert validations == ["T_a", "T_a"]
+    assert validations["full"] == ["T_a", "T_a"]
     broken = replace(scenario.side, bd=replace(scenario.side.bd,
                                                matrix=((0, 0, 0), (0, 0, 0))))
     with pytest.raises(ValidationError, match="exactness"):
         Scenario(scenario.h2x, scenario.form, (broken,), scenario.ring)
+    # a side the CLI overrides is validated in full at each of its 3 builds
+    # (the --vs side once, from its cold template)
+    del validations["full"][:]
+    code, _ = run(sweep_argv("cp2_ta", "cp2_clifford",
+                             ["--ring", "Z/8", "--local-system",
+                              "dbeta=1,dalpha=1"], "1/20", "6/20", "1/20"))
+    assert code == 0
+    assert validations["full"] == ["T_Cl"] + ["T_a"] * 3
 
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_sweep_validates_each_side_once(validations, n):
     # one swept build per chamber of a the grid meets (the root 1/9 splits
     # 1/20..6/20 into two) and one for the last point, and the --vs side
-    # once: the gate rows come off the first build; re-validating every
-    # side at every point made 4n + 12 calls
+    # once: the gate rows come off the first build.  Each build runs the
+    # checks that read a, and only the first from each template the rest:
+    # re-validating every side at every point made 4n + 12 full calls
     builds = {1: 1, 6: 3}[n]
-    code, report = run(sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
-                                  "1/20", F(n, 20), "1/20"))
-    assert code == 0
-    assert len(report["result"]["points"]) == n
-    assert len(validations) == builds + 1
+    for _ in range(2):   # cold templates, then warm ones
+        code, report = run(sweep_argv("cp2_ta", "cp2_clifford",
+                                      ["--ring", "Z/8"], "1/20", F(n, 20),
+                                      "1/20"))
+        assert code == 0
+        assert len(report["result"]["points"]) == n
+    assert validations["full"] == ["T_Cl", "T_a"]
+    assert len(validations["areas"]) == 2 * (builds + 1)
 
 
 # --- the chamber walk against the per-point sweep -----------------------------
