@@ -22,8 +22,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .criterion import (evaluate_pair, gate_failure, gate_inputs, gate_sides,
-                        side_subspace)
+from .criterion import (INCONCLUSIVE, Verdict, evaluate_pair, gate_failure,
+                        gate_inputs, gate_sides, side_subspace)
 from .errors import BadParams, DimensionMismatch, FloerDiskError
 from .invariants import area_spectrum, oc_low
 from .rings import (PRIME_FIELD, Ring, parse_integer, parse_rational,
@@ -363,10 +363,13 @@ def _gate_threshold(lines: list, start: Fraction, step: Fraction,
 
 
 def _cmd_sweep(args):
-    """The decision tree runs once per gate outcome (pass or fail) that the
-    grid meets inside the builtin's open interval, and once at the closed top
-    end; every other point is answered by lookup, and a reason that is the
-    gate's own is rendered again at that point's a."""
+    """The decision tree runs once inside the builtin's open interval, at
+    its first grid point, and once at the closed top end.  Steps 1 and 2 do
+    not depend on a inside, so that run answers both gate outcomes unless
+    it failed at the gate: if it ended before the gate, its verdict serves
+    both, and if it passed, a failing point is inconclusive with the gate's
+    reason.  Every other point is answered by lookup, and a reason that is
+    the gate's own is rendered again at that point's a."""
     field = _field(args)
     if args.param != "a":
         raise BadParams("only the parameter 'a' can be swept")
@@ -410,7 +413,8 @@ def _cmd_sweep(args):
     threshold = _gate_threshold(lines, start, step, high)
 
     # key -> (its verdict, whether its reason is the gate's at its point);
-    # the key is "top", or whether the gate passes at a
+    # the key is "top", or whether the gate passes at a; the interior run
+    # fills both gate keys unless it failed at the gate
     verdicts, points = {}, []
     top_index = len(grid) - 1 if grid[-1] == high else None
     for i, a in enumerate(grid):
@@ -428,6 +432,12 @@ def _cmd_sweep(args):
             reason = verdict.reason
             gated = reason == failure
             verdicts[key] = verdict, gated
+            if key != "top":
+                checks = {r["check"]: r["value"] for r in verdict.audit}
+                if "area_gate" not in checks:
+                    verdicts[not key] = verdict, False
+                elif checks["area_gate"] == "pass":
+                    verdicts[False] = Verdict(INCONCLUSIVE), True
         entry = {"a": rational_str(a), "conclusion": verdict.conclusion}
         if verdict.theorem:
             entry["theorem"] = verdict.theorem

@@ -148,9 +148,12 @@ class DiskLedger:
                     raise ValidationError(
                         f"disk {d.label}: area {d.area} not below ledger "
                         f"cutoff {self.complete_below}")
-        # sorted once, kept off the dataclass fields so eq and repr ignore it
-        object.__setattr__(self, "_levels",
-                           tuple(sorted({d.area for d in self.disks})))
+        # sorted once, kept off the dataclass fields so eq and repr ignore it;
+        # deduped by identity (a build shares one Fraction per area row), then
+        # by equal neighbours, so that no Fraction is hashed
+        areas = sorted({id(d.area): d.area for d in self.disks}.values())
+        object.__setattr__(self, "_levels", tuple(
+            areas[:1] + [y for x, y in zip(areas, areas[1:]) if x != y]))
 
     @property
     def levels(self) -> list[Fraction]:

@@ -88,6 +88,16 @@ def test_ledger_levels_are_a_fresh_list_each_call():
     assert ledger.levels is not ledger.levels
 
 
+def test_ledger_levels_collapse_equal_areas_held_by_distinct_objects():
+    # a builtin build shares one Fraction per area row, a loaded document
+    # does not: equal areas count once either way
+    half = F(1, 2)
+    areas = [half, F(1, 3), F(2, 4), half, F(1, 3), F(1, 5), F(1, 2)]
+    ledger = DiskLedger([DiskClass(f"d{i}", (0,), (0,), 2, area, 1)
+                         for i, area in enumerate(areas)])
+    assert ledger.levels == [F(1, 5), F(1, 3), half]
+
+
 def test_bl3_ta_extra_disks():
     scenario = builtin_scenario("bl3_ta", {"a": F(1, 5)})
     halves = [d for d in scenario.side.ledger.disks if d.area == F(1, 2)]

@@ -235,24 +235,25 @@ def test_replaced_side_is_validated_again(validations):
                                                matrix=((0, 0, 0), (0, 0, 0))))
     with pytest.raises(ValidationError, match="exactness"):
         Scenario(scenario.h2x, scenario.form, (broken,), scenario.ring)
-    # a side the CLI overrides is validated in full at each of its 3 builds
-    # (the --vs side once, from its cold template)
+    # a side the CLI overrides is validated in full at each of its 2 builds,
+    # the first point and the last (the --vs side once, from its cold
+    # template)
     del validations["full"][:]
     code, _ = run(sweep_argv("cp2_ta", "cp2_clifford",
                              ["--ring", "Z/8", "--local-system",
                               "dbeta=1,dalpha=1"], "1/20", "6/20", "1/20"))
     assert code == 0
-    assert validations["full"] == ["T_Cl"] + ["T_a"] * 3
+    assert validations["full"] == ["T_Cl"] + ["T_a"] * 2
 
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_sweep_validates_each_side_once(validations, n):
-    # one swept build per chamber of a the grid meets (the root 1/9 splits
-    # 1/20..6/20 into two) and one for the last point, and the --vs side
-    # once: the gate rows come off the first build.  Each build runs the
-    # checks that read a, and only the first from each template the rest:
+    # one swept build at the first point, whose run also answers the points
+    # past the root 1/9, and one for the last point, and the --vs side once:
+    # the gate rows come off the first build.  Each build runs the checks
+    # that read a, and only the first from each template the rest:
     # re-validating every side at every point made 4n + 12 full calls
-    builds = {1: 1, 6: 3}[n]
+    builds = {1: 1, 6: 2}[n]
     for _ in range(2):   # cold templates, then warm ones
         code, report = run(sweep_argv("cp2_ta", "cp2_clifford",
                                       ["--ring", "Z/8"], "1/20", F(n, 20),
@@ -588,22 +589,23 @@ def evaluations(monkeypatch):
 
 
 def test_sweep_runs_the_tree_once_per_chamber(evaluations):
-    # 20 points: the open chambers (0, 1/9) and (1/9, 1/3), then the
-    # closed top end 1/3 on its own
+    # 20 points: one run in the open interval (0, 1/3), at 1/60, whose
+    # gate-passing verdict also answers the gate failures past the root 1/9,
+    # then the closed top end 1/3 on its own
     argv = sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
                       "1/60", "1/3", "1/60")
     text = main_text(argv)
     assert len(json.loads(text)["result"]["points"]) == 20
-    assert evaluations == [F(1, 60), F(7, 60), F(1, 3)]
+    assert evaluations == [F(1, 60), F(1, 3)]
     assert text == oracle_text(argv)
 
 
 def test_long_sweep_builds_and_evaluates_once_per_chamber(monkeypatch,
                                                          evaluations):
-    # 10,000 points: the tree runs in the two open chambers and at the top
-    # end, the swept side is built only where it runs (the last point is the
-    # top end), and the --vs side's invariant is computed once, then read
-    # off its side object
+    # 10,000 points: the tree runs once in the open interval and once at
+    # the top end, the swept side is built only where it runs (the last
+    # point is the top end), and the --vs side's invariant is computed
+    # once, then read off its side object
     builds, computed = [], []
     build, compute = cli.builtin_scenario, invariants_module._oc_low
 
@@ -621,22 +623,44 @@ def test_long_sweep_builds_and_evaluates_once_per_chamber(monkeypatch,
                                   "1/30000", "1/3", "1/30000"))
     assert code == 0
     assert len(report["result"]["points"]) == 10_000
-    assert evaluations == [F(1, 30000), F(3334, 30000), F(1, 3)]
-    assert builds.count("cp2_ta") <= 3
+    assert evaluations == [F(1, 30000), F(1, 3)]
+    assert builds.count("cp2_ta") == 2
     assert computed.count("T_Cl") == 1
 
 
 def test_sweep_evaluates_a_root_on_the_grid(evaluations):
-    # 1/4 is the p1xp1 root: the first point where the gate fails, so the
-    # points above it reuse its verdict
+    # 1/4 is the p1xp1 root: the first point where the gate fails.  The run
+    # at 1/20 passed the gate, so 1/4 and the points above it take the
+    # gate's reason at their own a, without a run of their own
     code, report = run(sweep_argv("p1xp1_ta", "p1xp1_clifford",
                                   ["--ring", "Z/2", "--field", "F2"],
                                   "1/20", "9/20", "1/20"))
     assert code == 0
-    assert evaluations == [F(1, 20), F(1, 4)]
+    assert evaluations == [F(1, 20)]
     assert report["result"]["points"][4]["reason"].startswith(
         "area gate boundary")
     assert report["result"]["points"][5]["reason"].startswith("area gate: ")
+
+
+@pytest.mark.parametrize("flags, start, reasons", [
+    # the run at 1/36 passes the gate and ends "pairing 16 = 0"; past the
+    # root 1/5 each point takes the gate's reason at its own a
+    ([], "1/36", {"pairing 16 = 0 in Z/8": 7, "area gate: ": 4}),
+    # over Q the run ends before the gate (invariant undefined), and its
+    # verdict serves the points past 1/5 too, where the gate fails
+    (["--ring", "Q"], "1/36", {"invariant undefined: ": 11}),
+    # a grid that starts past the root: the run at 2/9 fails at the gate
+    ([], "2/9", {"area gate: ": 4})])
+def test_one_interior_run_answers_both_gate_outcomes(evaluations, flags,
+                                                     start, reasons):
+    argv = sweep_argv("cp2_ta", "cp2_ta:a=1/5", flags, start, "1/3", "1/36")
+    text = main_text(argv)
+    assert evaluations == [parse_rational(start), F(1, 3)]
+    assert text == oracle_text(argv)
+    inside = [point["reason"]
+              for point in json.loads(text)["result"]["points"][:-1]]
+    assert {prefix: sum(reason.startswith(prefix) for reason in inside)
+            for prefix in reasons} == reasons
 
 
 def test_field_is_checked_once_on_the_last_pair(monkeypatch):
