@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import (BadParams, InvalidProbe, ProbeSearchTooLarge, SchemaError,
@@ -29,10 +30,10 @@ from .scenario import (INTEGER, RATIONAL, REQUIRED, Kind, _fraction, listof,
 Point = tuple
 
 # Most work one probe search may plan, in (nonzero direction in the bound's
-# box) x (facet) pairs: an upper bound, as only the at most 2B + 1 facet-
-# transverse directions per facet are clipped.  Bound 30 fits on polygons of
-# up to 268 facets; with 32-bit coordinates the largest accepted search
-# takes about 0.06 s.
+# box) x (facet) pairs: the cost of clipping every direction, kept as the
+# charge although the facet pass clips only the hits, so that no refusal
+# moves.  Bound 30 fits on polygons of up to 268 facets; with 32-bit
+# coordinates their search takes about 1 ms.
 PROBE_WORK_BUDGET = 1_000_000
 
 # Most vertices a polygon document may hold, counted before any is read;
@@ -116,7 +117,7 @@ class Polytope2:
         return self._facets
 
     def contains(self, p, strict: bool = False) -> bool:
-        low = min(_heights(self._rows, _frac_point(p))[0])
+        low = min(_heights(self._rows, _scaled(_frac_point(p))))
         return low > 0 if strict else low >= 0
 
     def to_json_dict(self) -> dict:
@@ -198,53 +199,46 @@ class ProbeSegment:
     exits_at_excluded_vertex: bool
 
 
-def _heights(rows, point) -> tuple[list[int], int]:
-    """The ints H = D q (n . point - c), one per facet, and q, the point's
-    denominator.  Every polygon question reads these: their signs, their
-    zeros, and their ratios to D n . d along a direction d."""
-    x, y, q = _scaled(point)
-    return [mx * x + my * y - c * q for mx, my, c, _ in rows], q
+def _heights(rows, scaled) -> list[int]:
+    """The ints H = D q (n . p - c), one per facet, of the point p given
+    scaled as (x, y, q).  Every polygon question reads these: their signs,
+    their zeros, and their ratios to D n . d along a direction d."""
+    x, y, q = scaled
+    return [mx * x + my * y - c * q for mx, my, c, _ in rows]
 
 
 def _facet_at(poly: Polytope2, point):
     """The index of the facet whose relative interior holds the point, or
     None: that facet's height is the only zero and every other is positive."""
-    heights, _ = _heights(poly._rows, point)
+    heights = _heights(poly._rows, _scaled(point))
     if min(heights) == 0 and heights.count(0) == 1:
         return heights.index(0)
     return None
 
 
 def _clip(rows, heights, direction) -> tuple:
-    """Both ends of the line point + t * direction, in one pass over the
-    facets, given the point's heights H.
+    """Where the line point + t * direction leaves the polygon forwards, in
+    one pass over the facets, given the point's heights H.
 
-    With k = D n . direction for each facet, the line leaves backwards
-    through the facet minimising H / k over k > 0 and forwards through the
-    one minimising H / -k over k < 0; ratios are compared by
-    cross-multiplying.  Returns (back, forward), each (facet index, H, |k|,
-    vertex): None, unless a later facet i ties the stored facet f, and then
-    the vertex the two share, i if i == f + 1, else 0, where the last facet
+    With k = D n . direction for each facet, the line leaves through the
+    facet minimising H / -k over k < 0; ratios are compared by
+    cross-multiplying.  Returns (facet index, H, |k|, vertex): vertex is
+    None, unless a later facet i ties the stored facet f, and then the
+    vertex the two share, i if i == f + 1, else 0, where the last facet
     meets the first.  No third facet ties on a strictly convex polygon.
-    Both ends exist: the edges of a closed polygon sum to zero and are not
-    all parallel, so some k is positive and some negative.
+    Some k is negative for every nonzero direction: the edges of a closed
+    polygon sum to zero and are not all parallel.
     """
     dx, dy = direction
-    back = forward = None
+    end = None
     for i, ((mx, my, _, _), h) in enumerate(zip(rows, heights)):
-        k = mx * dx + my * dy
+        k = -mx * dx - my * dy
         if k > 0:
-            if back is None or h * back[2] < back[1] * k:
-                back = (i, h, k, None)
-            elif h * back[2] == back[1] * k:
-                back = back[:3] + (i if i == back[0] + 1 else 0,)
-        elif k < 0:
-            k = -k
-            if forward is None or h * forward[2] < forward[1] * k:
-                forward = (i, h, k, None)
-            elif h * forward[2] == forward[1] * k:
-                forward = forward[:3] + (i if i == forward[0] + 1 else 0,)
-    return back, forward
+            if end is None or h * end[2] < end[1] * k:
+                end = (i, h, k, None)
+            elif h * end[2] == end[1] * k:
+                end = end[:3] + (i if i == end[0] + 1 else 0,)
+    return end
 
 
 def probe_segment(poly: Polytope2, probe: Probe) -> ProbeSegment:
@@ -252,39 +246,23 @@ def probe_segment(poly: Polytope2, probe: Probe) -> ProbeSegment:
     validate_probe(poly, probe)
     bx, by = probe.base
     dx, dy = probe.direction
-    heights, den = _heights(poly._rows, probe.base)
-    _, (_, h, k, vertex) = _clip(poly._rows, heights, probe.direction)
-    length = Fraction(h, den * k)
+    scaled = _scaled(probe.base)
+    heights = _heights(poly._rows, scaled)
+    _, h, k, vertex = _clip(poly._rows, heights, probe.direction)
+    length = Fraction(h, scaled[2] * k)
     return ProbeSegment((bx + length * dx, by + length * dy), length,
                         vertex is not None, vertex in poly.excluded_vertices)
 
 
 def probe_displaces(poly: Polytope2, probe: Probe, point) -> bool:
     """True iff the point sits on the probe strictly inside its first half:
-    the search's ray test along the probe's direction finds this probe."""
+    the search over the box holding only the probe's direction finds it."""
+    dx, dy = probe.direction
     try:
         return any(hit.probe == probe
-                   for hit in _hits(poly, point, [probe.direction]))
+                   for hit in _search(poly, point, (dx, dx, dy, dy)))
     except ValidationError:
         return False
-
-
-def _transverse_directions(facets, bound: int) -> list:
-    """In (dx, dy) order, the d in the box [-bound, bound]^2 with n . d = 1
-    for some facet normal n: the only directions that can enter a facet, each
-    primitive, and at most 2 * bound + 1 per facet, on one line."""
-    span = range(-bound, bound + 1)
-    found = set()
-    for f in facets:
-        a, b = f.normal
-        if b == 0:      # a is 1 or -1
-            found.update((a, dy) for dy in span)
-            continue
-        for dx in span:
-            dy, rest = divmod(1 - a * dx, b)
-            if not rest and -bound <= dy <= bound:
-                found.add((dx, dy))
-    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -317,44 +295,76 @@ def search_probes(poly: Polytope2, point, direction_bound: int) -> list[ProbeHit
         raise ProbeSearchTooLarge(
             f"probe search with bound {direction_bound} over {n} "
             f"facets exceeds the work budget of {PROBE_WORK_BUDGET}")
-    return _hits(poly, point,
-                 _transverse_directions(poly.facets, direction_bound))
+    b = direction_bound
+    return _search(poly, point, (-b, b, -b, b))
 
 
-def _hits(poly: Polytope2, point, directions) -> list[ProbeHit]:
-    """The probes along the given primitive directions that displace the
-    interior point; a point that is not interior is a ValidationError.
+def _interval(tests, lo, hi) -> tuple:
+    """The ints t in [lo, hi] with c + t * e > 0 for every (c, e) in tests,
+    as (lo, hi); empty when lo > hi."""
+    for c, e in tests:
+        if e > 0:
+            lo = max(lo, -c // e + 1)
+        elif e < 0:
+            hi = min(hi, (c - 1) // -e)
+        elif c <= 0:
+            return 1, 0
+        if lo > hi:
+            break
+    return lo, hi
 
-    For each direction, the candidate base is the unique boundary point hit
-    by walking backwards from the point; directions whose backward ray lands
-    on a vertex or on a non-transverse facet yield no probe.  The point's
-    facet heights are ints taken once, each direction is one integer
-    clipping pass, and Fractions are only built for hits.
+
+def _search(poly: Polytope2, point, box) -> list[ProbeHit]:
+    """The probes with direction in the box (xlo, xhi, ylo, yhi) that
+    displace the interior point, sorted by direction; a point that is not
+    interior is a ValidationError.
+
+    One pass over the facets (README, "Probe search").  The d entering
+    facet f, normal (a, b), are the line n . d = 1, d0 + t (-b, a).  The
+    box, the base p - h_f d inside f (positive heights on f's neighbours)
+    and the midpoint p + h_f d interior (p displaced) each cut t to an int
+    interval, by H_g D_f -/+ H_f k_g(d) > 0; each d left is clipped once.
     """
     point = _frac_point(point)
     rows = poly._rows
-    heights, den = _heights(rows, point)
+    x, y, q = scaled = _scaled(point)
+    heights = _heights(rows, scaled)
     if min(heights) <= 0:
         raise ValidationError(f"query point {_point_str(point)} is not interior")
+    xlo, xhi, ylo, yhi = box
+    reach, n = max(map(abs, box)), len(rows)
     hits = []
-    for direction in directions:
-        back, forward = _clip(rows, heights, direction)
-        entry, back_h, back_k, base_vertex = back
-        # the base is a vertex, or d is not integrally transverse to the
-        # entry facet: n . d = 1 iff k = D
-        if base_vertex is not None or back_k != rows[entry][3]:
+    for f, facet in enumerate(poly.facets):
+        a, b = facet.normal
+        dx0 = pow(a, -1, abs(b)) if b else a     # a is 1 or -1 when b is 0
+        dy0 = (1 - a * dx0) // b if b else 0
+        # (a, b) is not zero, so a box point's |t| is at most r
+        r = abs(dx0) + abs(dy0) + reach
+        lo, hi = _interval(((dx0 - xlo + 1, -b), (xhi - dx0 + 1, b),
+                            (dy0 - ylo + 1, a), (yhi - dy0 + 1, -a)), -r, r)
+        if lo > hi:
             continue
-        _, forward_h, forward_k, vertex = forward
-        # displaced iff 2 * back < length = back + forward
-        if back_h * forward_k >= forward_h * back_k:
-            continue
-        s = Fraction(back_h, den * back_k)
-        dx, dy = direction
-        base = (point[0] - s * dx, point[1] - s * dy)
-        hits.append(ProbeHit(Probe(entry, base, direction), s,
-                             s + Fraction(forward_h, den * forward_k),
-                             vertex is not None,
-                             vertex in poly.excluded_vertices))
+        hf, df, e = heights[f], rows[f][3], (f + 1) % n
+        (gx, gy, _, _), (ex, ey, _, _) = rows[f - 1], rows[e]
+        # the base's heights on the neighbours f - 1 and f + 1, then the
+        # midpoint's on every facet, which _interval skips once t is empty
+        lo, hi = _interval(chain(
+            ((heights[f - 1] * df - hf * (gx * dx0 + gy * dy0),
+              hf * (gx * b - gy * a)),
+             (heights[e] * df - hf * (ex * dx0 + ey * dy0),
+              hf * (ex * b - ey * a))),
+            ((hg * df + hf * (gx * dx0 + gy * dy0), hf * (gy * a - gx * b))
+             for (gx, gy, _, _), hg in zip(rows, heights))), lo, hi)
+        den = q * df
+        for t in range(lo, hi + 1):
+            dx, dy = dx0 - t * b, dy0 + t * a
+            _, h, k, vertex = _clip(rows, heights, (dx, dy))
+            hits.append(ProbeHit(
+                Probe(f, (Fraction(x * df - hf * dx, den),
+                          Fraction(y * df - hf * dy, den)), (dx, dy)),
+                Fraction(hf, den), Fraction(hf * k + h * df, den * k),
+                vertex is not None, vertex in poly.excluded_vertices))
+    hits.sort(key=lambda hit: hit.probe.direction)
     return hits
 
 

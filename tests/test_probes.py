@@ -91,6 +91,16 @@ def test_probe_displaces_examples():
     assert probe_displaces(STD_TRIANGLE, probe, (F(1, 2), F(1, 5)))
     assert not probe_displaces(STD_TRIANGLE, probe, (F(1, 2), F(1, 4)))
     assert not probe_displaces(STD_TRIANGLE, probe, (F(1, 3), F(1, 3)))
+    # Probe takes any direction and facet index; a probe the search cannot
+    # find, a zero direction included, displaces nothing
+    tri = builtin_polytope("p1xp1")
+    base, point = (F(1, 2), F(1, 2)), (F(1, 5), F(1, 2))
+    assert probe_displaces(tri, Probe(0, base, (-1, 0)), point)
+    for probe in (Probe(0, base, (0, 0)), Probe(0, base, (2, 2)),
+                  Probe(0, base, (-2, 0)), Probe(3, base, (-1, 0)),
+                  Probe(-1, base, (-1, 0))):
+        assert not probe_displaces(tri, probe, point), probe
+    assert not probe_displaces(tri, Probe(0, base, (0, 0)), (0, F(3, 4)))
 
 
 def test_default_triangles():
@@ -296,6 +306,18 @@ DIFFERENTIAL_CASES = [
     # vertical facets (normal (a, 0)) as well as horizontal ones (0, b)
     (Polytope2(((0, 0), (2, 0), (3, 1), (3, 2), (1, 2), (0, 1)), (2,)),
      [(1, 1), (F(1, 2), F(1, 3)), (F(5, 2), F(3, 2))]),
+    # facet normals (1, 40), (-17, 70) and (-3, -70): up to bound 16 each
+    # facet's line of directions n . d = 1 holds at most one box point;
+    # from (20, -2/5) the probe along (1, 0) enters through the (1, 40) facet
+    (Polytope2(((0, 0), (40, -1), (41, 1), (0, 1))),
+     [(1, F(1, 2)), (20, F(-2, 5)), (20, F(1, 4)), (F(81, 2), F(1, 2))]),
+    (Polytope2(((0, 0), (70, 17), (0, 20))),
+     [(10, 10), (30, 12), (F(1, 2), F(39, 2))]),
+    # two vertical and two horizontal facets; from (3/2, 1/2) the probes
+    # along (1, 1) and (-1, 1) exit at the included vertex (3, 2) and at the
+    # excluded vertex (0, 2)
+    (Polytope2(((0, 0), (3, 0), (3, 2), (0, 2)), (3,)),
+     [(F(3, 2), F(1, 2)), (1, 1), (F(5, 2), F(3, 2))]),
 ]
 
 
@@ -318,35 +340,104 @@ def test_search_equals_oracle_search(poly, points):
                                  s.exit_point in excluded), h
 
 
-# the two triangles, the rational pentagon and the hexagon
+# the two triangles, the rational pentagon, the hexagon, the polygons with
+# large normal entries and the rectangle
 @pytest.mark.parametrize("poly, points", [
-    DIFFERENTIAL_CASES[i] for i in (0, 1, 2, 5)])
+    DIFFERENTIAL_CASES[i] for i in (0, 1, 2, 5, 6, 7, 8)])
 def test_search_equals_oracle_search_at_wide_bounds(poly, points):
     """Directions on the box's edge and entries through every kind of facet
-    only give probes at the wider bounds."""
+    only give probes at the wider bounds; bound 30, the widest that fits
+    the work budget on 268 facets, is tried at the first point."""
     for point in points:
         for bound in range(9, 17):
             assert search_probes(poly, point, bound) == \
                 oracle_search_probes(poly, point, bound), (point, bound)
+    assert search_probes(poly, points[0], 30) == \
+        oracle_search_probes(poly, points[0], 30)
+
+
+def _chart(mat, shift, vertices):
+    """The counterclockwise vertices of the polygon mapped by x -> mat x +
+    shift: an orientation-reversing mat reverses their order."""
+    mapped = [_apply(mat, shift, v) for v in vertices]
+    if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] < 0:
+        mapped.reverse()
+    return tuple(mapped)
+
+
+def _transported(mat, shift, hits, vertices, point):
+    """Each hit mapped by x -> mat x + shift, its direction by mat: the
+    oracle must accept it for the mapped polygon and point, and its length
+    and parameter, in lattice units of its direction, must not change."""
+    for hit in hits:
+        base = _apply(mat, shift, hit.probe.base)
+        direction = _apply(mat, (0, 0), hit.probe.direction)
+        assert oracle_probe_displaces(vertices, base, direction, point), hit
+        assert segment_ray_exit(vertices, base, direction) == hit.length
+        assert point == (base[0] + hit.parameter * direction[0],
+                         base[1] + hit.parameter * direction[1])
+
+
+def test_probes_agree_in_every_integral_chart():
+    """McDuff's probes are integral-affine notions: x -> Ux + t, U in
+    GL(2, Z) and t rational, carries every displacing probe of (P, x) to one
+    of (UP + t, Ux + t), and back.  The bound is a box of directions and not
+    invariant, so each hit is checked by transport; the refusals of a point
+    that is not interior and of a polygon that is not convex hold in every
+    chart."""
+    rng = random.Random(32)
+    cases = [(poly, point) for poly, points in DIFFERENTIAL_CASES[:6]
+             for point in points]
+    reflex = ((0, 0), (4, 0), (1, 1), (0, 4))
+    for _ in range(60):
+        (a, b), (c, d) = mat = _random_unimodular(rng)
+        det = a * d - b * c
+        inverse = ((d * det, -b * det), (-c * det, a * det))
+        shift = (F(rng.randint(-9, 9), rng.randint(1, 6)),
+                 F(rng.randint(-9, 9), rng.randint(1, 6)))
+        back = _apply(inverse, (0, 0), (-shift[0], -shift[1]))
+        poly, point = rng.choice(cases)
+        moved = Polytope2(_chart(mat, shift, poly.vertices))
+        moved_point = _apply(mat, shift, point)
+        bound = rng.randint(2, 5)
+        _transported(mat, shift, search_probes(poly, point, bound),
+                     moved.vertices, moved_point)
+        _transported(inverse, back, search_probes(moved, moved_point, bound),
+                     poly.vertices, point)
+        for outside in (poly.vertices[0], (point[0] + 100, point[1])):
+            with pytest.raises(ValidationError, match="is not interior"):
+                search_probes(moved, _apply(mat, shift, outside), bound)
+        with pytest.raises(ValidationError, match="strictly convex"):
+            Polytope2(_chart(mat, shift, reflex))
 
 
 def test_search_clips_only_facet_transverse_directions(monkeypatch):
-    clipped = []
+    """One pass over the facets: the facets are read once, through the
+    property the benchmark traces, and only the reported hits are clipped,
+    each once, along a direction transverse to its facet."""
+    clipped, reads = [], []
 
-    def counting_clip(facets, heights, direction):
+    def counting_clip(rows, heights, direction):
         clipped.append(direction)
-        return clip(facets, heights, direction)
+        return clip(rows, heights, direction)
 
-    clip = probes._clip
-    monkeypatch.setattr(probes, "_clip", counting_clip)
+    def counting_facets(poly):
+        reads.append(poly)
+        return facets.fget(poly)
+
+    clip, facets = probes._clip, Polytope2.facets
     tri = builtin_polytope("p1xp1")
+    expected = oracle_search_probes(tri, (0, F(3, 4)), 15)
+    monkeypatch.setattr(probes, "_clip", counting_clip)
+    monkeypatch.setattr(Polytope2, "facets", property(counting_facets))
     hits = search_probes(tri, (0, F(3, 4)), 15)
-    assert hits == oracle_search_probes(tri, (0, F(3, 4)), 15)
-    # at most 2 * 15 + 1 directions per facet, each clipped once
-    assert len(clipped) == len(set(clipped)) <= 3 * 31
-    normals = [f.normal for f in tri.facets]
-    assert all(any(a * dx + b * dy == 1 for a, b in normals)
-               for dx, dy in clipped)
+    assert hits and hits == expected
+    assert reads == [tri]
+    assert sorted(clipped) == [h.probe.direction for h in hits]
+    normals = [f.normal for f in facets.fget(tri)]
+    assert all(normals[h.probe.facet][0] * h.probe.direction[0]
+               + normals[h.probe.facet][1] * h.probe.direction[1] == 1
+               for h in hits)
 
 
 def test_builtin_polytopes_are_shared():
