@@ -208,17 +208,6 @@ class StringInvariantClass:
     disk_sum: tuple = ()
     notes: tuple = ()
 
-    def is_zero(self) -> bool:
-        return _in_ambiguity_coset(self.group, self.value,
-                                   (0,) * self.group.ngens, self.ambiguity,
-                                   self.ring)
-
-    def equals(self, other: "StringInvariantClass") -> bool:
-        if self.ring != other.ring or self.group != other.group:
-            return False
-        return _in_ambiguity_coset(self.group, self.value, other.value,
-                                   self.ambiguity, self.ring)
-
     def describe(self) -> str:
         return self.group.describe(self.value)
 
@@ -236,17 +225,8 @@ def oc_low(side: LagrangianSide, ring: Ring,
 
     Raises CancellationFails when the boundary cancellation condition does
     not hold over the ring (coset by coset when a subspace is given), and
-    NoLift when the disk sum has no preimage under j.  A result is kept on
-    the side object, off its fields, per (ring, subspace); replace() drops
-    it, and an error is raised anew at every call.
+    NoLift when the disk sum has no preimage under j.
     """
-    memo = side.__dict__.setdefault("_oc_low", {})
-    if (ring, subspace) not in memo:
-        memo[ring, subspace] = _oc_low(side, ring, subspace)
-    return memo[ring, subspace]
-
-
-def _oc_low(side, ring, subspace) -> StringInvariantClass:
     h2x = side.h2x
     ambiguity = side.fundamental_class
 

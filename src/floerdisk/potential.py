@@ -63,10 +63,6 @@ class NovikovPolynomial:
         return cls(tuple(sorted((t for t in merged.values() if t.coeff),
                                 key=lambda t: t.key)))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def t_levels(self) -> list[Fraction]:
         return [level for level, _ in groupby(t.t_exp for t in self.terms)]
 

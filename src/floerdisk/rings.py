@@ -124,9 +124,6 @@ class Ring:
     def is_finite(self) -> bool:
         return self.kind in (INTEGERS_MOD, PRIME_FIELD)
 
-    def __repr__(self):
-        return f"Ring({self.name})"
-
 
 @dataclass(frozen=True)
 class RingElement:
@@ -174,9 +171,6 @@ class RingElement:
             return RingElement(self.ring,
                                pow(self.value, exponent, self.ring.modulus))
         return RingElement(self.ring, self.value ** exponent)
-
-    def __str__(self):
-        return str(self.value)
 
     def __repr__(self):
         return f"{self.value} in {self.ring.name}"

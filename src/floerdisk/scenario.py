@@ -32,8 +32,8 @@ Lattice = namedtuple("Lattice", "k N")     # a side's lattice parameters
 class AffineSubspace:
     """An affine subspace base + span over a prime field k.
 
-    The base point fixes which coset is "the" subspace; parallel cosets are
-    produced with shifted(l).  The reduced row-echelon form of the span over
+    The base point fixes which coset is "the" subspace; coset_key labels
+    the parallel cosets.  The reduced row-echelon form of the span over
     k is built once, off the dataclass fields, and serves every coset key.
     """
 
@@ -79,10 +79,6 @@ class AffineSubspace:
     def contains(self, vector) -> bool:
         """Membership of an integer vector, read modulo the field."""
         return self.coset_key(vector) == self.coset_key(self.base)
-
-    def shifted(self, l) -> "AffineSubspace":
-        return AffineSubspace(self.field, tuple(b + x for b, x in zip(self.base, l)),
-                              self.span)
 
     def coset_key(self, vector) -> tuple:
         """Canonical label of the span-coset containing the vector.

@@ -9,7 +9,7 @@ import pytest
 
 from floerdisk.abelian import (FgAbelianGroup, GroupHom, mat_vec,
                                solve_linear, vec_sub)
-from floerdisk.invariants import oc_low
+from floerdisk.invariants import _in_ambiguity_coset, oc_low
 from floerdisk.rings import Ring
 from floerdisk.scenario import (AffineSubspace, DiskClass, DiskLedger,
                                 LagrangianSide)
@@ -91,23 +91,19 @@ def test_oc_solves_modulo_target_relations():
 
 
 def test_invariant_coset_equality_with_nonzero_ambiguity():
+    # the coset test that decides whether ker j lies inside <[L]>
     h2x = FgAbelianGroup(("g", "l"))
     ambiguity = (0, 1)
     ring = Ring.parse("Z/4")
-    from floerdisk.invariants import StringInvariantClass
-    one = StringInvariantClass(group=h2x, value=(2, 1), ring=ring,
-                               ambiguity=ambiguity)
-    # differs by 2 * [L]
-    two = StringInvariantClass(group=h2x, value=(2, 3), ring=ring,
-                               ambiguity=ambiguity)
-    other = StringInvariantClass(group=h2x, value=(3, 1), ring=ring,
-                                 ambiguity=ambiguity)
-    assert one.equals(two)
-    assert not one.equals(other)
-    multiple = StringInvariantClass(group=h2x, value=(0, 2),
-                                    ring=ring, ambiguity=ambiguity)
-    assert multiple.is_zero()
-    assert not one.is_zero()
+
+    def same(coords, other):
+        return _in_ambiguity_coset(h2x, coords, other, ambiguity, ring)
+
+    # (2, 3) differs from (2, 1) by 2 * [L]
+    assert same((2, 1), (2, 3))
+    assert not same((2, 1), (3, 1))
+    assert same((0, 2), (0, 0))
+    assert not same((2, 1), (0, 0))
 
 
 def test_cli_sweep_monotone_variant_threshold():

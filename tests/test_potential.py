@@ -25,6 +25,7 @@ from floerdisk.scenario import builtin_scenario
 
 from oracles import (balance_slope, oracle_residue_critical_points,
                      plain_residue_critical_points)
+from test_probes import _random_unimodular
 
 F = Fraction
 Z8 = Ring.parse("Z/8")
@@ -66,7 +67,7 @@ def test_p1xp1_potential_merges_equal_monomials():
 
 def test_empty_ledger_gives_zero():
     side = builtin_scenario("bl3_clifford").side
-    assert potential_from_ledger(side).is_zero
+    assert not potential_from_ledger(side).terms
 
 
 def test_bulk_deform():
@@ -88,7 +89,7 @@ def test_truncate():
     low = truncate_to_level(p, F(1, 5))
     assert low.t_levels() == [F(1, 5)]
     assert len(low.terms) == 3
-    assert truncate_to_level(p, F(1, 3)).is_zero
+    assert not truncate_to_level(p, F(1, 3)).terms
     assert truncate_to_level(low, F(1, 5)) == low
 
 
@@ -175,7 +176,7 @@ def test_derivative_examples():
     assert partial_derivative(single, "z") == NovikovPolynomial.from_terms(
         [term(1, F(2, 5), ec=1)])
     constant = NovikovPolynomial.from_terms([term(7, 0)])
-    assert partial_derivative(constant, "z").is_zero
+    assert not partial_derivative(constant, "z").terms
 
 
 def _plus(p, q):
@@ -199,7 +200,7 @@ def test_derivative_linear_and_leibniz():
             assert partial_derivative(_plus(p, q), var) == \
                 _plus(partial_derivative(p, var), partial_derivative(q, var))
         m = _random_poly(rng, nterms=1)
-        if m.is_zero:
+        if not m.terms:
             continue
         prod = _times(p, m)
         for var in ("z", "w"):
@@ -571,6 +572,79 @@ def test_residue_matches_plain_search_on_random_polynomials(p, ring):
     assert residue_critical_points(p, ring) == expected
 
 
+# --- changes of basis on H1(L) -------------------------------------------------
+
+def _rebased(p, mat):
+    """The potential in the basis of H1(L) that mat changes to: the monomial
+    z^m w^n becomes z^m' w^n', with (m', n') = mat (m, n)."""
+    (a, b), (c, d) = mat
+    return NovikovPolynomial.from_terms(
+        NovikovTerm(t.coeff, t.t_exp, t.bulk_exp, a * t.z_exp + b * t.w_exp,
+                    c * t.z_exp + d * t.w_exp) for t in p.terms)
+
+
+def _pulled_back(mat, point, n):
+    """The unit pair (z, w) = (z'^a w'^c, z'^b w'^d) mod n at the unit pair
+    (z', w') of the new basis, so that z^m w^n = z'^m' w'^n'."""
+    (a, b), (c, d) = mat
+    z, w = point
+    return (pow(z, a, n) * pow(w, c, n) % n, pow(z, b, n) * pow(w, d, n) % n)
+
+
+# no modulus divisible by 7, which the synthetic polynomial divides by
+CHART_RINGS = [Ring.parse(name) for name in
+               ("Z/8", "Z/9", "Z/12", "Z/25", "F5", "F11", "F13", "F31")]
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_POLYS))
+def test_residue_points_correspond_in_every_basis_of_h1(name):
+    # the rebased potential's logarithmic partials (z d/dz, w d/dw) are mat
+    # times the old ones at the corresponding point, and mat is invertible
+    # over every ring, so the monomial map is a bijection of the unit
+    # critical points
+    rng = random.Random(f"charts:{name}")
+    p = RESIDUE_POLYS[name]
+    for ring in CHART_RINGS:
+        points = residue_critical_points(p, ring)
+        for _ in range(4):
+            mat = _random_unimodular(rng)
+            moved = residue_critical_points(_rebased(p, mat), ring)
+            assert sorted(_pulled_back(mat, point, ring.modulus)
+                          for point in moved) == points, (ring, mat)
+
+
+# z -> z^s and w -> w^t: the changes of basis that keep the analysis' shape
+# (one head for the terms with a w) on every builtin
+SIGN_CHANGES = [((s, 0), (0, t)) for s in (1, -1) for t in (1, -1)]
+
+
+@pytest.mark.parametrize("p", [
+    cp2_potential(a, hits) for a in (F(1, 10), F(1, 5), F(1, 3))
+    for hits in (None, {"b": 1})] + [
+    potential_from_ledger(builtin_scenario("p1xp1_ta", {"a": F(1, 5)}).side),
+    # the branch w0 = 1/2 of test_branch_at_a_root_that_is_not_an_integer
+    NovikovPolynomial.from_terms([term(-1, 0, z=1, w=1), term(1, 0, z=1, w=2),
+                                  term(F(1, 16), 0, z=2)])])
+def test_unit_analysis_valuations_transform_with_the_basis(p):
+    # the valuation of a critical point is linear in the basis: w0 goes to
+    # w0^t, and each Newton valuation v of z on its branch to s * v
+    report = unit_critical_analysis(p)
+    for mat in SIGN_CHANGES:
+        (s, _), (_, t) = mat
+        moved = unit_critical_analysis(_rebased(p, mat))
+        assert moved.has_unit_candidate == report.has_unit_candidate
+        before = {branch.w0 ** t: branch for branch in report.branches}
+        assert sorted(branch.w0 for branch in moved.branches) == sorted(before)
+        for branch in moved.branches:
+            old = before[branch.w0]
+            assert branch.valuations == tuple(sorted(s * v for v in
+                                                     old.valuations))
+            assert (branch.candidate, branch.any_unit_z) == (
+                old.candidate, old.any_unit_z)
+            assert (branch.residue_rational_root is None) == (
+                old.residue_rational_root is None)
+
+
 def test_potential_echoes_one_ring_name():
     out = io.StringIO()
     assert main(["potential", "--builtin", "cp2_ta:a=1/5",
@@ -635,7 +709,7 @@ def reference_unit_critical_analysis(p):
     """``unit_critical_analysis`` as it was on Fraction keys: both partials
     through ``partial_derivative``, every branch collapsed in Fractions."""
     pw = partial_derivative(p, "w")
-    if pw.is_zero:
+    if not pw.terms:
         raise UnsupportedShape(
             "w-derivative vanishes identically; outside the supported family")
     heads = {(t.t_exp, t.z_exp, t.bulk_exp) for t in pw.terms}

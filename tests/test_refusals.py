@@ -19,7 +19,7 @@ from floerdisk.errors import (BadParams, DimensionMismatch, InvalidProbe,
                               MissingLocalSystem, NonInvertibleDenominator,
                               ValidationError)
 from floerdisk.invariants import (_local_weight, area_progression,
-                                  boundary_sum, least_area, oc_low)
+                                  boundary_sum, least_area)
 from floerdisk.potential import (BranchReport, partial_derivative,
                                  potential_from_ledger)
 from floerdisk.probes import Probe, builtin_polytope, validate_probe
@@ -94,14 +94,6 @@ def test_boundary_sum_refuses_a_partial_local_system(local, missing):
     with refused(MissingLocalSystem,
                  f"side T_a: local system misses generator {missing}"):
         boundary_sum(side, Z, least_area(side), local_system=local)
-
-
-def test_invariants_over_different_rings_are_not_equal():
-    over_z8 = oc_low(CP2_TA.side, Z8)
-    over_z4 = oc_low(CP2_TA.side, Ring.integers_mod(4))
-    assert over_z8.equals(over_z8)
-    assert not over_z8.equals(over_z4)
-    assert not over_z4.equals(over_z8)
 
 
 def _invariant(ring, local):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import floerdisk.cli as cli
-import floerdisk.invariants as invariants_module
+import floerdisk.criterion as criterion_module
 import floerdisk.scenario as scenario_module
 from floerdisk.cli import main
 from floerdisk.criterion import evaluate_pair, gate_inputs, gate_reason
@@ -600,32 +600,54 @@ def test_sweep_runs_the_tree_once_per_chamber(evaluations):
     assert text == oracle_text(argv)
 
 
-def test_long_sweep_builds_and_evaluates_once_per_chamber(monkeypatch,
-                                                         evaluations):
-    # 10,000 points: the tree runs once in the open interval and once at
-    # the top end, the swept side is built only where it runs (the last
-    # point is the top end), and the --vs side's invariant is computed
-    # once, then read off its side object
+def _counted_sweep(monkeypatch, argv):
+    """Run a sweep; list the swept builds by builtin name, and the sides
+    whose invariant the decision tree computes."""
     builds, computed = [], []
-    build, compute = cli.builtin_scenario, invariants_module._oc_low
+    build, compute = cli.builtin_scenario, criterion_module.oc_low
 
     def counted_build(name, params=None):
         builds.append(name)
         return build(name, params)
 
-    def counted_compute(side, ring, subspace):
-        computed.append(side.name)
-        return compute(side, ring, subspace)
+    def counted_compute(side, ring, subspace=None):
+        computed.append(side)
+        return compute(side, ring, subspace=subspace)
 
     monkeypatch.setattr(cli, "builtin_scenario", counted_build)
-    monkeypatch.setattr(invariants_module, "_oc_low", counted_compute)
-    code, report = run(sweep_argv("cp2_ta", "cp2_clifford", ["--ring", "Z/8"],
-                                  "1/30000", "1/3", "1/30000"))
+    monkeypatch.setattr(criterion_module, "oc_low", counted_compute)
+    code, report = run(argv)
     assert code == 0
+    return report, builds, computed
+
+
+def test_long_sweep_builds_and_evaluates_once_per_chamber(monkeypatch,
+                                                         evaluations):
+    # 10,000 points: the tree runs once in the open interval and once at
+    # the top end, the swept side is built only where it runs (the last
+    # point is the top end), and the --vs side's invariant is computed in
+    # the open run only: at the top end T_a's boundary sum dbeta stops the
+    # tree first
+    report, builds, computed = _counted_sweep(monkeypatch, sweep_argv(
+        "cp2_ta", "cp2_clifford", ["--ring", "Z/8"], "1/30000", "1/3",
+        "1/30000"))
     assert len(report["result"]["points"]) == 10_000
     assert evaluations == [F(1, 30000), F(1, 3)]
     assert builds.count("cp2_ta") == 2
-    assert computed.count("T_Cl") == 1
+    assert [side.name for side in computed].count("T_Cl") == 1
+
+
+def test_only_the_top_end_run_reaches_the_vs_invariant(monkeypatch,
+                                                       evaluations):
+    # over Z/7 the open run stops at T_a's boundary sum 6*dbeta, and the
+    # top end, where the two areas of T_a merge, reaches T_Cl; no side
+    # object keeps an invariant between runs
+    report, _, computed = _counted_sweep(monkeypatch, sweep_argv(
+        "cp2_ta", "cp2_clifford", ["--ring", "Z/7"], "1/60", "1/3", "1/60"))
+    assert evaluations == [F(1, 60), F(1, 3)]
+    assert [side.name for side in computed] == ["T_a", "T_a", "T_Cl"]
+    assert report["result"]["points"][-1]["conclusion"] == "non_displaceable"
+    assert not any("_oc_low" in vars(side) for side in computed)
 
 
 def test_sweep_evaluates_a_root_on_the_grid(evaluations):
