@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import groupby
 from math import gcd, isqrt, lcm
-from operator import itemgetter
 
 from .errors import (BasisMismatch, Degenerate, InfiniteRing, NotSingleLevel,
                      ResidueSearchTooLarge, UnknownLabel, UnsupportedShape)
@@ -295,7 +294,7 @@ def unit_critical_analysis(p: NovikovPolynomial) -> CriticalReport:
 # Most work one residue search may plan.  A unit is one partial term evaluated
 # at one candidate pair, so each candidate costs the number of compiled terms
 # (at least one).  In-process on a 2-core host, the largest accepted searches
-# take 0.005 s (F773), 0.3 s (a synthetic F701) and 0.7 s (Z/65536, output).
+# take 1 ms (F773), 0.19 s (a synthetic F701) and 0.06 s (Z/65536, output).
 RESIDUE_WORK_BUDGET = 3_000_000
 # Building, sorting and printing one output pair costs about as much as this
 # many term evaluations; roots kept between stages are capped at the same
@@ -350,40 +349,47 @@ def _row(terms, z_powers: dict, q: int) -> tuple:
     return tuple((we, c) for we, c in row.items() if c)
 
 
-def _roots(partials, groups, q: int):
-    """Lazily, the pairs (z, w), z in zs and w in ws of a (zs, ws) group,
-    where every compiled partial vanishes mod q.
+def _zeros(row, ws, q: int, tables: dict) -> list:
+    """The ws where the row vanishes mod q, read off tables {w_exp: the
+    powers of the ws}; the powers the row needs are added to them."""
+    sums = [0] * len(ws)
+    for we, c in row:
+        if we not in tables:
+            tables[we] = [pow(w, we, q) for w in ws]
+        sums = [s + c * x for s, x in zip(sums, tables[we])]
+    return [w for w, s in zip(ws, sums) if not s % q]
 
-    At each z a partial is a row of w coefficients, built once if its terms
-    share one z exponent (a unit times the row at 1, with the same zeros).
-    Each row's zero set is scanned once per distinct ws, over power tables."""
-    z_exps = {ze for terms in partials for _, ze, _ in terms}
-    w_exps = {we for terms in partials for _, _, we in terms}
-    ones = dict.fromkeys(z_exps, 1)
-    fixed = [_row(terms, ones, q) if len({ze for _, ze, _ in terms}) <= 1
-             else None for terms in partials]
-    varies = None in fixed
-    seen: dict[tuple, dict] = {}
-    for zs, ws in groups:
-        scanned = seen.setdefault(tuple(ws), {})
-        every, tables = frozenset(ws), None
+
+def _roots(fixed, varying, blocks, q: int):
+    """Lazily, the blocks (zs, ws) inside the candidate blocks such that
+    every partial vanishes mod q at every pair of zs × ws.
+
+    fixed holds the z-free partials' rows, the same at every z up to a
+    unit: each is scanned once per block, and the ws where it vanishes go on
+    to the next.  If no partial varies, the roots are zs × the ws left.
+    Otherwise each varying partial is built as a row at each z and scanned
+    over the ws left, over one power table per block, once per distinct row."""
+    z_exps = {ze for terms in varying for _, ze, _ in terms}
+    for zs, ws in blocks:
+        for row in fixed:
+            ws = _zeros(row, ws, q, {})
+        if ws and not varying:
+            yield zs, ws
+        if not (ws and varying):
+            continue
+        scanned, tables, every = {}, {}, frozenset(ws)
         for z in zs:
-            z_powers = varies and {e: pow(z, e, q) for e in z_exps}
+            z_powers = {e: pow(z, e, q) for e in z_exps}
             survivors = every
-            for terms, key in zip(partials, fixed):
-                key = _row(terms, z_powers, q) if key is None else key
-                if key not in scanned:
-                    tables = tables or {e: [pow(w, e, q) for w in ws]
-                                        for e in w_exps}
-                    sums = [0] * len(ws)
-                    for we, c in key:
-                        sums = [s + c * x for s, x in zip(sums, tables[we])]
-                    scanned[key] = frozenset(
-                        w for w, s in zip(ws, sums) if not s % q)
-                survivors = survivors & scanned[key]
+            for terms in varying:
+                row = _row(terms, z_powers, q)
+                if row not in scanned:
+                    scanned[row] = frozenset(_zeros(row, ws, q, tables))
+                survivors = survivors & scanned[row]
                 if not survivors:
                     break
-            yield from ((z, w) for w in survivors)
+            if survivors:
+                yield [z], list(survivors)
 
 
 class _WorkBudget:
@@ -403,12 +409,12 @@ class _WorkBudget:
         if self.spent > RESIDUE_WORK_BUDGET:
             self._refuse()
 
-    def keep(self, pairs) -> list:
-        """The pairs as a list, refused once the budget could not output
-        them all."""
+    def keep(self, blocks) -> list:
+        """The (zs, ws) blocks as a list, refused if the budget could not
+        output all their pairs."""
         room = (RESIDUE_WORK_BUDGET - self.spent) // _PAIR_WORK
-        kept = list(islice(pairs, room + 1))
-        if len(kept) > room:
+        kept = list(blocks)
+        if sum(len(zs) * len(ws) for zs, ws in kept) > room:
             self._refuse()
         return kept
 
@@ -437,26 +443,29 @@ def _prime_powers(n: int, ring_name: str) -> list[tuple]:
     return out
 
 
-def _prime_power_roots(partials, p: int, k: int, weight: int,
+def _prime_power_roots(fixed, varying, p: int, k: int, weight: int,
                        budget: _WorkBudget) -> list[tuple]:
     """Unit roots mod p^k: brute force mod p, then lift one power at a time.
 
     Lifting is complete with no non-singularity condition: reduction mod p^j
     sends unit roots mod p^(j+1) to unit roots mod p^j, so every root mod
-    p^(j+1) lies among the p^2 candidates above some root mod p^j.  Roots
-    come out grouped by z, and each group lifts as one (zs, ws) group."""
+    p^(j+1) lies among the p^2 candidates above some root mod p^j.  The
+    roots are (zs, ws) blocks, and the candidates above a block are the
+    block of the p lifts of each of its zs and each of its ws."""
     budget.charge((p - 1) ** 2 * weight)
-    roots = budget.keep(_roots(partials, [(range(1, p), range(1, p))], p))
+    roots = budget.keep(_roots(fixed, varying,
+                               [(range(1, p), range(1, p))], p))
     q = p
     for _ in range(k - 1):
-        budget.charge(len(roots) * p * p * weight)
+        budget.charge(sum(len(zs) * len(ws) for zs, ws in roots)
+                      * p * p * weight)
         lifted = q * p
-        roots = budget.keep(_roots(partials, (
-            (range(z, lifted, q), [w1 for _, w in group
-                                   for w1 in range(w, lifted, q)])
-            for z, group in groupby(roots, itemgetter(0))), lifted))
+        roots = budget.keep(_roots(fixed, varying, (
+            ([z1 for z in zs for z1 in range(z, lifted, q)],
+             [w1 for w in ws for w1 in range(w, lifted, q)])
+            for zs, ws in roots), lifted))
         q = lifted
-    return roots
+    return [(z, w) for zs, ws in roots for z in zs for w in ws]
 
 
 def residue_critical_points(p: NovikovPolynomial, ring: Ring) -> list[tuple]:
@@ -474,12 +483,18 @@ def residue_critical_points(p: NovikovPolynomial, ring: Ring) -> list[tuple]:
         raise NotSingleLevel(
             f"polynomial spans t-levels {[rational_str(l) for l in p.t_levels()]}")
     partials = _compile_partials(p, ring)
-    weight = max(1, sum(len(terms) for terms in partials))
-    budget = _WorkBudget(ring.name)
     n = ring.modulus
+    weight = max(1, sum(len(terms) for terms in partials))
+    # A z-free partial, whose terms share one z exponent, is at each unit z
+    # a unit times its row at 1, with the same zeros.
+    fixed = [_row(terms, {ze: 1 for _, ze, _ in terms}, n)
+             for terms in partials if len({ze for _, ze, _ in terms}) <= 1]
+    varying = [terms for terms in partials
+               if len({ze for _, ze, _ in terms}) > 1]
+    budget = _WorkBudget(ring.name)
     found = [(0, 0)]
     for prime, k in _prime_powers(n, ring.name):
-        roots = _prime_power_roots(partials, prime, k, weight, budget)
+        roots = _prime_power_roots(fixed, varying, prime, k, weight, budget)
         if not roots:
             return []
         q = prime ** k

@@ -572,6 +572,78 @@ def test_residue_matches_plain_search_on_random_polynomials(p, ring):
     assert residue_critical_points(p, ring) == expected
 
 
+def _shaped_polynomial(rng, shape):
+    """A random single-level polynomial whose two partials are both z-free
+    (one z exponent each), only the w-partial z-free, or neither."""
+    nonzero = [e for e in range(-3, 4) if e]
+    z0 = rng.choice(nonzero)
+
+    def some(z, w):
+        return term(F(rng.choice(nonzero), rng.choice([1, 1, 2, 3])), 0,
+                    ec=rng.randint(0, 2), z=z, w=w)
+
+    # terms at z0 alone give each partial one z exponent
+    terms = [some(z0, w) for w in [rng.choice(nonzero)] + [
+        rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]]
+    if shape != "both z-free":
+        # a term free of w adds a second z exponent to the z-partial only
+        terms.append(some(rng.choice([e for e in nonzero if e != z0]), 0))
+    if shape == "neither":
+        terms.append(some(rng.choice([e for e in nonzero if e != z0]),
+                          rng.choice(nonzero)))
+    return NovikovPolynomial.from_terms(terms)
+
+
+@pytest.mark.parametrize("shape", ["both z-free", "one z-free", "neither"])
+def test_residue_matches_plain_search_on_each_shape_of_partials(shape):
+    rng = random.Random(f"residue blocks {shape}")
+    for _ in range(3):
+        p = _shaped_polynomial(rng, shape)
+        partials = potential._compile_partials(p, Ring.prime_field(101))
+        assert [len({ze for _, ze, _ in terms}) > 1 for terms in partials] \
+            == {"both z-free": [False, False], "one z-free": [True, False],
+                "neither": [True, True]}[shape], p
+        for ring in RESIDUE_RINGS:
+            try:
+                expected = plain_residue_critical_points(p, ring.modulus)
+            except ValueError:   # a denominator is a zero divisor mod n
+                with pytest.raises(NonInvertibleDenominator):
+                    residue_critical_points(p, ring)
+                continue
+            assert residue_critical_points(p, ring) == expected, (p, ring)
+
+
+def test_z_varying_partial_is_evaluated_only_where_the_z_free_one_vanishes(
+        monkeypatch):
+    # At a = 1/3 the w-partial z^-2 (1 - w^-2) is z-free and vanishes only
+    # at w = 1 and w = -1, while the z-partial's row changes with z.  Each
+    # evaluation of a row at one w multiplies the row's first coefficient.
+    evaluated = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            evaluated.append(other)
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+    row = potential._row
+
+    def counted_row(terms, z_powers, q):
+        out = row(terms, z_powers, q)
+        if out and len({ze for _, ze, _ in terms}) > 1:
+            (we, c), *rest = out
+            out = ((we, Counted(c)), *rest)
+        return out
+
+    monkeypatch.setattr(potential, "_row", counted_row)
+    points = residue_critical_points(RESIDUE_POLYS["cp2_a=1/3"],
+                                     Ring.prime_field(653))
+    # the z-partial at w = 1 is 1 - 8 z^-3, and it is 1 at w = -1
+    assert points == [(2, 1)]
+    assert 0 < len(evaluated) <= 2 * 652
+
+
 # --- changes of basis on H1(L) -------------------------------------------------
 
 def _rebased(p, mat):

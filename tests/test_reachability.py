@@ -58,6 +58,9 @@ ARGVS = [
       "--ring", "Q", "--local-system", "dalpha=-1,dbeta=1"], None),
     (["potential", "--builtin", "cp2_ta:a=1/5", "--residue-ring", "F7"],
      None),
+    # at a = 1/3 the z-partial's row changes with z
+    (["potential", "--builtin", "cp2_ta:a=1/3", "--residue-ring", "Z/17"],
+     None),
     (["probes", "{tmp}/polygon.json", "--point", "1/2,1/2", "--bound", "2"],
      None),
     # one ledger level, lattice parameters and a local system: the next

@@ -51,10 +51,11 @@ def test_validate_side_checks_the_maps(h2x, changes, message):
         Scenario(h2x or CP2_TA.h2x, CP2_TA.form, (side,), CP2_TA.ring)
 
 
+# the ids name the unit: an id built from the data would hold all of it
 @pytest.mark.parametrize("data, unit", [
     (" " * (MAX_DOCUMENT_BYTES + 1), "characters"),
     (b" " * (MAX_DOCUMENT_BYTES + 1), "bytes"),
-])
+], ids=["characters", "bytes"])
 def test_decode_json_refuses_over_limit_input(data, unit):
     with refused(ValidationError,
                  f"document: {MAX_DOCUMENT_BYTES + 1} {unit}; the limit is "
