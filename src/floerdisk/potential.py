@@ -410,12 +410,13 @@ class _WorkBudget:
             self._refuse()
 
     def keep(self, blocks) -> list:
-        """The (zs, ws) blocks as a list, refused if the budget could not
-        output all their pairs."""
+        """The blocks as a list, refused once their pairs outgrow the room."""
         room = (RESIDUE_WORK_BUDGET - self.spent) // _PAIR_WORK
-        kept = list(blocks)
-        if sum(len(zs) * len(ws) for zs, ws in kept) > room:
-            self._refuse()
+        kept = []
+        for zs, ws in blocks:
+            if (room := room - len(zs) * len(ws)) < 0:
+                self._refuse()
+            kept.append((zs, ws))
         return kept
 
 
