@@ -627,6 +627,20 @@ def _build_parser() -> _Parser:
 
 
 _PARSER = _build_parser()
+# each subcommand's parser by its name, the one _PARSER hands the rest to
+_COMMANDS = next(action for action in _PARSER._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """What _PARSER.parse_args(argv) gives or raises.  An argv that starts
+    with a subcommand name goes straight to that subcommand's parser, which
+    is all that _PARSER would do with it."""
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    if parser is None:
+        return _PARSER.parse_args(argv)
+    return parser.parse_args(
+        argv[1:], argparse.Namespace(command=argv[0], version=False))
 
 
 def _write_error(out, kind: str, exc: Exception, code: int) -> int:
@@ -637,7 +651,7 @@ def _write_error(out, kind: str, exc: Exception, code: int) -> int:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args.version:
             if args.command is not None:
                 raise _UsageError("--version takes no subcommand")

@@ -26,6 +26,8 @@ from .rings import PRIME_FIELD, Ring, rational_from, rational_str
 
 Z = Ring.integers()
 Lattice = namedtuple("Lattice", "k N")     # a side's lattice parameters
+# the digest's text: compact, with keys in the sorted order tables write
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,7 @@ class Scenario:
         return _SCENARIO.write(self)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return _CANONICAL.encode(self.to_json_dict())
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -416,10 +417,12 @@ def table(build, *rows) -> Kind:
     attribute `field`.  A key not REQUIRED that is absent or null reads as
     its default: None, left out when written, or a JSON value for the kind.
     A row with key None derives its field from the fields before it.  The
-    object's ValueErrors and shape errors are _checked at its path."""
+    object's ValueErrors and shape errors are _checked at its path.  The
+    object is written with its keys in sorted order."""
+    written = sorted(row for row in rows if row[0] is not None)
     plan = [(key, write, default is None)
-            for key, _, (_, write), default in rows if key is not None]
-    fields_of = attrgetter(*(field for key, field, *_ in rows if key))
+            for key, _, (_, write), default in written]
+    fields_of = attrgetter(*(field for _, field, *_ in written))
 
     def read(data, path):
         _OBJECT(data, path or "document")

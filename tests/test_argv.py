@@ -3,6 +3,7 @@ once per process, and every argv ending in one JSON document with exit code
 0, 2, 3 or 4."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import floerdisk.cli as cli
 import floerdisk.errors as errors
 import floerdisk.scenario as scen
+from test_cli import GOLDEN_COMMANDS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -427,3 +429,113 @@ def test_every_argv_ends_in_one_json_document(files, argv):
     assert ("error" in document) == (code != 0), argv
     if usage_by_construction(argv):
         assert code == 2, argv
+
+
+# --- one parse per argv ------------------------------------------------------
+
+def parse_outcome(parse, argv):
+    """What parse(argv) gives: the namespace's attributes, the _UsageError's
+    message, or the exit status and text of a help request."""
+    help_text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(help_text):
+            return vars(parse(list(argv)))
+    except cli._UsageError as exc:
+        return f"usage: {exc}"
+    except SystemExit as exc:
+        return exc.code, help_text.getvalue()
+
+
+def parametrized_argvs():
+    """Every argv the tests of this module are parametrized with: an argv
+    built from a bit count at 32 and 33 bits, and an argv with a flag in
+    its spaced and its joined form."""
+    for test in list(globals().values()):
+        for mark in getattr(test, "pytestmark", ()):
+            names = [n.strip() for n in mark.args[0].split(",")]
+            if mark.name != "parametrize" or "argv" not in names:
+                continue
+            for values in mark.args[1]:
+                row = dict(zip(names, values if len(names) > 1 else [values]))
+                argv = row["argv"]
+                if callable(argv):
+                    yield argv(2 ** 32 - 1)
+                    yield argv(2 ** 32 + 1)
+                elif "flag" in row:
+                    yield argv + row["flag"]
+                    yield argv + ["=".join(row["flag"])]
+                else:
+                    yield argv
+
+
+POTENTIAL = GOLDEN_COMMANDS["potential_cp2"]
+EDGE_ARGVS = [
+    # "--" in each position
+    *(POTENTIAL[:i] + ["--"] + POTENTIAL[i:]
+      for i in range(len(POTENTIAL) + 1)),
+    ["validate", "--", "x.json"], ["validate", "--", "--builtin"],
+    ["probes", "--point", "0,3/4", "--", "p1xp1"], ["probes", "--", "--"],
+    # abbreviations
+    ["--ver"], ["--vers", "builtin-list"], ["builtin-list", "--ver"],
+    ["invariant", "--b", "cp2_ta:a=1/10", "--r", "Z/8"],
+    ["invariant", "--builtin", "cp2_ta:a=1/10", "--r=Z/8"],
+    ["potential", "--builtin", "cp2_ta:a=1/5", "--analyze"],
+    ["potential", "--builtin", "cp2_ta:a=1/5", "--analyze", "--residue", "F5"],
+    ["criterion", "--builtin", "cp2_ta", "--vs", "cp2_clifford", "--mono"],
+    ["sweep", "--builtin", "cp2_ta", "--f", "1/10"], ["probes", "--he"],
+    # --version after a subcommand, and the top-level spellings
+    ["builtin-list", "--version"], ["potential", "--version", "--builtin"],
+    ["--version"], ["--version", "--version"], [], ["nope"], ["-x"],
+    ["--format", "text"], ["potentials"], ["-h"], ["--help"],
+    ["probes", "-h"], ["sweep", "--help", "--from", "1"],
+    # negative values
+    ["probes", "p1xp1", "--point", "-1/4,1/4", "--bound", "-3"],
+    ["probes", "-1", "--point", "-.5,0"],
+    ["sweep", "--builtin", "bl3_ta", "--vs", "bl3_clifford", "--from", "-1/4",
+     "--to", "-1", "--step", "-1/4"],
+    ["invariant", "--builtin", "cp2_clifford", "--ring", "Z/2", "--field",
+     "F2", "--subspace", "-1,0;0,1"], ["potential", "-1"],
+    # repeated or empty values
+    ["probes", "p1xp1", "p1xp1", "--point", "0,1"],
+    ["probes", "p1xp1", "--point", "0,1", "--point", "0,1"],
+    ["potential", "--builtin", "cp2_ta", "--analyze-units", "--analyze-units"],
+    ["validate", "", "--builtin", ""], ["sweep", "--from", "", "--to", ""],
+    ["builtin-list", "--format", "json", "--format", "text"],
+    ["builtin-list", "--format", ""], ["builtin-list", "x"],
+    ["criterion", "--builtin", "cp2_ta:a=1/10", "--vs", "cp2_clifford",
+     "--format", "text", "--format=text"]]
+
+
+# The goldens, every argv parametrized above and the edge cases; the fuzz
+# draws more.
+DISPATCH_CORPUS = [*GOLDEN_COMMANDS.values(), *parametrized_argvs(),
+                   *EDGE_ARGVS]
+
+
+def test_dispatch_corpus_reaches_every_subcommand():
+    assert {argv[0] for argv in DISPATCH_CORPUS if argv} >= set(cli._COMMANDS)
+    assert len(DISPATCH_CORPUS) >= 120
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+def test_subcommand_parser_reads_what_the_top_level_reads(argv):
+    assert parse_outcome(cli._parse_args, argv) == \
+        parse_outcome(cli._PARSER.parse_args, argv)
+
+
+@settings(max_examples=300)
+@given(argv=argvs())
+def test_subcommand_parser_reads_what_the_top_level_reads_on_fuzz(argv):
+    assert parse_outcome(cli._parse_args, argv) == \
+        parse_outcome(cli._PARSER.parse_args, argv)
+
+
+def test_an_ambiguous_prefix_is_told_among_the_subcommands_options():
+    """The one argv class the two parses read apart: '--=x' prefixes every
+    long option, and the subcommand's parser lists the subcommand's own
+    options where the top-level parser listed its --help and --version."""
+    argv = ["builtin-list", "--=x"]
+    assert parse_outcome(cli._PARSER.parse_args, argv) == \
+        "usage: ambiguous option: --=x could match --help, --version"
+    assert parse_outcome(cli._parse_args, argv) == \
+        "usage: ambiguous option: --=x could match --help, --format"

@@ -580,7 +580,8 @@ def test_non_invertible_local_system_in_a_document(tmp_path, ring):
 @pytest.mark.parametrize("data", [
     b'{"vertices": [', b"\xff{}",
     # valid JSON that nests past the parser's recursion limit
-    b"[" * 100_000 + b"]" * 100_000])
+    b"[" * 100_000 + b"]" * 100_000],
+    ids=["truncated", "not-utf8", "too-deep"])
 @pytest.mark.parametrize("command", [["validate"],
                                      ["probes", "--point", "0,1"]])
 def test_undecodable_files_are_schema_errors(tmp_path, command, data):

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import floerdisk.abelian as abelian_module
 import floerdisk.scenario as scenario_module
 from floerdisk.abelian import kernel_basis, mat_vec, transpose
-from floerdisk.cli import main
+from floerdisk.cli import (_PARSER, _apply_side_overrides, _field,
+                           _side_overrides, main)
 from floerdisk.criterion import evaluate_pair
 from floerdisk.errors import (BadParams, DimensionMismatch, FloerDiskError,
                               SchemaError, UnknownScenario, ValidationError)
@@ -157,6 +158,62 @@ def test_json_roundtrip_bit_identical():
         assert again.canonical_json() == text
         assert again.digest() == scenario.digest()
         assert load_scenario(scenario.to_json_dict()) == scenario
+
+
+def _keys_sorted(value) -> bool:
+    """Does every JSON object in value hold its keys in sorted order?"""
+    if isinstance(value, dict):
+        return list(value) == sorted(value) and all(
+            _keys_sorted(item) for item in value.values())
+    if isinstance(value, list):
+        return all(_keys_sorted(item) for item in value)
+    return True
+
+
+def _key_order_scenarios():
+    """name -> scenario: every builtin, a parametric one inside its interval
+    and at a closed top end, a sphere pair, the every-key document, a side
+    overridden by --local-system and one by --subspace, dense documents."""
+    out = {}
+    for name in BUILTIN_NAMES:
+        if name not in A_INTERVALS:
+            out[name] = make(name)
+            continue
+        low, high, top = A_INTERVALS[name]
+        out[f"{name}:inside"] = make(name, {"a": (low + high) / 2})
+        if top:
+            out[f"{name}:top"] = make(name, {"a": high})
+    out["sphere_pair"] = sphere_pair(F(1, 5), F(1, 6), 2)
+    out["every_key"] = load_scenario(_every_key_document())
+    overrides = {
+        "local_system": _side_overrides_of(["--local-system",
+                                            "dbeta=1/2,dalpha=3"]),
+        "subspace": _side_overrides_of(["--ring", "Z/2", "--field", "F2",
+                                        "--subspace", "1,0;1,1"])}
+    for what, override in overrides.items():
+        out[what] = _apply_side_overrides(make("cp2_ta"), override)
+    for seed, shape in enumerate([(2, 0, 0, 3), (3, 1, 4, 8), (5, 3, 6, 16),
+                                  (MAX_GENERATORS, MAX_RELATIONS, 2, 32)]):
+        out[f"dense{seed}"] = load_scenario(dense_document(*shape, seed))
+    return out
+
+
+def _side_overrides_of(options):
+    args = _PARSER.parse_args(["invariant", "--builtin", "cp2_ta", *options])
+    return _side_overrides(args, _field(args))
+
+
+def test_tables_write_keys_in_sorted_order():
+    """The canonical text is one compact encode of to_json_dict(), with no
+    key sort: every table writes its keys in sorted order."""
+    scenarios = _key_order_scenarios()
+    for name, scenario in scenarios.items():
+        doc = scenario.to_json_dict()
+        assert _keys_sorted(doc), name
+        assert scenario.canonical_json() == _canonical(doc), name
+    # the optional objects are written: a local system and lattice parameters
+    assert scenarios["local_system"].side.local_system
+    assert scenarios["cp2_ta:inside"].side.lattice_params
 
 
 @settings(max_examples=15)
