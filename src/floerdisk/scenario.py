@@ -11,10 +11,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
+import re
 import stat
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
@@ -147,9 +149,8 @@ class DiskLedger:
                         f"disk {d.label}: area {d.area} not below ledger "
                         f"cutoff {self.complete_below}")
         # sorted once, kept off the dataclass fields so eq and repr ignore it;
-        # deduped by identity (a build shares one Fraction per area row), then
-        # by equal neighbours, so that no Fraction is hashed
-        areas = sorted({id(d.area): d.area for d in self.disks}.values())
+        # deduped by equal neighbours, so that no Fraction is hashed
+        areas = sorted(d.area for d in self.disks)
         object.__setattr__(self, "_levels", tuple(
             areas[:1] + [y for x, y in zip(areas, areas[1:]) if x != y]))
 
@@ -236,7 +237,8 @@ class Scenario:
         return _CANONICAL.encode(self.to_json_dict())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        text = _filled_text(self) or self.canonical_json()
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def combine(first: Scenario, second: Scenario) -> Scenario:
@@ -677,8 +679,9 @@ A_INTERVALS = {name: entry.interval
 
 
 def _make_topology(entry: _Builtin) -> tuple:
-    """(H2(X), form, ring, side template, _disk_rows): all that an entry
-    fixes for every a, so that sides from one template share (j, bd)."""
+    """(H2(X), form, ring, side template, _disk_rows, texts): all that an
+    entry fixes for every a, so that sides from one template share (j, bd);
+    texts is the per-template text of each layout, cut when first digested."""
     gens, form, ring = entry.ambient
     h2x, h1 = FgAbelianGroup(gens), FgAbelianGroup(entry.h1)
     h2_rel = FgAbelianGroup(entry.h2_rel)
@@ -693,16 +696,20 @@ def _make_topology(entry: _Builtin) -> tuple:
         subspace=(AffineSubspace(Ring.prime_field(2), (0,) * len(entry.h1),
                                  entry.span) if entry.span else None))
     return (h2x, IntersectionForm(h2x, form), Ring.parse(ring), template,
-            _disk_rows(entry, bd))
+            _disk_rows(entry, bd), {})
 
 
 def _disk_rows(entry: _Builtin, bd) -> tuple:
-    """(affine rows, disk rows): the distinct area rows, the cutoff and the
-    constant; a disk row is (label, rel_class, boundary, count, area row)."""
+    """(affine rows, disk rows, integer rows, d): the distinct area rows, the
+    cutoff and the constant; a disk row is (label, rel_class, boundary,
+    count, area row); the affine rows times d, their least denominator."""
     areas = tuple(dict.fromkeys(area for *_, area in entry.disks))
-    return (*areas, entry.cutoff, entry.constant), tuple(
+    affine = (*areas, entry.cutoff, entry.constant)
+    d = math.lcm(*(c.denominator for r in affine if r for c in r))
+    return affine, tuple(
         (label, rel, mat_vec(bd, rel), count, areas.index(area))
-        for label, rel, count, area in entry.disks)
+        for label, rel, count, area in entry.disks), tuple(
+        r and (int(r[0] * d), int(r[1] * d)) for r in affine), d
 
 
 @functools.cache
@@ -710,45 +717,117 @@ def _topology(name: str) -> tuple:
     return _make_topology(_TABLE[name])
 
 
-def _make_side(entry: _Builtin, template: LagrangianSide, rows: tuple,
-               a: Fraction) -> LagrangianSide:
-    """The entry's side at a (any value for a fixed entry) from its template
-    and rows, each affine row taken once.  Only the first side built from
-    them is validated in full; the others need only _check_areas."""
-    top = entry.interval is not None and a == entry.interval[1]
-    affine, disk_rows = rows
-    *at, cutoff, constant = [None if r is None else r[0] if not r[1]
-                             else r[0] + r[1] * a for r in affine]
-    disks = tuple(DiskClass(label, rel, boundary, 2, at[i], count)
-                  for label, rel, boundary, count, i in disk_rows)
+def _bare(cls, **fields):
+    """A cls of these fields, made past the checks of its __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _make_side(entry: _Builtin, topology: tuple, a,
+               top: bool = False) -> LagrangianSide:
+    """The entry's side at a = p/q (any value for a fixed entry), or at its
+    closed top end.  Each affine row is evaluated once, as an integer over
+    q*d that the checks reading a compare, and gives one Fraction.  Only the
+    first side built from a template runs its constructors' checks and is
+    validated in full; the others need only _check_areas.  The side keeps
+    the row values that fill its template's text in digest."""
+    template, (_, disk_rows, ints, d) = topology[3:5]
+    p, q = a.numerator, a.denominator
+    *at, cutoff, constant = [r and r[0] * q + r[1] * p for r in ints]
     if top:
-        cutoff, constant = None, a
-    side = replace(template, name=entry.side, ledger=DiskLedger(disks, cutoff),
-                   monotone=constant is not None,
-                   monotonicity_constant=constant,
-                   lattice_params=None if top else entry.lattice)
-    if getattr(template, "_valid_rows", None) is rows:
+        cutoff, constant = None, p * d
+    values = tuple(n if n is None else Fraction(n, q * d)
+                   for n in (*at, cutoff, constant))
+    for label, *_, i in disk_rows:
+        if at[i] <= 0:
+            raise ValidationError(f"disk {label}: area must be positive")
+    for label, *_, i in disk_rows if cutoff is not None else ():
+        if at[i] >= cutoff:
+            raise ValidationError(f"disk {label}: area {values[i]} not below "
+                                  f"ledger cutoff {values[-2]}")
+    disks = tuple(_bare(DiskClass, label=label, rel_class=rel, boundary=bd,
+                        maslov=2, area=values[i], count=count)
+                  for label, rel, bd, count, i in disk_rows)
+    # the levels: the rows sorted by numerator, equal numerators as one
+    ledger = _bare(DiskLedger, disks=disks, complete_below=values[-2],
+                   _levels=tuple(dict(sorted(zip(at, values))).values()))
+    side = LagrangianSide(
+        entry.side, template.h1, template.h2_rel, template.j, template.bd,
+        template.fundamental_class, ledger, constant is not None, values[-1],
+        None if top else entry.lattice, subspace=template.subspace,
+        asserted_invariant=template.asserted_invariant)
+    if getattr(template, "_valid_rows", None) is topology[4]:
         _check_areas(side)
     else:   # a refused side leaves the template unmarked
+        for obj in (*disks, ledger):
+            obj.__post_init__()
         _validate_side(template.h2x, side)
-        object.__setattr__(template, "_valid_rows", rows)
+        object.__setattr__(template, "_valid_rows", topology[4])
     object.__setattr__(side, "_valid_in", template.h2x)
+    object.__setattr__(side, "_fill", (topology, top, values))
     return side
 
 
-def check_a(name: str, a: Fraction) -> None:
-    """BadParams unless a lies in the parametric builtin's A_INTERVALS row."""
+def _filled_text(scenario: Scenario) -> str | None:
+    """canonical_json() of a scenario of builtin sides as built, over the
+    first one's own H2(X), form and ring, from each side's per-template text
+    with rational_str of its row values in the slots; None for any other (a
+    side from replace() or a document has no _fill)."""
+    fills = [getattr(side, "_fill", None) for side in scenario.sides]
+    if None in fills or any(x is not y for x, y in zip(
+            (scenario.h2x, scenario.form, scenario.ring), fills[0][0])):
+        return None
+    heads, texts = [], []
+    for side, (topology, top, values) in zip(scenario.sides, fills):
+        if top not in topology[5]:   # to_json_dict's text, @k@ in row k's slots
+            h2x, form, ring, _, (_, disk_rows, ints, _) = topology[:5]
+            document = Scenario(h2x, form, (side,), ring).to_json_dict()
+            fields = document["sides"][0]
+            for disk, (*_, i) in zip(fields["ledger"]["disks"], disk_rows):
+                disk["area"] = f"@{i}@"
+            if ints[-2] and not top:
+                fields["ledger"]["complete_below"] = f"@{len(ints) - 2}@"
+            if "b" in fields:
+                fields["b"] = f"@{len(ints) - 1}@"
+            head, sides, tail = _CANONICAL.encode(document).partition(
+                '"sides":[')
+            cut = re.split(r"@(\d+)@", tail[:-2].replace("%", "%%"))
+            topology[5][top] = (head + sides, "%s".join(cut[::2]),
+                                [int(k) for k in cut[1::2]])
+        head, form, order = topology[5][top]
+        strs = [v and rational_str(v) for v in values]
+        heads.append(head)
+        texts.append(form % tuple([strs[k] for k in order]))
+    return heads[0] + ",".join(texts) + "]}"
+
+
+def check_a(name: str, a) -> bool:
+    """Whether a = p/q is the closed top end of the parametric builtin's
+    A_INTERVALS row, compared on integers; BadParams outside the row."""
     low, high, top_allowed = A_INTERVALS[name]
-    if not (low < a < high or (top_allowed and a == high)):
-        bracket = "]" if top_allowed else ")"
-        raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
+    p, q = a.numerator, a.denominator
+    x, y = p * high.denominator, high.numerator * q
+    if low * q < p and (x < y or top_allowed and x == y):
+        return x == y
+    bracket = "]" if top_allowed else ")"
+    raise BadParams(f"a = {a} outside ({low}, {high}{bracket}")
+
+
+def _exact(x, name: str = "a"):
+    """x, a Fraction, an int or a rational string, as an exact rational; a
+    float, a bool or any other type is BadParams."""
+    if isinstance(x, bool) or not isinstance(x, (Fraction, int, str)):
+        raise BadParams(f"{name} must be an exact rational, not a "
+                        f"{type(x).__name__}")
+    return Fraction(x) if isinstance(x, str) else x
 
 
 def builtin_row(name: str, value: Fraction, a: Fraction) -> tuple:
     """The row (c0, c1) of the parametric builtin, a disk area, its cutoff
     or its constant, that is worth value at a inside its open interval; no
     two rows cross there, so that one row gives the value at every a."""
-    affine, _ = _topology(name)[-1]
+    affine = _topology(name)[4][0]
     return next(r for r in affine if r is not None and r[0] + r[1] * a == value)
 
 
@@ -767,11 +846,10 @@ def builtin_scenario(name: str, params=None) -> Scenario:
         raise BadParams(f"unexpected parameters: {sorted(params)}")
     if a is None:
         raise BadParams("this scenario needs the exact rational parameter a")
-    a = _fraction(a)
-    if name in A_INTERVALS:
-        check_a(name, a)
-    h2x, form, ring, *template = _topology(name)
-    return Scenario(h2x, form, (_make_side(_TABLE[name], *template, a),), ring)
+    a, topology = _exact(a), _topology(name)
+    side = _make_side(_TABLE[name], topology, a,
+                      name in A_INTERVALS and check_a(name, a))
+    return Scenario(*topology[:2], (side,), topology[2])
 
 
 def sphere_pair(a, b, k: int) -> Scenario:
@@ -781,7 +859,7 @@ def sphere_pair(a, b, k: int) -> Scenario:
     ambient pairing is [[-2, 1], [1, -2]].  The second-area bound comes from
     the lattice parameters (k, N=1), valid for parameters below 1/(k+1).
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _exact(a), _exact(b, "b")
     if a <= 0 or b <= 0:
         raise BadParams("parameters must be positive")
     if k < 1:
@@ -801,7 +879,7 @@ def sphere_pair(a, b, k: int) -> Scenario:
             cutoff=(1, 1 - k), lattice=(k, 1), span=((1, 0),))
 
     first, second = entry("T_a", (1, 0), a), entry("T'_b", (0, 1), b)
-    h2x, form, ring, template, _ = _make_topology(first)
-    return Scenario(h2x, form, tuple(
-        _make_side(e, template, _disk_rows(e, template.bd.matrix), x)
+    h2x, form, ring, template, *_ = _make_topology(first)
+    return Scenario(h2x, form, tuple(_make_side(e, (
+        h2x, form, ring, template, _disk_rows(e, template.bd.matrix), {}), x)
         for e, x in ((first, a), (second, b))), ring)

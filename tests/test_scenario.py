@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -1061,7 +1062,7 @@ def _oracle_cases():
             yield name, None
             continue
         low, high, top_allowed = A_INTERVALS[name]
-        width = min(high, 3) - low
+        width = F(min(high, 3) - low)   # exact: min(high, 3) may be the int 3
         for k in range(1, 37):
             yield name, low + k * width / 37
         if top_allowed:
@@ -1115,6 +1116,164 @@ def test_the_validation_marker_covers_only_valid_sides():
                     (F(1, 4), F(1, 4), 3)]:
         _fully_valid_and_equal(sphere_pair(a, b, k),
                                oracle_sphere_pair(a, b, k))
+
+
+# --- the digest filled from per-template text, against a plain encode ------
+
+def _reference_digest(scenario):
+    return hashlib.sha256(json.dumps(
+        scenario.to_json_dict(), sort_keys=True,
+        separators=(",", ":")).encode()).hexdigest()
+
+
+def _digests_agree(scenario):
+    assert scenario.digest() == _reference_digest(scenario)
+
+
+def _random_a(name, rng):
+    """A seeded a inside the builtin's open interval, its numerator and
+    denominator of up to MAX_INT_BITS bits."""
+    low, high, _ = A_INTERVALS[name]
+    while True:
+        bits = rng.randint(1, MAX_INT_BITS)
+        a = F(rng.randint(1, 2 ** bits - 1), rng.randint(1, 2 ** bits - 1))
+        if low < a < high:
+            return a
+
+
+def _same_ambient(name):
+    ambient = scenario_module._TABLE[name].ambient
+    return [other for other in BUILTIN_NAMES
+            if scenario_module._TABLE[other].ambient == ambient]
+
+
+@pytest.mark.parametrize("name, a", list(_oracle_cases()))
+def test_filled_digest_matches_a_plain_encode(name, a):
+    scenario = builtin_scenario(name, None if a is None else {"a": a})
+    # a document that round-trips takes the full path to the same digest
+    loaded = load_scenario(json.loads(json.dumps(scenario.to_json_dict())))
+    assert scenario.digest() == loaded.digest() == \
+        _reference_digest(scenario)
+
+
+@pytest.mark.parametrize("name", sorted(A_INTERVALS))
+def test_filled_digest_at_random_a(name):
+    rng = random.Random(f"digest-{name}")
+    for _ in range(200):
+        _digests_agree(builtin_scenario(name, {"a": _random_a(name, rng)}))
+
+
+@pytest.mark.parametrize("name", sorted(A_INTERVALS))
+def test_filled_digest_of_builtin_pairs(name):
+    low, high, top_allowed = A_INTERVALS[name]
+    points = [F(low + min(high, 1), 3)] + [high] * top_allowed
+    for a in points:
+        swept = builtin_scenario(name, {"a": a})
+        for other in _same_ambient(name):
+            partner = make(other, {"a": points[0] / 2})
+            _digests_agree(combine(swept, partner))
+            _digests_agree(combine(partner, swept))
+
+
+def test_filled_digest_of_override_sides_and_sphere_pairs():
+    overrides = [
+        _side_overrides_of(["--local-system", "dbeta=1/2,dalpha=3"]),
+        _side_overrides_of(["--ring", "Z/2", "--field", "F2",
+                            "--subspace", "1,0;1,1"])]
+    for name in ("cp2_ta", "p1xp1_ta", "bl3_ta", "ts2_la", "trp2_la"):
+        for override in overrides:
+            changed = _apply_side_overrides(make(name), override)
+            _digests_agree(changed)
+            for other in _same_ambient(name):
+                _digests_agree(combine(changed, make(other)))
+                _digests_agree(combine(make(other), changed))
+    for a, b, k in [(F(1, 5), F(1, 6), 2), (F(1, 10), F(1, 10), 3),
+                    (F(1, 4), F(1, 4), 3)]:
+        _digests_agree(sphere_pair(a, b, k))
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """The to_json_dict calls that digests make, counted."""
+    calls = []
+    original = Scenario.to_json_dict
+
+    def counted(scenario):
+        calls.append(scenario)
+        return original(scenario)
+
+    monkeypatch.setattr(Scenario, "to_json_dict", counted)
+    return calls
+
+
+def _cold_texts():
+    for name in BUILTIN_NAMES:
+        scenario_module._topology(name)[-1].clear()
+
+
+def test_builtin_digests_encode_nothing(encodes):
+    plain = make("cp2_ta")
+    pair = combine(make("p1xp1_ta"), make("p1xp1_clifford"))
+    top = builtin_scenario("cp2_ta", {"a": F(1, 3)})
+    warm = [s.digest() for s in (plain, pair, top)]
+    del encodes[:]
+    assert [s.digest() for s in (plain, pair, top)] == warm
+    assert encodes == []
+    # with the per-template texts cleared, each layout's text is encoded
+    # once more, and the digests do not change
+    _cold_texts()
+    assert [s.digest() for s in (plain, pair, top)] == warm
+    assert len(encodes) == 4
+    assert [s.digest() for s in (plain, pair, top)] == warm
+    assert len(encodes) == 4
+
+
+def test_override_and_loaded_digests_encode_in_full(encodes):
+    plain = make("cp2_ta")
+    plain.digest()
+    for scenario in (
+            _apply_side_overrides(plain, _side_overrides_of(
+                ["--local-system", "dbeta=1,dalpha=-1"])),
+            _apply_side_overrides(plain, _side_overrides_of(
+                ["--ring", "Z/2", "--field", "F2", "--subspace", "0,0;0,1"])),
+            combine(plain, load_scenario(make("cp2_clifford").to_json_dict())),
+            load_scenario(plain.to_json_dict())):
+        del encodes[:]
+        assert scenario.digest() == _reference_digest(scenario)
+        assert len(encodes) >= 2   # the digest's, then the reference's
+    # the same builtin side over an equal but other form is no builtin
+    # scenario: its ambient is not the template's own
+    other = Scenario(plain.h2x, scenario_module.IntersectionForm(
+        plain.h2x, ((2,),)), plain.sides, plain.ring)
+    del encodes[:]
+    assert other.digest() == _reference_digest(other) != plain.digest()
+    assert len(encodes) == 2
+
+
+@pytest.mark.parametrize("bad", [0.1, F(1, 10) * 1.0, True, False, 1j,
+                                 [1, 10]])
+def test_a_that_is_no_exact_rational_is_refused(bad):
+    message = f"a must be an exact rational, not a {type(bad).__name__}"
+    for name in ("cp2_ta", "ts2_la"):
+        with pytest.raises(BadParams) as caught:
+            builtin_scenario(name, {"a": bad})
+        assert str(caught.value) == message
+    with pytest.raises(BadParams) as caught:
+        sphere_pair(bad, F(1, 6), 2)
+    assert str(caught.value) == message
+    with pytest.raises(BadParams) as caught:
+        sphere_pair(F(1, 6), bad, 2)
+    assert str(caught.value) == message.replace("a must", "b must")
+
+
+@pytest.mark.parametrize("a", [F(1, 10), 1, "1/10", "2"])
+def test_exact_rationals_of_each_accepted_type(a):
+    expected = Fraction(a)
+    name = "cp2_ta" if expected < F(1, 3) else "ts2_la"
+    assert builtin_scenario(name, {"a": a}) == \
+        builtin_scenario(name, {"a": expected})
+    if expected < F(1, 3):
+        assert sphere_pair(a, a, 2) == sphere_pair(expected, expected, 2)
 
 
 _CP2_TA = scenario_module._TABLE["cp2_ta"]
